@@ -24,9 +24,9 @@ func TestTouchEpochWrap(t *testing.T) {
 		if preWrap {
 			// Push the pooled scratch to the brink: the next bump lands on
 			// MaxInt32 and the one after wraps while profiles still extend.
-			s := pool.getScratch()
+			s := pool.kernel.Scratch()
 			s.tepoch = math.MaxInt32 - 1
-			pool.putScratch(s)
+			pool.kernel.PutScratch(s)
 		}
 		pool.Extend(300)
 		return pool

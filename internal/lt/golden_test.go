@@ -28,12 +28,13 @@ var goldenLT = map[uint64]string{
 // frontier weights, and the frontier index's posting lists.
 func dumpPool(p *Pool) string {
 	var b strings.Builder
-	for pi := range p.profileSeed {
+	for pi := 0; pi < p.NumProfiles(); pi++ {
+		pr := p.kernel.Profile(pi)
 		fmt.Fprintf(&b, "profile %d seed %d\n active %v\n front %v\n frontW %v\n",
-			pi, p.profileSeed[pi], p.baseActive(pi), p.baseFront(pi), p.baseFrontW(pi))
+			pi, pr.Seed, pr.Active, pr.Front, pr.Pay)
 	}
-	for v := int32(0); int(v) < p.g.N(); v++ {
-		fmt.Fprintf(&b, "idx %d %v\n", v, p.frontierProfiles(v))
+	for v := int32(0); int(v) < p.Graph().N(); v++ {
+		fmt.Fprintf(&b, "idx %d %v\n", v, p.kernel.FrontierProfiles(v))
 	}
 	return b.String()
 }

@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 
 	"github.com/kboost/kboost/internal/graph"
+	"github.com/kboost/kboost/internal/model/profile"
 	"github.com/kboost/kboost/internal/rng"
 )
 
@@ -254,7 +255,7 @@ func GreedyBoost(g *graph.Graph, seeds []int32, k int, candCap int, opt Options)
 	for _, s := range seeds {
 		seedMask[s] = true
 	}
-	pool := boostCandidates(g, seedMask, k, candCap)
+	pool := profile.Candidates(g, seedMask, k, candCap)
 
 	// The base spread σ̂_S(∅) is a deterministic function of (g, seeds,
 	// opt), so estimate it once up front instead of re-running it inside

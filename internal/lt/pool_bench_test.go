@@ -62,7 +62,7 @@ func BenchmarkLTSelectWarm(b *testing.B) {
 // against the from-scratch re-simulation reference on the same pool.
 func BenchmarkLTEstimateWarm(b *testing.B) {
 	pool := benchLTPool(b)
-	boost := pool.g.N()
+	boost := pool.Graph().N()
 	set := []int32{int32(boost / 3), int32(boost / 2), int32(2 * boost / 3)}
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -132,7 +132,7 @@ func BenchmarkLTSelectWarmShort(b *testing.B) {
 // BenchmarkLTEstimateWarm on the same small pool.
 func BenchmarkLTEstimateWarmShort(b *testing.B) {
 	pool := benchLTPoolShort(b)
-	boost := pool.g.N()
+	boost := pool.Graph().N()
 	set := []int32{int32(boost / 3), int32(boost / 2), int32(2 * boost / 3)}
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/kboost/kboost/internal/model/profile"
 	"github.com/kboost/kboost/internal/rng"
 	"github.com/kboost/kboost/internal/testutil"
 )
@@ -85,7 +86,7 @@ func TestGreedyBoostAmongMatchesDefault(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cands := boostCandidates(g, pool.seedMask, k, candCap)
+		cands := profile.Candidates(g, pool.kernel.SeedMask(), k, candCap)
 		// Polluted copy: seeds and junk ids must be filtered out.
 		dirty := append(append([]int32{seeds[0], -1, int32(n) + 7}, cands...), seeds[0])
 		got, gotEst, err := pool.GreedyBoostAmong(k, dirty)
@@ -96,7 +97,7 @@ func TestGreedyBoostAmongMatchesDefault(t *testing.T) {
 			t.Fatalf("trial %d: among %v/%v != default %v/%v", trial, got, gotEst, want, wantEst)
 		}
 		for _, v := range got {
-			if pool.seedMask[v] {
+			if pool.kernel.SeedMask()[v] {
 				t.Fatalf("trial %d: picked seed %d", trial, v)
 			}
 		}
@@ -107,9 +108,9 @@ func TestGreedyBoostAmongMatchesDefault(t *testing.T) {
 // (normally reserved for large batches) and re-checks equivalence with
 // the naive reference.
 func TestPoolGreedyMatchesNaiveParallel(t *testing.T) {
-	oldEval, oldEst := ltReEvalParallelMin, estimateParallelMin
-	ltReEvalParallelMin, estimateParallelMin = 1, 1
-	defer func() { ltReEvalParallelMin, estimateParallelMin = oldEval, oldEst }()
+	oldEval, oldEst := ltReEvalParallelMin, profile.EstimateParallelMin
+	ltReEvalParallelMin, profile.EstimateParallelMin = 1, 1
+	defer func() { ltReEvalParallelMin, profile.EstimateParallelMin = oldEval, oldEst }()
 
 	r := rng.New(55)
 	for trial := 0; trial < 8; trial++ {

@@ -18,9 +18,9 @@ package lt
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/kboost/kboost/internal/graph"
+	"github.com/kboost/kboost/internal/model/profile"
 )
 
 // Repair transitions the pool from its current graph to g2 — the result
@@ -44,7 +44,7 @@ import (
 // The node universe is fixed: g2 must have the same node count (deltas
 // mutate edges only). Growing the universe is a re-upload.
 func (p *Pool) Repair(g2 *graph.Graph, dirtyOut, dirtyIn []bool, maxFrac float64) (touched int, ok bool, err error) {
-	n := p.g.N()
+	n := p.kernel.Graph().N()
 	if g2.N() != n {
 		return 0, false, fmt.Errorf("lt: repair changes node count %d -> %d", n, g2.N())
 	}
@@ -52,184 +52,57 @@ func (p *Pool) Repair(g2 *graph.Graph, dirtyOut, dirtyIn []bool, maxFrac float64
 		return 0, false, fmt.Errorf("lt: dirty masks have %d/%d entries, want %d", len(dirtyOut), len(dirtyIn), n)
 	}
 
-	R := len(p.profileSeed)
-	touchedMask := make([]bool, R)
-	perWorker := make([]int, p.workers)
-	perWorkerCost := make([]int64, p.workers)
-	chunk := (R + p.workers - 1) / p.workers
-	var wg sync.WaitGroup
-	for w := 0; w < p.workers; w++ {
-		lo := w * chunk
-		if lo >= R {
-			break
-		}
-		hi := min(lo+chunk, R)
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			c := 0
-			var cost int64
-			for pi := lo; pi < hi; pi++ {
-				hit := false
-				for _, v := range p.baseActive(pi) {
-					if dirtyOut[v] || dirtyIn[v] {
-						hit = true
-						break
-					}
-				}
-				if !hit {
-					for _, v := range p.baseFront(pi) {
-						if dirtyIn[v] {
-							hit = true
-							break
-						}
-					}
-				}
-				if hit {
-					touchedMask[pi] = true
-					c++
-					cost += int64(len(p.baseActive(pi)) + len(p.baseFront(pi)))
-				}
+	// tally is one worker's hit count and the cascade sizes of its hit
+	// and of all its profiles.
+	type tally struct {
+		hits        int
+		cost, total int64
+	}
+	hit := make([]bool, p.kernel.NumProfiles())
+	tallies := make([]tally, p.kernel.Workers())
+	profile.ForChunks(len(hit), p.kernel.Workers(), func(w, lo, hi int) {
+		var t tally
+		for pi := lo; pi < hi; pi++ {
+			pr := p.kernel.Profile(pi)
+			cost := int64(len(pr.Active) + len(pr.Front))
+			t.total += cost
+			if crosses(pr.Active, pr.Front, dirtyOut, dirtyIn) {
+				hit[pi] = true
+				t.hits++
+				t.cost += cost
 			}
-			perWorker[w] = c
-			perWorkerCost[w] = cost
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var touchedCost int64
-	for w := range perWorker {
-		touched += perWorker[w]
-		touchedCost += perWorkerCost[w]
-	}
-	totalCost := int64(len(p.activeItems) + len(p.frontItems))
-	if totalCost > 0 && float64(touchedCost) > maxFrac*float64(totalCost) {
-		return touched, false, nil
-	}
-
-	// Swap in the patched graph and its recomputed normalizers before
-	// re-simulation; the old cached arrays stay intact as the copy
-	// source until the assembly below.
-	oldActiveStart, oldActiveItems := p.activeStart, p.activeItems
-	oldFrontStart, oldFrontItems, oldFrontW := p.frontStart, p.frontItems, p.frontW
-	p.g = g2
-	p.m = New(g2)
-
-	// Workers re-simulate only their touched profiles into per-worker
-	// shards. Untouched profiles are not staged anywhere: the assembly
-	// below copies their cached segments straight out of the old arrays,
-	// once. (An earlier version routed every profile — touched or not —
-	// through the shard buffers and then merged the shards, moving ~all
-	// of a pool's hundreds of megabytes twice per patch; the repair path
-	// is memmove-bound, so that second copy was its single largest cost.)
-	shards := make([]ltShard, p.workers)
-	for w := 0; w < p.workers; w++ {
-		lo := w * chunk
-		if lo >= R {
-			break
 		}
-		hi := min(lo+chunk, R)
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			s := p.getScratch()
-			defer p.putScratch(s)
-			sh := &shards[w]
-			sh.activeStart = append(sh.activeStart, 0)
-			sh.frontStart = append(sh.frontStart, 0)
-			for pi := lo; pi < hi; pi++ {
-				if touchedMask[pi] {
-					p.simulateBaseInto(p.profileSeed[pi], sh, s)
-				}
-			}
-		}(w, lo, hi)
+		tallies[w] = t
+	})
+	var sum tally
+	for _, t := range tallies {
+		sum.hits += t.hits
+		sum.cost += t.cost
+		sum.total += t.total
 	}
-	wg.Wait()
+	if sum.total > 0 && float64(sum.cost) > maxFrac*float64(sum.total) {
+		return sum.hits, false, nil
+	}
+	// The patched graph's normalizers change the dynamics; thresholds
+	// and profile seeds do not.
+	p.kernel.Resample(g2, newCascade(g2)(p.kernel.Seeds()), hit)
+	p.c = p.kernel.Cascade().(*cascade)
+	return sum.hits, true, nil
+}
 
-	// Exact-size the new arrays: untouched segments keep their old
-	// lengths, touched ones take their re-simulated shard lengths.
-	newActive := len(oldActiveItems)
-	newFront := len(oldFrontItems)
-	for pi := 0; pi < R; pi++ {
-		if touchedMask[pi] {
-			newActive -= int(oldActiveStart[pi+1] - oldActiveStart[pi])
-			newFront -= int(oldFrontStart[pi+1] - oldFrontStart[pi])
+// crosses reports whether a profile's base cascade crossed a mutated
+// edge list: an active node with dirty out- or in-edges, or a frontier
+// node with dirty in-edges.
+func crosses(active, front []int32, dirtyOut, dirtyIn []bool) bool {
+	for _, v := range active {
+		if dirtyOut[v] || dirtyIn[v] {
+			return true
 		}
 	}
-	for w := range shards {
-		newActive += len(shards[w].activeItems)
-		newFront += len(shards[w].frontItems)
-	}
-
-	activeStart := make([]int32, R+1)
-	activeItems := make([]int32, newActive)
-	frontStart := make([]int32, R+1)
-	frontItems := make([]int32, newFront)
-	frontW := make([]float64, newFront)
-
-	// Assemble in profile order. A maximal untouched run is contiguous
-	// in the old arrays, so it moves as one bulk copy; each touched
-	// profile comes from its worker's shard, consumed in range order.
-	shCur := make([]int, p.workers)
-	var aw, fw int32
-	for pi := 0; pi < R; {
-		if !touchedMask[pi] {
-			j := pi
-			for j < R && !touchedMask[j] {
-				j++
-			}
-			a0, a1 := oldActiveStart[pi], oldActiveStart[j]
-			copy(activeItems[aw:], oldActiveItems[a0:a1])
-			f0, f1 := oldFrontStart[pi], oldFrontStart[j]
-			copy(frontItems[fw:], oldFrontItems[f0:f1])
-			copy(frontW[fw:], oldFrontW[f0:f1])
-			da, df := aw-a0, fw-f0
-			for i := pi; i < j; i++ {
-				activeStart[i+1] = oldActiveStart[i+1] + da
-				frontStart[i+1] = oldFrontStart[i+1] + df
-			}
-			aw += a1 - a0
-			fw += f1 - f0
-			pi = j
-			continue
-		}
-		w := pi / chunk
-		sh := &shards[w]
-		k := shCur[w]
-		shCur[w]++
-		a0, a1 := sh.activeStart[k], sh.activeStart[k+1]
-		copy(activeItems[aw:], sh.activeItems[a0:a1])
-		aw += a1 - a0
-		activeStart[pi+1] = aw
-		f0, f1 := sh.frontStart[k], sh.frontStart[k+1]
-		copy(frontItems[fw:], sh.frontItems[f0:f1])
-		copy(frontW[fw:], sh.frontW[f0:f1])
-		fw += f1 - f0
-		frontStart[pi+1] = fw
-		pi++
-	}
-	p.activeStart, p.activeItems = activeStart, activeItems
-	p.frontStart, p.frontItems, p.frontW = frontStart, frontItems, frontW
-	p.baseSum = int64(newActive)
-
-	// Rebuild the frontier index in one counting pass.
-	counts := make([]int32, n)
-	for _, v := range p.frontItems {
-		counts[v]++
-	}
-	newStart := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		newStart[v+1] = newStart[v] + counts[v]
-	}
-	newItems := make([]int32, newStart[n])
-	next := counts // reuse as per-node write cursors
-	copy(next, newStart[:n])
-	for pi := 0; pi < R; pi++ {
-		for _, v := range p.baseFront(pi) {
-			newItems[next[v]] = int32(pi)
-			next[v]++
+	for _, v := range front {
+		if dirtyIn[v] {
+			return true
 		}
 	}
-	p.idxStart, p.idxItems = newStart, newItems
-	p.generation++
-	return touched, true, nil
+	return false
 }

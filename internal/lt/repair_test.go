@@ -68,18 +68,11 @@ func sameLTPoolBits(t *testing.T, label string, got, want *Pool, k int) {
 			t.Fatalf("%s: %s differ:\n got %v\nwant %v", label, what, a, b)
 		}
 	}
-	eq("profileSeed", got.profileSeed, want.profileSeed)
-	eq("activeStart", got.activeStart, want.activeStart)
-	eq("activeItems", got.activeItems, want.activeItems)
-	eq("frontStart", got.frontStart, want.frontStart)
-	eq("frontItems", got.frontItems, want.frontItems)
-	eq("frontW", got.frontW, want.frontW)
-	eq("baseSum", got.baseSum, want.baseSum)
-	eq("idxStart", got.idxStart, want.idxStart)
-	eq("idxItems", got.idxItems, want.idxItems)
+	eq("profile seeds, fixed points and frontier index", dumpPool(got), dumpPool(want))
+	eq("baseSum", got.kernel.BaseSum(), want.kernel.BaseSum())
 	eq("BaseSpread", got.BaseSpread(), want.BaseSpread())
 
-	boost := []int32{int32(1 % got.g.N()), int32(5 % got.g.N())}
+	boost := []int32{int32(1 % got.Graph().N()), int32(5 % got.Graph().N())}
 	ge, err := got.EstimateSpread(boost)
 	if err != nil {
 		t.Fatalf("%s: EstimateSpread: %v", label, err)

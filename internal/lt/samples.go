@@ -2,9 +2,9 @@ package lt
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/kboost/kboost/internal/graph"
+	"github.com/kboost/kboost/internal/model/profile"
 	"github.com/kboost/kboost/internal/rng"
 )
 
@@ -33,36 +33,19 @@ func EstimateSamples(g *graph.Graph, seeds, boost []int32, opt Options) (spread,
 	delta = make([]float64, opt.Sims)
 	pair := len(boost) > 0
 
-	var wg sync.WaitGroup
-	per := opt.Sims / opt.Workers
-	rem := opt.Sims % opt.Workers
-	lo := 0
-	for w := 0; w < opt.Workers; w++ {
-		count := per
-		if w < rem {
-			count++
-		}
-		if count == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			sim := NewSimulator(m)
-			var r rng.Source
-			for i := lo; i < hi; i++ {
+	profile.ForChunks(opt.Sims, opt.Workers, func(_, lo, hi int) {
+		sim := NewSimulator(m)
+		var r rng.Source
+		for i := lo; i < hi; i++ {
+			r.ReseedStream(opt.Seed, uint64(i))
+			boosted := float64(sim.SpreadOnce(seeds, mask, &r))
+			spread[i] = boosted
+			if pair {
 				r.ReseedStream(opt.Seed, uint64(i))
-				boosted := float64(sim.SpreadOnce(seeds, mask, &r))
-				spread[i] = boosted
-				if pair {
-					r.ReseedStream(opt.Seed, uint64(i))
-					delta[i] = boosted - float64(sim.SpreadOnce(seeds, nil, &r))
-				}
+				delta[i] = boosted - float64(sim.SpreadOnce(seeds, nil, &r))
 			}
-		}(lo, lo+count)
-		lo += count
-	}
-	wg.Wait()
+		}
+	})
 	launched := int64(opt.Sims)
 	if pair {
 		launched *= 2

@@ -21,66 +21,18 @@ package lt
 //     tests pin against the naive reference below;
 //   - re-evaluation is sharded across the pool's workers.
 //
-// greedyBoostNaive — full from-scratch re-simulation of every
-// (candidate, profile) pair per round — is retained as the behavioral
-// reference for the equivalence tests and the warm-selection benchmark.
+// The boosted-LT objective is not submodular, so this lazy greedy and
+// the kernel's exhaustive greedy (profile.Pool.GreedyBoostContext) may
+// pick different sets; LT keeps its own. The equivalence tests hold it
+// to the full-resimulation reference in profile/profiletest.
 
 import (
 	"context"
-	"fmt"
 	"sort"
-	"sync"
 
-	"github.com/kboost/kboost/internal/graph"
 	"github.com/kboost/kboost/internal/maxcover"
+	"github.com/kboost/kboost/internal/model/profile"
 )
-
-// CandidateCap resolves a candidate-pool cap against the default used
-// by both greedy implementations: candCap < k falls back to 4k.
-func CandidateCap(k, candCap int) int {
-	if candCap < k {
-		return 4 * k
-	}
-	return candCap
-}
-
-// boostCandidates returns the greedy candidate pool: non-seed nodes
-// ordered by incoming boost gain Σ (p'−p) descending (ties toward the
-// smaller id), capped at CandidateCap(k, candCap).
-func boostCandidates(g *graph.Graph, seedMask []bool, k, candCap int) []int32 {
-	candCap = CandidateCap(k, candCap)
-	type nw struct {
-		v int32
-		w float64
-	}
-	pool := make([]nw, 0, g.N())
-	for v := int32(0); int(v) < g.N(); v++ {
-		if seedMask[v] {
-			continue
-		}
-		var wsum float64
-		p := g.InP(v)
-		pb := g.InPBoost(v)
-		for i := range p {
-			wsum += pb[i] - p[i]
-		}
-		pool = append(pool, nw{v, wsum})
-	}
-	sort.Slice(pool, func(i, j int) bool {
-		if pool[i].w != pool[j].w {
-			return pool[i].w > pool[j].w
-		}
-		return pool[i].v < pool[j].v
-	})
-	if len(pool) > candCap {
-		pool = pool[:candCap]
-	}
-	out := make([]int32, len(pool))
-	for i, c := range pool {
-		out[i] = c.v
-	}
-	return out
-}
 
 // gainPair is one candidate's nonzero marginal gain on one profile.
 type gainPair struct {
@@ -120,12 +72,12 @@ var ltReEvalParallelMin = 64
 
 // GreedyBoost greedily selects up to k boost nodes maximizing the
 // pooled LT boost estimate over the candidate pool (see
-// boostCandidates; candCap < k picks the 4k default). It returns the
+// profile.Candidates; candCap < k picks the 4k default). It returns the
 // chosen nodes in pick order and the pooled boost estimate Δ̂ of the
 // chosen set. Selection stops early when no candidate adds activations
 // in any profile. Like the underlying model it is a heuristic — no
 // approximation guarantee exists for boosted LT — but it returns
-// exactly what greedyBoostNaive would, bit-for-bit, at a fraction of
+// exactly what the full-resimulation reference greedy would, bit-for-bit, at a fraction of
 // the simulations. Safe to run concurrently with other read-only pool
 // methods (not with Extend).
 func (p *Pool) GreedyBoost(k, candCap int) ([]int32, float64, error) {
@@ -136,10 +88,10 @@ func (p *Pool) GreedyBoost(k, candCap int) ([]int32, float64, error) {
 // CELF pick loop polls ctx once per chosen node, so a canceled request
 // stops within one profile re-evaluation round.
 func (p *Pool) GreedyBoostContext(ctx context.Context, k, candCap int) ([]int32, float64, error) {
-	if err := p.checkSelect(k); err != nil {
+	if err := p.kernel.CheckSelect(k); err != nil {
 		return nil, 0, err
 	}
-	return p.greedyBoost(ctx, k, boostCandidates(p.g, p.seedMask, k, candCap))
+	return p.greedyBoost(ctx, k, profile.Candidates(p.kernel.Graph(), p.kernel.SeedMask(), k, candCap))
 }
 
 // GreedyBoostAmong is GreedyBoost over an explicit candidate list
@@ -154,27 +106,10 @@ func (p *Pool) GreedyBoostAmong(k int, cands []int32) ([]int32, float64, error) 
 // GreedyBoostAmongContext is GreedyBoostAmong with cooperative
 // cancellation (see GreedyBoostContext).
 func (p *Pool) GreedyBoostAmongContext(ctx context.Context, k int, cands []int32) ([]int32, float64, error) {
-	if err := p.checkSelect(k); err != nil {
+	if err := p.kernel.CheckSelect(k); err != nil {
 		return nil, 0, err
 	}
-	ok := make([]int32, 0, len(cands))
-	for _, v := range cands {
-		if v >= 0 && int(v) < p.g.N() && !p.seedMask[v] {
-			ok = append(ok, v)
-		}
-	}
-	return p.greedyBoost(ctx, k, ok)
-}
-
-// checkSelect validates a selection request against the pool.
-func (p *Pool) checkSelect(k int) error {
-	if k < 1 {
-		return fmt.Errorf("lt: k=%d must be >= 1", k)
-	}
-	if len(p.profileSeed) == 0 {
-		return fmt.Errorf("lt: selection on an empty pool (call Extend first)")
-	}
-	return nil
+	return p.greedyBoost(ctx, k, p.kernel.Eligible(cands))
 }
 
 // greedyBoost is the shared CELF implementation over a resolved
@@ -183,8 +118,8 @@ func (p *Pool) greedyBoost(ctx context.Context, k int, cands []int32) ([]int32, 
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
-	R := len(p.profileSeed)
-	n := p.g.N()
+	R := p.kernel.NumProfiles()
+	n := p.kernel.Graph().N()
 	candMask := make([]bool, n)
 	for _, v := range cands {
 		candMask[v] = true
@@ -193,11 +128,8 @@ func (p *Pool) greedyBoost(ctx context.Context, k int, cands []int32) ([]int32, 
 
 	states := make([]queryState, R)
 	for pi := range states {
-		states[pi] = queryState{
-			active: p.baseActive(pi),
-			front:  p.baseFront(pi),
-			frontW: p.baseFrontW(pi),
-		}
+		pr := p.kernel.Profile(pi)
+		states[pi] = queryState{active: pr.Active, front: pr.Front, frontW: pr.Pay}
 	}
 
 	gain := make([]int32, n)
@@ -214,7 +146,7 @@ func (p *Pool) greedyBoost(ctx context.Context, k int, cands []int32) ([]int32, 
 		all[i] = int32(i)
 	}
 	p.evalProfilesInto(all, states, -1, chosenMask, candMask, evals)
-	curSum := p.baseSum
+	curSum := p.kernel.BaseSum()
 	for _, pi := range all {
 		st := &states[pi]
 		st.pairs, st.touch = evals[pi].pairs, evals[pi].touch
@@ -272,7 +204,7 @@ func (p *Pool) greedyBoost(ctx context.Context, k int, cands []int32) ([]int32, 
 		// eval pass's touch set. The base index plus the extra appends
 		// form a superset; membership is re-checked before inclusion.
 		affected = affected[:0]
-		for _, src := range [2][]int32{p.frontierProfiles(best), extra[best]} {
+		for _, src := range [2][]int32{p.kernel.FrontierProfiles(best), extra[best]} {
 			for _, pi := range src {
 				if profStamp[pi] == round {
 					continue
@@ -319,7 +251,7 @@ func (p *Pool) greedyBoost(ctx context.Context, k int, cands []int32) ([]int32, 
 			}
 		}
 	}
-	return chosen, float64(curSum-p.baseSum) / float64(R), nil
+	return chosen, float64(curSum-p.kernel.BaseSum()) / float64(R), nil
 }
 
 // containsSorted reports whether v is in the sorted slice s.
@@ -334,43 +266,25 @@ func containsSorted(s []int32, v int32) bool {
 // a pure function of (profile state, pick, masks), so the output does
 // not depend on the sharding.
 func (p *Pool) evalProfilesInto(pis []int32, states []queryState, pick int32, chosenMask, candMask []bool, evals []profEval) {
-	if len(pis) < ltReEvalParallelMin || p.workers <= 1 {
-		s := p.getScratch()
-		defer p.putScratch(s)
-		for _, pi := range pis {
+	workers := p.kernel.Workers()
+	if len(pis) < ltReEvalParallelMin {
+		workers = 1
+	}
+	profile.ForChunks(len(pis), workers, func(_, lo, hi int) {
+		s := p.kernel.Scratch()
+		defer p.kernel.PutScratch(s)
+		for _, pi := range pis[lo:hi] {
 			evals[pi] = p.evalProfile(int(pi), &states[pi], pick, chosenMask, candMask, s)
 		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (len(pis) + p.workers - 1) / p.workers
-	for w := 0; w < p.workers; w++ {
-		lo := w * chunk
-		if lo >= len(pis) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(pis) {
-			hi = len(pis)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			s := p.getScratch()
-			defer p.putScratch(s)
-			for _, pi := range pis[lo:hi] {
-				evals[pi] = p.evalProfile(int(pi), &states[pi], pick, chosenMask, candMask, s)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 }
 
 // evalProfile applies pick (if >= 0) to one profile's query state and
 // recomputes the profile's candidate gains and touch set. It mutates
 // st's slices by replacement only; the scratch is left clean.
 func (p *Pool) evalProfile(pi int, st *queryState, pick int32, chosenMask, candMask []bool, s *evalScratch) profEval {
-	ps := p.profileSeed[pi]
+	c := p.c
+	ps := p.kernel.Profile(pi).Seed
 	s.loadState(st.active, st.front, st.frontW)
 	var ev profEval
 
@@ -378,7 +292,7 @@ func (p *Pool) evalProfile(pi int, st *queryState, pick int32, chosenMask, candM
 		// The picked node's stored in-weight switches to the boosted
 		// probabilities; if that reaches its threshold, it activates and
 		// cascades. Modifications stay in the logs for the rebuild below.
-		wb := p.boostedInWeight(pick, s)
+		wb := c.boostedInWeight(pick, s)
 		s.pushNode = append(s.pushNode, pick)
 		s.pushPrev = append(s.pushPrev, s.wIn[pick])
 		s.wIn[pick] = wb
@@ -386,9 +300,9 @@ func (p *Pool) evalProfile(pi int, st *queryState, pick int32, chosenMask, candM
 			s.active[pick] = true
 			s.actNode = append(s.actNode, pick)
 			s.queue = append(s.queue, pick)
-			ev.delta = int32(1 + p.runCascade(ps, chosenMask, s))
+			ev.delta = int32(1 + c.runCascade(ps, chosenMask, -1, s))
 		}
-		p.commitState(st, &ev, s)
+		commitState(st, &ev, s)
 	}
 
 	// Candidate gains over the (possibly rebuilt) frontier, collecting
@@ -398,7 +312,7 @@ func (p *Pool) evalProfile(pi int, st *queryState, pick int32, chosenMask, candM
 		if !candMask[v] || chosenMask[v] || s.active[v] {
 			continue
 		}
-		g := p.gainOf(ps, v, chosenMask, s, &ev.touch)
+		g := c.gainOf(ps, v, chosenMask, s, &ev.touch)
 		if g > 0 {
 			ev.pairs = append(ev.pairs, gainPair{v, g})
 		}
@@ -413,8 +327,8 @@ func (p *Pool) evalProfile(pi int, st *queryState, pick int32, chosenMask, candM
 // probabilities, tentatively activate and cascade if it reaches its
 // threshold, then roll the state back. Touched nodes are appended to
 // touch (deduplicated by the caller's tepoch).
-func (p *Pool) gainOf(ps uint64, v int32, inB []bool, s *evalScratch, touch *[]int32) int32 {
-	w := p.boostedInWeight(v, s)
+func (c *cascade) gainOf(ps uint64, v int32, inB []bool, s *evalScratch, touch *[]int32) int32 {
+	w := c.boostedInWeight(v, s)
 	if w < theta(ps, v) {
 		return 0
 	}
@@ -422,7 +336,7 @@ func (p *Pool) gainOf(ps uint64, v int32, inB []bool, s *evalScratch, touch *[]i
 	s.active[v] = true
 	s.actNode = append(s.actNode, v)
 	s.queue = append(s.queue, v)
-	g := int32(1 + p.runCascade(ps, inB, s))
+	g := int32(1 + c.runCascade(ps, inB, -1, s))
 	for _, t := range s.pushNode[pushMark:] {
 		if s.tstamp[t] != s.tepoch {
 			s.tstamp[t] = s.tepoch
@@ -443,7 +357,7 @@ func (p *Pool) gainOf(ps uint64, v int32, inB []bool, s *evalScratch, touch *[]i
 // modification logs after an applied pick, recording nodes that entered
 // the frontier in ev.frontAdds. The scratch keeps the committed state
 // loaded so candidate gains can be evaluated directly afterwards.
-func (p *Pool) commitState(st *queryState, ev *profEval, s *evalScratch) {
+func commitState(st *queryState, ev *profEval, s *evalScratch) {
 	newActs := s.actNode
 	if len(newActs) > 0 {
 		merged := make([]int32, 0, len(st.active)+len(newActs))
@@ -478,54 +392,4 @@ func (p *Pool) commitState(st *queryState, ev *profEval, s *evalScratch) {
 		frontW[j] = s.wIn[v]
 	}
 	st.front, st.frontW = front, frontW
-}
-
-// greedyBoostNaive is the retained reference implementation: each round
-// it re-simulates every profile from scratch for every remaining
-// candidate and takes the best (ties toward the smaller node id,
-// stopping when no candidate adds activations) — exactly the semantics
-// GreedyBoost reproduces incrementally. The equivalence property tests
-// and BenchmarkLTWarmBoost run it against the fast path.
-func (p *Pool) greedyBoostNaive(k, candCap int) ([]int32, float64, error) {
-	if k < 1 {
-		return nil, 0, fmt.Errorf("lt: k=%d must be >= 1", k)
-	}
-	R := len(p.profileSeed)
-	if R == 0 {
-		return nil, 0, fmt.Errorf("lt: selection on an empty pool (call Extend first)")
-	}
-	cands := append([]int32(nil), boostCandidates(p.g, p.seedMask, k, candCap)...)
-	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
-
-	s := p.getScratch()
-	defer p.putScratch(s)
-	mask := make([]bool, p.g.N())
-	curSum := p.baseSum
-	var chosen []int32
-	for len(chosen) < k {
-		best := int32(-1)
-		bestSum := curSum
-		for _, v := range cands {
-			if mask[v] {
-				continue
-			}
-			mask[v] = true
-			var sum int64
-			for pi := range p.profileSeed {
-				sum += int64(p.simulate(p.profileSeed[pi], mask, s))
-				s.reset()
-			}
-			mask[v] = false
-			if sum > bestSum {
-				best, bestSum = v, sum
-			}
-		}
-		if best < 0 {
-			break
-		}
-		chosen = append(chosen, best)
-		mask[best] = true
-		curSum = bestSum
-	}
-	return chosen, float64(curSum-p.baseSum) / float64(R), nil
 }

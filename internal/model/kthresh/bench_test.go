@@ -1,6 +1,7 @@
 package kthresh
 
 import (
+	"context"
 	"testing"
 
 	"github.com/kboost/kboost/internal/dataset"
@@ -27,7 +28,7 @@ func benchKTPool(b *testing.B) *Pool {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool.Extend(200)
+	extend(b, pool, 200)
 	return pool
 }
 
@@ -39,7 +40,7 @@ func BenchmarkKThreshSelectWarm(b *testing.B) {
 	pool := benchKTPool(b)
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := pool.GreedyBoost(k, 0); err != nil {
+			if _, _, err := pool.GreedyBoostContext(context.Background(), k, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -57,7 +58,7 @@ func BenchmarkKThreshSelectWarm(b *testing.B) {
 // against the from-scratch re-simulation reference on the same pool.
 func BenchmarkKThreshEstimateWarm(b *testing.B) {
 	pool := benchKTPool(b)
-	n := pool.g.N()
+	n := pool.Graph().N()
 	set := []int32{int32(n / 3), int32(n / 2), int32(2 * n / 3)}
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

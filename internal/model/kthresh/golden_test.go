@@ -28,12 +28,18 @@ var goldenKThresh = map[uint64]string{
 // frontier exposure counts, and the frontier index's posting lists.
 func dumpPool(p *Pool) string {
 	var b strings.Builder
-	for pi := range p.profileSeed {
+	for pi := 0; pi < p.NumProfiles(); pi++ {
+		pr := p.Profile(pi)
+		live := make([]int32, len(pr.Pay))
+		boost := make([]int32, len(pr.Pay))
+		for j, e := range pr.Pay {
+			live[j], boost[j] = e.live, e.boost
+		}
 		fmt.Fprintf(&b, "profile %d seed %d\n active %v\n front %v\n live %v\n boost %v\n",
-			pi, p.profileSeed[pi], p.baseActive(pi), p.baseFront(pi), p.baseFrontLive(pi), p.baseFrontBoost(pi))
+			pi, pr.Seed, pr.Active, pr.Front, live, boost)
 	}
-	for v := int32(0); int(v) < p.g.N(); v++ {
-		fmt.Fprintf(&b, "idx %d %v\n", v, p.frontierProfiles(v))
+	for v := int32(0); int(v) < p.Graph().N(); v++ {
+		fmt.Fprintf(&b, "idx %d %v\n", v, p.FrontierProfiles(v))
 	}
 	return b.String()
 }

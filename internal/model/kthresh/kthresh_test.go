@@ -1,10 +1,12 @@
 package kthresh
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"github.com/kboost/kboost/internal/graph"
+	"github.com/kboost/kboost/internal/model/profile"
 	"github.com/kboost/kboost/internal/rng"
 	"github.com/kboost/kboost/internal/testutil"
 )
@@ -44,7 +46,7 @@ func TestThresholdSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.Extend(10)
+	extend(t, pool, 10)
 	if got := pool.BaseSpread(); got != 2 {
 		t.Fatalf("base spread %v, want 2 (one live exposure is below τ=2)", got)
 	}
@@ -75,7 +77,7 @@ func TestPoolEstimateMatchesNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool.Extend(400)
+		extend(t, pool, 400)
 		for bt := 0; bt < 5; bt++ {
 			boost := make([]int32, 0, 3)
 			for len(boost) < 1+r.Intn(3) {
@@ -126,10 +128,10 @@ func TestPoolGreedyMatchesNaive(t *testing.T) {
 		target := 0
 		for stage := 0; stage < 2; stage++ {
 			target += 100 + r.Intn(300)
-			pool.Extend(target)
+			extend(t, pool, target)
 			for _, k := range []int{1, 3} {
 				candCap := k + r.Intn(2*k)
-				fast, fastEst, err := pool.GreedyBoost(k, candCap)
+				fast, fastEst, err := pool.GreedyBoostContext(context.Background(), k, candCap)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -150,9 +152,9 @@ func TestPoolGreedyMatchesNaive(t *testing.T) {
 // candidate-evaluation paths (normally reserved for large batches) and
 // re-checks equivalence with the naive reference.
 func TestPoolGreedyMatchesNaiveParallel(t *testing.T) {
-	oldSel, oldEst := selectParallelMin, estimateParallelMin
-	selectParallelMin, estimateParallelMin = 1, 1
-	defer func() { selectParallelMin, estimateParallelMin = oldSel, oldEst }()
+	oldSel, oldEst := profile.SelectParallelMin, profile.EstimateParallelMin
+	profile.SelectParallelMin, profile.EstimateParallelMin = 1, 1
+	defer func() { profile.SelectParallelMin, profile.EstimateParallelMin = oldSel, oldEst }()
 
 	r := rng.New(155)
 	for trial := 0; trial < 6; trial++ {
@@ -162,8 +164,8 @@ func TestPoolGreedyMatchesNaiveParallel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool.Extend(500)
-		fast, fastEst, err := pool.GreedyBoost(3, 0)
+		extend(t, pool, 500)
+		fast, fastEst, err := pool.GreedyBoostContext(context.Background(), 3, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,15 +193,15 @@ func TestGreedyBoostAmongMatchesDefault(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool.Extend(300)
+		extend(t, pool, 300)
 		k, candCap := 3, 6
-		want, wantEst, err := pool.GreedyBoost(k, candCap)
+		want, wantEst, err := pool.GreedyBoostContext(context.Background(), k, candCap)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cands := boostCandidates(g, pool.seedMask, candidateCap(k, candCap))
+		cands := profile.Candidates(g, pool.SeedMask(), k, candCap)
 		dirty := append(append([]int32{seeds[0], -1, int32(n) + 7}, cands...), seeds[0])
-		got, gotEst, err := pool.GreedyBoostAmong(k, dirty)
+		got, gotEst, err := pool.GreedyBoostAmongContext(context.Background(), k, dirty)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +209,7 @@ func TestGreedyBoostAmongMatchesDefault(t *testing.T) {
 			t.Fatalf("trial %d: among %v/%v != default %v/%v", trial, got, gotEst, want, wantEst)
 		}
 		for _, v := range got {
-			if pool.seedMask[v] {
+			if pool.SeedMask()[v] {
 				t.Fatalf("trial %d: picked seed %d", trial, v)
 			}
 		}
@@ -232,12 +234,12 @@ func TestPoolWorkerCountInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool.Extend(700)
+		extend(t, pool, 700)
 		est, err := pool.EstimateSpread([]int32{1, 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		picks, pickEst, err := pool.GreedyBoost(3, 0)
+		picks, pickEst, err := pool.GreedyBoostContext(context.Background(), 3, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,21 +265,21 @@ func TestPoolExtendMatchesOneShot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, target := range []int{3, 150, 400, 650} {
-		staged.Extend(target)
+		extend(t, staged, target)
 	}
 	oneshot, err := m.NewPool(g, []int32{0}, 17, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oneshot.Extend(650)
+	extend(t, oneshot, 650)
 	if staged.BaseSpread() != oneshot.BaseSpread() {
 		t.Fatalf("base spread: staged %v != oneshot %v", staged.BaseSpread(), oneshot.BaseSpread())
 	}
-	a, ea, err := staged.GreedyBoost(3, 0)
+	a, ea, err := staged.GreedyBoostContext(context.Background(), 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, eb, err := oneshot.GreedyBoost(3, 0)
+	b, eb, err := oneshot.GreedyBoostContext(context.Background(), 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,12 +300,12 @@ func TestPoolGenerationAdvances(t *testing.T) {
 	if pool.Generation() != 0 || pool.NumProfiles() != 0 {
 		t.Fatalf("fresh pool: generation %d profiles %d, want 0/0", pool.Generation(), pool.NumProfiles())
 	}
-	pool.Extend(200)
+	extend(t, pool, 200)
 	gen := pool.Generation()
 	if gen == 0 || pool.NumProfiles() != 200 {
 		t.Fatalf("after Extend: generation %d profiles %d", gen, pool.NumProfiles())
 	}
-	if _, _, err := pool.GreedyBoost(2, 0); err != nil {
+	if _, _, err := pool.GreedyBoostContext(context.Background(), 2, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := pool.EstimateSpread([]int32{1}); err != nil {
@@ -312,7 +314,7 @@ func TestPoolGenerationAdvances(t *testing.T) {
 	if pool.Generation() != gen {
 		t.Fatal("read-only queries changed the generation")
 	}
-	pool.Extend(100) // no-op: target below current size
+	extend(t, pool, 100) // no-op: target below current size
 	if pool.Generation() != gen {
 		t.Fatal("no-op Extend bumped the generation")
 	}
@@ -336,14 +338,14 @@ func TestPoolValidation(t *testing.T) {
 	if _, err := pool.EstimateSpread(nil); err == nil {
 		t.Fatal("estimate on empty pool accepted")
 	}
-	if _, _, err := pool.GreedyBoost(1, 0); err == nil {
+	if _, _, err := pool.GreedyBoostContext(context.Background(), 1, 0); err == nil {
 		t.Fatal("selection on empty pool accepted")
 	}
-	pool.Extend(50)
+	extend(t, pool, 50)
 	if _, err := pool.EstimateSpread([]int32{9}); err == nil {
 		t.Fatal("bad boost node accepted")
 	}
-	if _, _, err := pool.GreedyBoost(0, 0); err == nil {
+	if _, _, err := pool.GreedyBoostContext(context.Background(), 0, 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }

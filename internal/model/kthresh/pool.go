@@ -1,90 +1,37 @@
 package kthresh
 
-// This file is the pooled Monte-Carlo evaluation subsystem for boosted
-// k-threshold contagion, structured like internal/lt's threshold-
-// profile pool. A Pool holds R pre-sampled edge-percolation profiles
-// together with each profile's cached base-world state: the active set
-// under B = ∅, and the frontier — every inactive node with at least one
-// usable in-edge from a base-active node — storing two exposure counts
-// per frontier node: live (edges usable unboosted) and boost-only
-// (edges usable only if the node is boosted). Boosting only adds usable
-// edges, counts only grow, and activation is monotone in the counts, so
-// a boosted world's active set always contains the base world's and
-// warm queries evaluate boost sets incrementally from the cached
-// counts.
+// This file is the k-threshold cascade the profile-pool kernel samples
+// with. A profile is an edge-percolation world; its cached base world
+// is the active set under B = ∅ and the frontier — every inactive node
+// with at least one usable in-edge from a base-active node — with two
+// exposure counts per frontier node: live (edges usable unboosted) and
+// boost-only (edges usable only if the node is boosted). Boosting only
+// adds usable edges, counts only grow, and activation is monotone in
+// the counts, so a boosted world's active set always contains the base
+// world's and warm queries evaluate boost sets from the cached counts.
 
 import (
-	"context"
-	"fmt"
 	"math"
-	"runtime"
-	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
-	"github.com/kboost/kboost/internal/faults"
 	"github.com/kboost/kboost/internal/graph"
-	"github.com/kboost/kboost/internal/panicsafe"
-	"github.com/kboost/kboost/internal/rng"
+	"github.com/kboost/kboost/internal/model/profile"
 )
 
-// cancelStride is the amortized cooperative-cancellation poll interval
-// inside shard simulation loops (see internal/prr): one ctx check per
-// 64 profiles.
-const cancelStride = 64
+// exposure is a frontier node's cached exposure counts from base-active
+// in-neighbors: the k-threshold analogue of lt's accumulated frontier
+// in-weight.
+type exposure struct {
+	live  int32 // edges usable unboosted
+	boost int32 // edges usable only when the node is boosted
+}
 
 // Pool is a growable collection of boosted k-threshold percolation
-// profiles for a fixed (graph, seed set). Profiles are independent of
-// the boost budget k, so one pool serves every query against its seed
-// set. Mutation (Extend) must be externally serialized against
-// everything else; estimation and selection only read the pool and may
-// run concurrently with each other.
+// profiles for a fixed (graph, seed set): the kernel's profile.Pool
+// over k-threshold dynamics (see profile.Pool for the concurrency
+// contract).
 type Pool struct {
-	m        *Model
-	g        *graph.Graph
-	seeds    []int32 // sorted, deduplicated
-	seedMask []bool
-	workers  int
-	root     *rng.Source
-
-	// profileSeed[i] seeds the edge-uniform hash of profile i. Seeds
-	// are drawn serially from root, so pool contents are independent of
-	// the worker count.
-	profileSeed []uint64
-
-	// Base-world state per profile, stored flat (CSR-style): the active
-	// set at quiescence under B = ∅, and the frontier — touched but
-	// inactive nodes — with their live and boost-only exposure counts
-	// from base-active in-neighbors (the k-threshold analogue of lt's
-	// accumulated frontier in-weights). Node lists are sorted per
-	// profile so membership tests are binary searches.
-	activeStart []int32
-	activeItems []int32
-	frontStart  []int32
-	frontItems  []int32
-	frontLive   []int32
-	frontBoost  []int32
-
-	// baseSum is Σ_i |active_i|: the base spread numerator.
-	baseSum int64
-
-	// idxStart/idxItems: node -> profiles whose base frontier contains
-	// it. A boost set can only change profiles where at least one
-	// boosted node sits in the base frontier (a node with zero cached
-	// exposures cannot activate in phase 1, and without a phase-1
-	// activation nothing cascades), so estimates and greedy rounds
-	// iterate these posting lists instead of all R profiles.
-	idxStart []int32
-	idxItems []int32
-
-	// generation counts Extend calls that added profiles; estimates and
-	// selections are pure functions of the pool contents, so callers may
-	// cache results keyed by (generation, query) and invalidate on
-	// change.
-	generation uint64
-
-	scratch sync.Pool // of *evalScratch
+	*profile.Pool[exposure, *evalScratch]
 }
 
 // Norms returns nil: k-threshold ranks boost candidates on raw edge
@@ -96,61 +43,32 @@ func (p *Pool) Norms() []float64 { return nil }
 // profile the pool will ever contain; workers <= 0 means GOMAXPROCS.
 // Pool contents do not depend on workers.
 func (m *Model) NewPool(g *graph.Graph, seeds []int32, seed uint64, workers int) (*Pool, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	k, err := profile.New("kthresh", g, seeds, seed, workers, m.cascade(g))
+	if err != nil {
+		return nil, err
 	}
-	for _, v := range seeds {
-		if v < 0 || int(v) >= g.N() {
-			return nil, fmt.Errorf("kthresh: seed %d out of range [0,%d)", v, g.N())
-		}
-	}
-	p := &Pool{
-		m:           m,
-		g:           g,
-		seedMask:    make([]bool, g.N()),
-		workers:     workers,
-		root:        rng.New(seed),
-		activeStart: []int32{0},
-		frontStart:  []int32{0},
-		idxStart:    make([]int32, g.N()+1),
-	}
-	for _, v := range seeds {
-		if !p.seedMask[v] {
-			p.seedMask[v] = true
-			p.seeds = append(p.seeds, v)
-		}
-	}
-	slices.Sort(p.seeds)
-	p.scratch.New = func() interface{} { return newEvalScratch(g.N()) }
-	return p, nil
+	return &Pool{k}, nil
 }
 
-// NumProfiles returns the number of sampled percolation profiles.
-func (p *Pool) NumProfiles() int { return len(p.profileSeed) }
-
-// Generation identifies the pool's contents: it increments on every
-// Extend call that adds profiles.
-func (p *Pool) Generation() uint64 { return p.generation }
-
-// BaseSpread returns the pooled estimate of the unboosted spread σ̂(∅),
-// cached from the base fixed points.
-func (p *Pool) BaseSpread() float64 {
-	if len(p.profileSeed) == 0 {
-		return 0
-	}
-	return float64(p.baseSum) / float64(len(p.profileSeed))
+// EstimateSamples is the engine's tier-1 estimator for mode "kthresh":
+// sims pool-free replicates, replicate i being the percolation world
+// seeded by rng.StreamSeed(seed, i) (see profile.EstimateSamples).
+func (m *Model) EstimateSamples(g *graph.Graph, seeds, boost []int32, sims int, seed uint64, workers int) (spread, delta []float64, err error) {
+	return profile.EstimateSamples("kthresh", g, seeds, boost, sims, seed, workers, m.cascade(g))
 }
 
-// MemoryEstimate returns the pool's resident bytes: the flat profile
-// CSRs with their exposure counts, the inverted index and the profile
-// seeds — exact array lengths × element sizes, matching the accounting
-// the other pool families report so the engine's byte-based eviction
-// compares them fairly.
-func (p *Pool) MemoryEstimate() int64 {
-	bytes := int64(len(p.activeItems)+len(p.frontItems)+len(p.frontLive)+len(p.frontBoost)+len(p.idxItems)) * 4
-	bytes += int64(len(p.profileSeed)) * 8
-	bytes += int64(len(p.activeStart)+len(p.frontStart)+len(p.idxStart)) * 4
-	return bytes
+// cascade returns the constructor of m's dynamics on g.
+func (m *Model) cascade(g *graph.Graph) func([]int32) profile.Cascade[exposure, *evalScratch] {
+	return func(seeds []int32) profile.Cascade[exposure, *evalScratch] {
+		return &cascade{thresh: m.thresh, g: g, seeds: seeds}
+	}
+}
+
+// cascade is k-threshold contagion on one graph and seed set.
+type cascade struct {
+	thresh int32
+	g      *graph.Graph
+	seeds  []int32 // sorted, deduplicated
 }
 
 // evalScratch is the reusable per-worker state for profile evaluation:
@@ -162,9 +80,10 @@ type evalScratch struct {
 	bcnt   []int32 // boost-only exposures (base-world capture only)
 	queue  []int32
 
-	loadedAct []int32 // nodes whose active flag was set by loadState
+	loadedAct []int32 // nodes whose active flag was set by Delta's load
 	actNode   []int32 // every activation since load, in order
 	cntNode   []int32 // unique nodes whose cnt/bcnt were written
+	front     []int32 // base-world capture: the frontier being collected
 
 	tstamp []int32 // cnt-touch dedup stamps
 	tepoch int32   // kboost:epoch
@@ -181,7 +100,8 @@ func (s *evalScratch) bumpTouchEpoch() {
 	s.tepoch++
 }
 
-func newEvalScratch(n int) *evalScratch {
+func (c *cascade) NewScratch() *evalScratch {
+	n := c.g.N()
 	return &evalScratch{
 		active: make([]bool, n),
 		cnt:    make([]int32, n),
@@ -189,9 +109,6 @@ func newEvalScratch(n int) *evalScratch {
 		tstamp: make([]int32, n),
 	}
 }
-
-func (p *Pool) getScratch() *evalScratch  { return p.scratch.Get().(*evalScratch) }
-func (p *Pool) putScratch(s *evalScratch) { p.scratch.Put(s) }
 
 // markTouched logs the first cnt/bcnt write to t in this evaluation so
 // reset can clear it.
@@ -220,22 +137,6 @@ func (s *evalScratch) reset() {
 	s.queue = s.queue[:0]
 }
 
-// loadState installs a profile's base state into the scratch: the
-// active set and every frontier node's cached live exposure count.
-// (Boost-only counts are folded in per boosted node by the caller's
-// phase 1.) Starts a fresh touch epoch.
-func (s *evalScratch) loadState(active, front, frontLive []int32) {
-	s.bumpTouchEpoch()
-	for _, u := range active {
-		s.active[u] = true
-	}
-	s.loadedAct = append(s.loadedAct, active...)
-	for j, v := range front {
-		s.markTouched(v)
-		s.cnt[v] = frontLive[j]
-	}
-}
-
 // runCascade drains s.queue: each newly active node u pushes its
 // out-edges' exposures into inactive targets. An edge counts when its
 // uniform falls below the base probability, or — for targets in the
@@ -245,8 +146,8 @@ func (s *evalScratch) loadState(active, front, frontLive []int32) {
 // simulation), boost-only exposures of unboosted targets accumulate in
 // bcnt for frontier extraction instead. Returns the number of
 // activations (excluding nodes queued by the caller).
-func (p *Pool) runCascade(ps uint64, mask []bool, extra int32, collect bool, s *evalScratch) int {
-	g := p.g
+func (c *cascade) runCascade(ps uint64, mask []bool, extra int32, collect bool, s *evalScratch) int {
+	g := c.g
 	activated := 0
 	for qi := 0; qi < len(s.queue); qi++ {
 		u := s.queue[qi]
@@ -275,7 +176,7 @@ func (p *Pool) runCascade(ps uint64, mask []bool, extra int32, collect bool, s *
 			}
 			s.markTouched(t)
 			s.cnt[t]++
-			if s.cnt[t] >= p.m.thresh {
+			if s.cnt[t] >= c.thresh {
 				s.active[t] = true
 				s.actNode = append(s.actNode, t)
 				s.queue = append(s.queue, t)
@@ -291,402 +192,64 @@ func (p *Pool) runCascade(ps uint64, mask []bool, extra int32, collect bool, s *
 // activate unconditionally, then the cascade runs under the boost mask.
 // It returns the active count and leaves the final state in s (caller
 // extracts what it needs, then resets).
-func (p *Pool) simulate(ps uint64, mask []bool, collect bool, s *evalScratch) int {
+func (c *cascade) simulate(ps uint64, mask []bool, collect bool, s *evalScratch) int {
 	s.bumpTouchEpoch()
-	for _, v := range p.seeds {
+	for _, v := range c.seeds {
 		s.active[v] = true
 		s.actNode = append(s.actNode, v)
 		s.queue = append(s.queue, v)
 	}
-	return len(p.seeds) + p.runCascade(ps, mask, -1, collect, s)
+	return len(c.seeds) + c.runCascade(ps, mask, -1, collect, s)
 }
 
-// baseActive / baseFront / baseFrontLive / baseFrontBoost / baseCount
-// are CSR views of one profile's cached base-world state.
-func (p *Pool) baseActive(pi int) []int32 {
-	return p.activeItems[p.activeStart[pi]:p.activeStart[pi+1]]
-}
-func (p *Pool) baseFront(pi int) []int32 {
-	return p.frontItems[p.frontStart[pi]:p.frontStart[pi+1]]
-}
-func (p *Pool) baseFrontLive(pi int) []int32 {
-	return p.frontLive[p.frontStart[pi]:p.frontStart[pi+1]]
-}
-func (p *Pool) baseFrontBoost(pi int) []int32 {
-	return p.frontBoost[p.frontStart[pi]:p.frontStart[pi+1]]
-}
-func (p *Pool) baseCount(pi int) int32 {
-	return p.activeStart[pi+1] - p.activeStart[pi]
+func (c *cascade) Simulate(ps uint64, mask []bool, s *evalScratch) int {
+	n := c.simulate(ps, mask, false, s)
+	s.reset()
+	return n
 }
 
-// frontierProfiles returns the profiles whose base frontier contains v.
-func (p *Pool) frontierProfiles(v int32) []int32 {
-	return p.idxItems[p.idxStart[v]:p.idxStart[v+1]]
-}
-
-// ktShard is one worker's private Extend output: the base-world state
-// of a contiguous run of profiles, stored flat exactly like the pool's
-// arrays (local CSR offsets starting at 0). Shards cover ascending
-// profile ranges and are merged in range order with bulk appends, so
-// pool contents stay independent of scheduling.
-type ktShard struct {
-	activeStart []int32 // len = profiles+1
-	activeItems []int32
-	frontStart  []int32 // len = profiles+1
-	frontItems  []int32
-	frontLive   []int32
-	frontBoost  []int32
-}
-
-// Extend grows the pool to at least target profiles. Growth is
-// incremental: existing profiles and their cached fixed points are
-// untouched, only the shortfall is simulated (sharded across the pool's
-// workers, merged in profile order), and the frontier index is merged
-// in one pass.
-func (p *Pool) Extend(target int) {
-	// Ctx-less compat form; without a cancelable ctx or armed faults the
-	// context variant cannot fail.
-	_ = p.ExtendContext(context.Background(), target)
-}
-
-// ExtendContext is Extend with cooperative cancellation and shard-worker
-// panic containment. On any error — ctx canceled, injected fault, or a
-// worker panic (returned as *panicsafe.Error) — no shard is merged and
-// the pool rolls back to its exact pre-call state: the appended profile
-// seeds are truncated and the root RNG restored, so a retried call
-// draws the same seeds again and the final pool is bit-identical to one
-// built without interruption.
-func (p *Pool) ExtendContext(ctx context.Context, target int) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	need := target - len(p.profileSeed)
-	if need <= 0 {
-		return nil
-	}
-	from := len(p.profileSeed)
-	savedRoot := *p.root // for rollback: Uint64 draws below advance it
-	for i := 0; i < need; i++ {
-		p.profileSeed = append(p.profileSeed, p.root.Uint64())
-	}
-	shards := make([]ktShard, p.workers)
-	var wg sync.WaitGroup
-	var stop atomic.Bool // flipped on first failure so sibling shards bail early
-	errs := make([]error, p.workers)
-	chunk := (need + p.workers - 1) / p.workers
-	for w := 0; w < p.workers; w++ {
-		lo := w * chunk
-		if lo >= need {
-			break
-		}
-		hi := lo + chunk
-		if hi > need {
-			hi = need
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			err := panicsafe.Do(func() {
-				if e := faults.CheckContext(ctx, faults.PoolBuildShard); e != nil {
-					errs[w] = e
-					stop.Store(true)
-					return
-				}
-				s := p.getScratch()
-				defer p.putScratch(s)
-				sh := &shards[w]
-				sh.activeStart = append(sh.activeStart, 0)
-				sh.frontStart = append(sh.frontStart, 0)
-				for i := lo; i < hi; i++ {
-					if (i-lo)%cancelStride == 0 && (stop.Load() || ctx.Err() != nil) {
-						errs[w] = ctx.Err()
-						stop.Store(true)
-						return
-					}
-					p.simulateBaseInto(p.profileSeed[from+i], sh, s)
-				}
-			})
-			if err != nil {
-				errs[w] = err
-				stop.Store(true)
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	abort := ctx.Err()
-	for _, err := range errs {
-		if err != nil {
-			abort = err
-			break
-		}
-	}
-	if abort != nil {
-		p.profileSeed = p.profileSeed[:from]
-		*p.root = savedRoot
-		return abort
-	}
-
-	// Merge the shards in profile order: bulk-append the flat state,
-	// shifting the local CSR offsets. Trailing workers get no profiles
-	// when need is smaller than their chunk offset; their shards stay
-	// zero-valued and are skipped.
-	for w := range shards {
-		sh := &shards[w]
-		if len(sh.activeStart) == 0 {
-			continue
-		}
-		activeBase := int32(len(p.activeItems))
-		frontBase := int32(len(p.frontItems))
-		p.activeItems = append(p.activeItems, sh.activeItems...)
-		p.frontItems = append(p.frontItems, sh.frontItems...)
-		p.frontLive = append(p.frontLive, sh.frontLive...)
-		p.frontBoost = append(p.frontBoost, sh.frontBoost...)
-		for _, end := range sh.activeStart[1:] {
-			p.activeStart = append(p.activeStart, activeBase+end)
-		}
-		for _, end := range sh.frontStart[1:] {
-			p.frontStart = append(p.frontStart, frontBase+end)
-		}
-		p.baseSum += int64(len(sh.activeItems))
-	}
-
-	// Merge the frontier index: count the batch contribution per node,
-	// then interleave old and new posting lists in one O(old+new) pass.
-	n := p.g.N()
-	counts := make([]int32, n)
-	for w := range shards {
-		for _, v := range shards[w].frontItems {
-			counts[v]++
-		}
-	}
-	newStart := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		newStart[v+1] = newStart[v] + (p.idxStart[v+1] - p.idxStart[v]) + counts[v]
-	}
-	newItems := make([]int32, newStart[n])
-	next := counts // reuse as per-node write cursors
-	for v := 0; v < n; v++ {
-		old := p.idxItems[p.idxStart[v]:p.idxStart[v+1]]
-		copy(newItems[newStart[v]:], old)
-		next[v] = newStart[v] + int32(len(old))
-	}
-	for pi := from; pi < len(p.profileSeed); pi++ {
-		for _, v := range p.baseFront(pi) {
-			newItems[next[v]] = int32(pi)
-			next[v]++
-		}
-	}
-	p.idxStart, p.idxItems = newStart, newItems
-	p.generation++
-	return nil
-}
-
-// simulateBaseInto runs one profile's base world (B = ∅) and appends
-// its cached state to sh: sorted active set, sorted frontier with live
-// and boost-only exposure counts.
-func (p *Pool) simulateBaseInto(ps uint64, sh *ktShard, s *evalScratch) {
-	p.simulate(ps, nil, true, s)
-	activeOff := len(sh.activeItems)
-	sh.activeItems = append(sh.activeItems, s.actNode...)
-	active := sh.activeItems[activeOff:]
-	slices.Sort(active)
-	sh.activeStart = append(sh.activeStart, int32(len(sh.activeItems)))
-	frontOff := len(sh.frontItems)
+// Base captures one profile's base world: the sorted active set and the
+// sorted frontier with its live and boost-only exposure counts.
+func (c *cascade) Base(ps uint64, st *profile.Store[exposure], s *evalScratch) {
+	c.simulate(ps, nil, true, s)
+	s.front = s.front[:0]
 	for _, v := range s.cntNode {
 		if !s.active[v] {
-			sh.frontItems = append(sh.frontItems, v)
+			s.front = append(s.front, v)
 		}
 	}
-	front := sh.frontItems[frontOff:]
-	slices.Sort(front)
-	for _, v := range front {
-		sh.frontLive = append(sh.frontLive, s.cnt[v])
-		sh.frontBoost = append(sh.frontBoost, s.bcnt[v])
-	}
-	sh.frontStart = append(sh.frontStart, int32(len(sh.frontItems)))
+	st.Add(s.actNode, s.front, func(v int32) exposure { return exposure{s.cnt[v], s.bcnt[v]} })
 	s.reset()
 }
 
-// estimateParallelMin is the minimum number of affected profiles before
-// batch estimation fans out to the pool's workers; a variable so tests
-// can force the parallel path on small pools.
-var estimateParallelMin = 256
-
-// EstimateSpread returns the pooled estimate of the boosted k-threshold
-// spread σ̂(B) by incrementally evaluating boost from every affected
-// profile's cached base fixed point. It is deterministic for a fixed
-// pool generation, bit-exact across worker counts, and shares its
-// possible worlds with every other estimate from the same pool (common
-// random numbers).
-func (p *Pool) EstimateSpread(boost []int32) (float64, error) {
-	total, err := p.estimateCount(boost)
-	if err != nil {
-		return 0, err
-	}
-	return float64(total) / float64(len(p.profileSeed)), nil
-}
-
-// EstimateBoost returns the pooled estimate of the boost
-// Δ̂_S(B) = σ̂(B) − σ̂(∅). Both terms are evaluated on the same
-// percolation profiles, so the difference is coupled, exactly zero for
-// an empty or ineffective boost set, and — because the activation sums
-// are differenced as integers before dividing — bit-identical to the
-// estimate GreedyBoost reports for the same boost set.
-func (p *Pool) EstimateBoost(boost []int32) (float64, error) {
-	total, err := p.estimateCount(boost)
-	if err != nil {
-		return 0, err
-	}
-	return float64(total-p.baseSum) / float64(len(p.profileSeed)), nil
-}
-
-// estimateCount returns Σ_i |active_i(B)|, the integer numerator of the
-// pooled spread estimate: the cached base sum plus the incremental
-// deltas of the profiles whose frontier intersects the boost set (no
-// other profile can change — see idxStart).
-func (p *Pool) estimateCount(boost []int32) (int64, error) {
-	R := len(p.profileSeed)
-	if R == 0 {
-		return 0, fmt.Errorf("kthresh: estimate on an empty pool (call Extend first)")
-	}
-	mask := make([]bool, p.g.N())
-	for _, v := range boost {
-		if v < 0 || int(v) >= p.g.N() {
-			return 0, fmt.Errorf("kthresh: boost node %d out of range [0,%d)", v, p.g.N())
-		}
-		mask[v] = true
-	}
-	// Dense boost list (deduplicated, sorted) for the per-profile pass.
-	var bset []int32
-	for v := int32(0); int(v) < p.g.N(); v++ {
-		if mask[v] {
-			bset = append(bset, v)
-		}
-	}
-	profs := p.mergeFrontierProfiles(nil, bset)
-	return p.baseSum + p.sumDeltas(profs, bset, mask, -1), nil
-}
-
-// mergeFrontierProfiles returns the sorted, deduplicated union of base
-// (already sorted ascending) and the posting lists of each node in
-// vs — the profiles a boost over base's owners plus vs could change.
-func (p *Pool) mergeFrontierProfiles(base []int32, vs []int32) []int32 {
-	lists := make([][]int32, 0, len(vs)+1)
-	if len(base) > 0 {
-		lists = append(lists, base)
-	}
-	for _, v := range vs {
-		if pl := p.frontierProfiles(v); len(pl) > 0 {
-			lists = append(lists, pl)
-		}
-	}
-	return mergeSorted(lists)
-}
-
-// mergeSorted merges sorted int32 lists into a sorted, deduplicated
-// union. The posting lists are short relative to R, so a simple k-way
-// min scan is enough.
-func mergeSorted(lists [][]int32) []int32 {
-	switch len(lists) {
-	case 0:
-		return nil
-	case 1:
-		return lists[0]
-	}
-	var out []int32
-	cur := make([]int, len(lists))
-	for {
-		best := int32(math.MaxInt32)
-		found := false
-		for li, l := range lists {
-			if cur[li] < len(l) && l[cur[li]] < best {
-				best = l[cur[li]]
-				found = true
-			}
-		}
-		if !found {
-			return out
-		}
-		out = append(out, best)
-		for li, l := range lists {
-			for cur[li] < len(l) && l[cur[li]] == best {
-				cur[li]++
-			}
-		}
-	}
-}
-
-// sumDeltas evaluates the boost set incrementally on each listed
-// profile and returns the summed activation deltas, fanning out to the
-// pool's workers for large batches. Deltas are integers summed in any
-// order, so the result does not depend on the sharding.
-func (p *Pool) sumDeltas(profs []int32, bset []int32, mask []bool, extra int32) int64 {
-	evalChunk := func(lo, hi int, s *evalScratch) int64 {
-		var sum int64
-		for _, pi := range profs[lo:hi] {
-			sum += int64(p.evalBoostSet(int(pi), bset, mask, extra, s))
-		}
-		return sum
-	}
-	if len(profs) < estimateParallelMin || p.workers <= 1 {
-		s := p.getScratch()
-		defer p.putScratch(s)
-		return evalChunk(0, len(profs), s)
-	}
-	sums := make([]int64, p.workers)
-	var wg sync.WaitGroup
-	chunk := (len(profs) + p.workers - 1) / p.workers
-	for w := 0; w < p.workers; w++ {
-		lo := w * chunk
-		if lo >= len(profs) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(profs) {
-			hi = len(profs)
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			s := p.getScratch()
-			defer p.putScratch(s)
-			sums[w] = evalChunk(lo, hi, s)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var total int64
-	for _, v := range sums {
-		total += v
-	}
-	return total
-}
-
-// evalBoostSet computes the marginal activations of boosting
-// bset ∪ {extra} on profile pi, starting from the cached base fixed
-// point. Phase 1 folds each inactive boosted node's cached boost-only
+// Delta computes the marginal activations of boosting bset ∪ {extra}
+// on one profile, starting from its cached base fixed point. It loads
+// the base active set and every frontier node's live exposure count,
+// then phase 1 folds each inactive boosted node's cached boost-only
 // exposures into its count (the contributions of base-active
 // in-neighbors, which the cascade will not replay) and activates those
-// at threshold; phase 2 cascades from the activated nodes. The scratch
-// is left clean.
-func (p *Pool) evalBoostSet(pi int, bset []int32, mask []bool, extra int32, s *evalScratch) int {
-	ps := p.profileSeed[pi]
-	front := p.baseFront(pi)
-	s.loadState(p.baseActive(pi), front, p.baseFrontLive(pi))
-	frontBoost := p.baseFrontBoost(pi)
+// at threshold; phase 2 cascades from the activated nodes.
+func (c *cascade) Delta(pr profile.Profile[exposure], bset []int32, mask []bool, extra int32, s *evalScratch) int {
+	s.bumpTouchEpoch()
+	for _, u := range pr.Active {
+		s.active[u] = true
+	}
+	s.loadedAct = append(s.loadedAct, pr.Active...)
+	for j, v := range pr.Front {
+		s.markTouched(v)
+		s.cnt[v] = pr.Pay[j].live
+	}
 	delta := 0
 	install := func(b int32) {
 		if s.active[b] {
 			return
 		}
-		j := sort.Search(len(front), func(i int) bool { return front[i] >= b })
-		if j >= len(front) || front[j] != b {
+		j := sort.Search(len(pr.Front), func(i int) bool { return pr.Front[i] >= b })
+		if j >= len(pr.Front) || pr.Front[j] != b {
 			return
 		}
-		s.cnt[b] += frontBoost[j]
-		if s.cnt[b] >= p.m.thresh {
+		s.cnt[b] += pr.Pay[j].boost
+		if s.cnt[b] >= c.thresh {
 			s.active[b] = true
 			s.actNode = append(s.actNode, b)
 			s.queue = append(s.queue, b)
@@ -699,25 +262,7 @@ func (p *Pool) evalBoostSet(pi int, bset []int32, mask []bool, extra int32, s *e
 	if extra >= 0 {
 		install(extra)
 	}
-	delta += p.runCascade(ps, mask, extra, false, s)
+	delta += c.runCascade(pr.Seed, mask, extra, false, s)
 	s.reset()
 	return delta
-}
-
-// estimateSpreadNaive re-simulates every profile from scratch under the
-// boost mask — the retained reference implementation the property tests
-// hold EstimateSpread to.
-func (p *Pool) estimateSpreadNaive(boost []int32) float64 {
-	mask := make([]bool, p.g.N())
-	for _, v := range boost {
-		mask[v] = true
-	}
-	s := p.getScratch()
-	defer p.putScratch(s)
-	var sum int64
-	for pi := range p.profileSeed {
-		sum += int64(p.simulate(p.profileSeed[pi], mask, false, s))
-		s.reset()
-	}
-	return float64(sum) / float64(len(p.profileSeed))
 }

@@ -1,26 +1,32 @@
 // Package model defines the pluggable diffusion-model interface the
 // engine's pool serving path is written against. A Model is a factory
 // for pre-sampled possible-world pools over a fixed (graph, seed set):
-// sample worlds (NewPool + Pool.Extend), evaluate a boost set against
-// the cached worlds (EstimateSpread / EstimateBoost), re-evaluate
-// incrementally during greedy selection (GreedyBoost), and report
-// resident bytes (MemoryEstimate) so the engine's byte-based LRU can
-// treat every model family fairly.
+// sample worlds (NewPool + Pool.ExtendContext), evaluate a boost set
+// against the cached worlds (EstimateSpread / EstimateBoost), select a
+// boost set greedily (GreedyBoostContext), and report resident bytes
+// (MemoryEstimate) so the engine's byte-based LRU can treat every model
+// family fairly.
 //
 // The engine's snapshot/LRU/result-cache/repair/tier plumbing is
-// written once against these interfaces; "adding a scenario" is one
-// Model implementation. Three ship here: the boosted Linear Threshold
-// model (wrapping internal/lt), boosted SIR (model/sir) and k-threshold
-// complex contagion (model/kthresh). The IC/PRR family stays on its own
-// specialized path — PRR pools are k-dependent and carry approximation
-// guarantees the generic pool contract cannot express — but shares the
-// engine's mode registry.
+// written once against these interfaces, and the pools themselves are
+// written once too: the profile-pool kernel (model/profile) owns
+// sampling, storage, the frontier index, estimates, the exhaustive
+// greedy and the tier-1 sample driver. A new model is therefore one
+// profile.Cascade implementation — the dynamics of a single sampled
+// world: its base-world capture, its incremental delta and its full
+// simulation — plus a registry entry in New. Three ship here: the
+// boosted Linear Threshold model (internal/lt, which keeps its own CELF
+// selection and in-place repair), boosted SIR (model/sir) and
+// k-threshold complex contagion (model/kthresh). The IC/PRR family
+// stays on its own specialized path — PRR pools are k-dependent and
+// carry approximation guarantees the generic pool contract cannot
+// express — but shares the engine's mode registry.
 //
 // Every implementation keeps the repo's hardening contract: pool
 // contents are a pure function of (seed, graph, seed set) independent
-// of worker count, estimates are bit-exact across worker counts, and a
-// naive full-resimulation reference is retained and property-tested
-// bit-identical to the incremental path.
+// of worker count, estimates are bit-exact across worker counts, and
+// the incremental paths are property-tested bit-identical to the naive
+// full-resimulation references in model/profile/profiletest.
 package model
 
 import (
@@ -30,24 +36,22 @@ import (
 	"github.com/kboost/kboost/internal/graph"
 	"github.com/kboost/kboost/internal/lt"
 	"github.com/kboost/kboost/internal/model/kthresh"
+	"github.com/kboost/kboost/internal/model/profile"
 	"github.com/kboost/kboost/internal/model/sir"
 )
 
 // Pool is one model's growable possible-world pool for a fixed
 // (graph, seed set). Profiles are independent of the boost budget k, so
 // one pool serves every query against its seed set; only a larger
-// simulation budget grows it (Extend, in place). Extend must be
-// externally serialized against everything else (the engine's entry
-// lock does this); all other methods only read the pool and may run
-// concurrently with each other.
+// simulation budget grows it (ExtendContext, in place). ExtendContext
+// must be externally serialized against everything else (the engine's
+// entry lock does this); all other methods only read the pool and may
+// run concurrently with each other.
 type Pool interface {
-	// Extend grows the pool to at least target profiles; existing
-	// profiles and their cached state are untouched.
-	Extend(target int)
 	// NumProfiles reports the current simulation count.
 	NumProfiles() int
 	// Generation identifies the pool contents: it increments on every
-	// Extend call that added profiles, so callers may cache results
+	// ExtendContext call that added profiles, so callers may cache results
 	// keyed by (generation, query) and invalidate on change.
 	Generation() uint64
 	// MemoryEstimate is the pool's resident bytes — exact array lengths
@@ -65,25 +69,21 @@ type Pool interface {
 	// ineffective boost set.
 	EstimateSpread(boost []int32) (float64, error)
 	EstimateBoost(boost []int32) (float64, error)
-	// GreedyBoost greedily selects up to k boost nodes over the model's
-	// default candidate ranking capped at candCap (<= 0 picks the
-	// model default); GreedyBoostAmong restricts the greedy to an
-	// explicit candidate list (out-of-range ids and seeds are ignored).
-	// Both return the chosen nodes in pick order and the pooled Δ̂ of
-	// the chosen set.
-	GreedyBoost(k, candCap int) ([]int32, float64, error)
-	GreedyBoostAmong(k int, cands []int32) ([]int32, float64, error)
-	// ExtendContext is Extend with cooperative cancellation and
-	// shard-worker panic containment: on error (ctx canceled, injected
-	// fault, contained panic) the pool must be left exactly as it was —
-	// nothing merged, RNG state restored — so a retried identical call
-	// produces a bit-identical pool. The engine's build and repair
-	// paths use only this form.
+	// ExtendContext grows the pool to at least target profiles;
+	// existing profiles and their cached state are untouched. It
+	// cancels cooperatively and contains shard-worker panics: on error
+	// (ctx canceled, injected fault, contained panic) the pool must be
+	// left exactly as it was — nothing merged, RNG state restored — so
+	// a retried identical call produces a bit-identical pool.
 	ExtendContext(ctx context.Context, target int) error
-	// GreedyBoostContext / GreedyBoostAmongContext are the selection
-	// entry points with cooperative cancellation, polled once per
-	// greedy pick; the pool is read-only during selection so
-	// cancellation cannot corrupt it.
+	// GreedyBoostContext greedily selects up to k boost nodes over the
+	// model's default candidate ranking capped at candCap (< k picks
+	// the model default); GreedyBoostAmongContext restricts the greedy
+	// to an explicit candidate list (out-of-range ids and seeds are
+	// ignored). Both return the chosen nodes in pick order and the
+	// pooled Δ̂ of the chosen set, and poll ctx once per greedy pick;
+	// the pool is read-only during selection so cancellation cannot
+	// corrupt it.
 	GreedyBoostContext(ctx context.Context, k, candCap int) ([]int32, float64, error)
 	GreedyBoostAmongContext(ctx context.Context, k int, cands []int32) ([]int32, float64, error)
 }
@@ -193,7 +193,7 @@ func (ltModel) EstimateSamples(g *graph.Graph, seeds, boost []int32, sims int, s
 
 func (ltModel) Tier0Norms(g *graph.Graph) ([]float64, bool) { return lt.New(g).Norms(), true }
 
-func (ltModel) CandidateCap(k, candCap int) int { return lt.CandidateCap(k, candCap) }
+func (ltModel) CandidateCap(k, candCap int) int { return profile.CandidateCap(k, candCap) }
 
 // sirModel exposes model/sir behind the interface.
 type sirModel struct{ m *sir.Model }
@@ -215,7 +215,7 @@ func (s sirModel) EstimateSamples(g *graph.Graph, seeds, boost []int32, sims int
 // engine's tier floor for "sir" is therefore tier 1.
 func (s sirModel) Tier0Norms(*graph.Graph) ([]float64, bool) { return nil, false }
 
-func (s sirModel) CandidateCap(k, candCap int) int { return defaultCandidateCap(k, candCap) }
+func (s sirModel) CandidateCap(k, candCap int) int { return profile.CandidateCap(k, candCap) }
 
 // kthreshModel exposes model/kthresh behind the interface.
 type kthreshModel struct{ m *kthresh.Model }
@@ -243,13 +243,4 @@ func (t kthreshModel) Tier0Norms(*graph.Graph) ([]float64, bool) {
 	return nil, false
 }
 
-func (t kthreshModel) CandidateCap(k, candCap int) int { return defaultCandidateCap(k, candCap) }
-
-// defaultCandidateCap mirrors lt.CandidateCap: candCap < k falls back
-// to 4k, the candidate budget every pooled greedy in this repo uses.
-func defaultCandidateCap(k, candCap int) int {
-	if candCap < k {
-		return 4 * k
-	}
-	return candCap
-}
+func (t kthreshModel) CandidateCap(k, candCap int) int { return profile.CandidateCap(k, candCap) }

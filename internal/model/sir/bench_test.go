@@ -1,6 +1,7 @@
 package sir
 
 import (
+	"context"
 	"testing"
 
 	"github.com/kboost/kboost/internal/dataset"
@@ -28,7 +29,7 @@ func benchSIRPool(b *testing.B) *Pool {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool.Extend(200)
+	extend(b, pool, 200)
 	return pool
 }
 
@@ -40,7 +41,7 @@ func BenchmarkSIRSelectWarm(b *testing.B) {
 	pool := benchSIRPool(b)
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := pool.GreedyBoost(k, 0); err != nil {
+			if _, _, err := pool.GreedyBoostContext(context.Background(), k, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -58,7 +59,7 @@ func BenchmarkSIRSelectWarm(b *testing.B) {
 // against the from-scratch re-simulation reference on the same pool.
 func BenchmarkSIREstimateWarm(b *testing.B) {
 	pool := benchSIRPool(b)
-	n := pool.g.N()
+	n := pool.Graph().N()
 	set := []int32{int32(n / 3), int32(n / 2), int32(2 * n / 3)}
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

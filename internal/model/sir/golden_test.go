@@ -28,12 +28,13 @@ var goldenSIR = map[uint64]string{
 // the frontier index's posting lists.
 func dumpPool(p *Pool) string {
 	var b strings.Builder
-	for pi := range p.profileSeed {
+	for pi := 0; pi < p.NumProfiles(); pi++ {
+		pr := p.Profile(pi)
 		fmt.Fprintf(&b, "profile %d seed %d\n active %v\n front %v\n",
-			pi, p.profileSeed[pi], p.baseActive(pi), p.baseFront(pi))
+			pi, pr.Seed, pr.Active, pr.Front)
 	}
-	for v := int32(0); int(v) < p.g.N(); v++ {
-		fmt.Fprintf(&b, "idx %d %v\n", v, p.frontierProfiles(v))
+	for v := int32(0); int(v) < p.Graph().N(); v++ {
+		fmt.Fprintf(&b, "idx %d %v\n", v, p.FrontierProfiles(v))
 	}
 	return b.String()
 }

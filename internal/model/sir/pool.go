@@ -1,87 +1,28 @@
 package sir
 
-// This file is the pooled Monte-Carlo evaluation subsystem for boosted
-// SIR: the SIR analogue of internal/lt's threshold-profile pool. A Pool
-// holds R pre-sampled percolation profiles — possible worlds defined by
-// hash-derived infectious durations d(ps, u) and edge uniforms
-// U(ps, u, v) — together with each profile's cached base-world state:
-// the seeds' forward reachable set over live edges (U < q) and the
-// frontier of boost-reachable nodes (inactive nodes with at least one
-// boost-only in-edge, q ≤ U < q', from a base-active node). Boosting is
-// monotone under the shared uniforms, so warm queries evaluate boost
-// sets incrementally from the cached base state, and a profile can only
+// This file is the SIR cascade the profile-pool kernel samples with. A
+// profile is a percolation world defined by hash-derived infectious
+// durations d(ps, u) and edge uniforms U(ps, u, v); its cached base
+// world is the seeds' forward reachable set over live edges (U < q) and
+// the frontier of boost-reachable nodes (inactive nodes with at least
+// one boost-only in-edge, q ≤ U < q', from a base-active node). Unlike
+// LT there is no frontier payload: SIR activation is a single-edge
+// event, so frontier membership alone carries the incremental state.
+// Boosting is monotone under the shared uniforms, so a profile can only
 // gain infections from a boost — never lose them.
 
 import (
-	"context"
-	"fmt"
 	"math"
-	"runtime"
-	"slices"
-	"sync"
-	"sync/atomic"
 
-	"github.com/kboost/kboost/internal/faults"
 	"github.com/kboost/kboost/internal/graph"
-	"github.com/kboost/kboost/internal/panicsafe"
-	"github.com/kboost/kboost/internal/rng"
+	"github.com/kboost/kboost/internal/model/profile"
 )
 
-// cancelStride is the amortized cooperative-cancellation poll interval
-// inside shard simulation loops (see internal/prr): one ctx check per
-// 64 profiles.
-const cancelStride = 64
-
-// Pool is a growable collection of boosted-SIR percolation profiles for
-// a fixed (graph, seed set). Profiles are independent of the boost
-// budget k, so one pool serves every query against its seed set.
-// Mutation (Extend) must be externally serialized against everything
-// else; estimation and selection only read the pool and may run
-// concurrently with each other.
+// Pool is a growable collection of boosted-SIR percolation profiles
+// for a fixed (graph, seed set): the kernel's profile.Pool over SIR
+// dynamics (see profile.Pool for the concurrency contract).
 type Pool struct {
-	m        *Model
-	g        *graph.Graph
-	seeds    []int32 // sorted, deduplicated
-	seedMask []bool
-	workers  int
-	root     *rng.Source
-
-	// profileSeed[i] seeds the duration and edge-uniform hashes of
-	// profile i. Seeds are drawn serially from root, so pool contents
-	// are independent of the worker count.
-	profileSeed []uint64
-
-	// Base-world state per profile, stored flat (CSR-style): the
-	// ever-infected set under B = ∅, and the frontier — inactive nodes
-	// reachable through at least one boost-only edge from a base-active
-	// node. Node lists are sorted per profile so membership tests are
-	// binary searches. Unlike LT there are no stored weights: SIR
-	// activation is a single-edge event, so frontier membership alone
-	// carries the incremental-evaluation state.
-	activeStart []int32
-	activeItems []int32
-	frontStart  []int32
-	frontItems  []int32
-
-	// baseSum is Σ_i |active_i|: the base spread numerator.
-	baseSum int64
-
-	// idxStart/idxItems: node -> profiles whose base frontier contains
-	// it. A boost set can only change profiles where at least one
-	// boosted node sits in the base frontier (the first boosted
-	// infection must cross a boost-only edge from a base-active node),
-	// so estimates and greedy rounds iterate these posting lists instead
-	// of all R profiles.
-	idxStart []int32
-	idxItems []int32
-
-	// generation counts Extend calls that added profiles; estimates and
-	// selections are pure functions of the pool contents, so callers may
-	// cache results keyed by (generation, query) and invalidate on
-	// change.
-	generation uint64
-
-	scratch sync.Pool // of *evalScratch
+	*profile.Pool[struct{}, *evalScratch]
 }
 
 // Norms returns nil: SIR ranks boost candidates on raw edge
@@ -93,60 +34,32 @@ func (p *Pool) Norms() []float64 { return nil }
 // profile the pool will ever contain; workers <= 0 means GOMAXPROCS.
 // Pool contents do not depend on workers.
 func (m *Model) NewPool(g *graph.Graph, seeds []int32, seed uint64, workers int) (*Pool, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	k, err := profile.New("sir", g, seeds, seed, workers, m.cascade(g))
+	if err != nil {
+		return nil, err
 	}
-	for _, v := range seeds {
-		if v < 0 || int(v) >= g.N() {
-			return nil, fmt.Errorf("sir: seed %d out of range [0,%d)", v, g.N())
-		}
-	}
-	p := &Pool{
-		m:           m,
-		g:           g,
-		seedMask:    make([]bool, g.N()),
-		workers:     workers,
-		root:        rng.New(seed),
-		activeStart: []int32{0},
-		frontStart:  []int32{0},
-		idxStart:    make([]int32, g.N()+1),
-	}
-	for _, v := range seeds {
-		if !p.seedMask[v] {
-			p.seedMask[v] = true
-			p.seeds = append(p.seeds, v)
-		}
-	}
-	slices.Sort(p.seeds)
-	p.scratch.New = func() interface{} { return newEvalScratch(g.N()) }
-	return p, nil
+	return &Pool{k}, nil
 }
 
-// NumProfiles returns the number of sampled percolation profiles.
-func (p *Pool) NumProfiles() int { return len(p.profileSeed) }
-
-// Generation identifies the pool's contents: it increments on every
-// Extend call that adds profiles.
-func (p *Pool) Generation() uint64 { return p.generation }
-
-// BaseSpread returns the pooled estimate of the unboosted SIR spread
-// σ̂(∅), cached from the base reachability.
-func (p *Pool) BaseSpread() float64 {
-	if len(p.profileSeed) == 0 {
-		return 0
-	}
-	return float64(p.baseSum) / float64(len(p.profileSeed))
+// EstimateSamples is the engine's tier-1 estimator for mode "sir": sims
+// pool-free replicates, replicate i being the percolation world seeded
+// by rng.StreamSeed(seed, i) (see profile.EstimateSamples).
+func (m *Model) EstimateSamples(g *graph.Graph, seeds, boost []int32, sims int, seed uint64, workers int) (spread, delta []float64, err error) {
+	return profile.EstimateSamples("sir", g, seeds, boost, sims, seed, workers, m.cascade(g))
 }
 
-// MemoryEstimate returns the pool's resident bytes: the flat profile
-// CSRs, the inverted index and the profile seeds — exact array lengths
-// × element sizes, matching the accounting the other pool families
-// report so the engine's byte-based eviction compares them fairly.
-func (p *Pool) MemoryEstimate() int64 {
-	bytes := int64(len(p.activeItems)+len(p.frontItems)+len(p.idxItems)) * 4
-	bytes += int64(len(p.profileSeed)) * 8
-	bytes += int64(len(p.activeStart)+len(p.frontStart)+len(p.idxStart)) * 4
-	return bytes
+// cascade returns the constructor of m's dynamics on g.
+func (m *Model) cascade(g *graph.Graph) func([]int32) profile.Cascade[struct{}, *evalScratch] {
+	return func(seeds []int32) profile.Cascade[struct{}, *evalScratch] {
+		return &cascade{m: m, g: g, seeds: seeds}
+	}
+}
+
+// cascade is boosted-SIR percolation on one graph and seed set.
+type cascade struct {
+	m     *Model
+	g     *graph.Graph
+	seeds []int32 // sorted, deduplicated
 }
 
 // evalScratch is the reusable per-worker state for profile evaluation:
@@ -158,7 +71,7 @@ type evalScratch struct {
 
 	loadedAct []int32 // nodes whose active flag was set by loadState
 	actNode   []int32 // every activation since load, in order
-	touched   []int32 // boost-only push targets (base-world frontier capture)
+	touched   []int32 // boost-only push targets (base-world capture)
 
 	tstamp []int32 // touch-collection / dedup stamps
 	tepoch int32   // kboost:epoch
@@ -175,15 +88,12 @@ func (s *evalScratch) bumpTouchEpoch() {
 	s.tepoch++
 }
 
-func newEvalScratch(n int) *evalScratch {
+func (c *cascade) NewScratch() *evalScratch {
 	return &evalScratch{
-		active: make([]bool, n),
-		tstamp: make([]int32, n),
+		active: make([]bool, c.g.N()),
+		tstamp: make([]int32, c.g.N()),
 	}
 }
-
-func (p *Pool) getScratch() *evalScratch  { return p.scratch.Get().(*evalScratch) }
-func (p *Pool) putScratch(s *evalScratch) { p.scratch.Put(s) }
 
 // reset clears every node the scratch activated since the last reset.
 func (s *evalScratch) reset() {
@@ -199,14 +109,6 @@ func (s *evalScratch) reset() {
 	s.queue = s.queue[:0]
 }
 
-// loadState installs a profile's base active set into the scratch.
-func (s *evalScratch) loadState(active []int32) {
-	for _, u := range active {
-		s.active[u] = true
-	}
-	s.loadedAct = append(s.loadedAct, active...)
-}
-
 // runCascade drains s.queue: each newly infected node u attempts its
 // out-edges under the profile's percolation draws. An edge transmits
 // when its uniform falls below the base transmissibility q, or — for
@@ -216,12 +118,12 @@ func (s *evalScratch) loadState(active []int32) {
 // logged into s.touched (epoch-deduplicated) for frontier extraction.
 // Returns the number of activations (excluding nodes queued by the
 // caller).
-func (p *Pool) runCascade(ps uint64, mask []bool, extra int32, collect bool, s *evalScratch) int {
-	g := p.g
+func (c *cascade) runCascade(ps uint64, mask []bool, extra int32, collect bool, s *evalScratch) int {
+	g := c.g
 	activated := 0
 	for qi := 0; qi < len(s.queue); qi++ {
 		u := s.queue[qi]
-		d := p.m.duration(ps, u)
+		d := c.m.duration(ps, u)
 		to := g.OutTo(u)
 		pp := g.OutP(u)
 		pb := g.OutPBoost(u)
@@ -259,13 +161,35 @@ func (p *Pool) runCascade(ps uint64, mask []bool, extra int32, collect bool, s *
 // scratch: seeds activate unconditionally, then the cascade runs under
 // the boost mask. It returns the infected count and leaves the final
 // state in s (caller extracts what it needs, then resets).
-func (p *Pool) simulate(ps uint64, mask []bool, collect bool, s *evalScratch) int {
-	for _, v := range p.seeds {
+func (c *cascade) simulate(ps uint64, mask []bool, collect bool, s *evalScratch) int {
+	for _, v := range c.seeds {
 		s.active[v] = true
 		s.actNode = append(s.actNode, v)
 		s.queue = append(s.queue, v)
 	}
-	return len(p.seeds) + p.runCascade(ps, mask, -1, collect, s)
+	return len(c.seeds) + c.runCascade(ps, mask, -1, collect, s)
+}
+
+func (c *cascade) Simulate(ps uint64, mask []bool, s *evalScratch) int {
+	n := c.simulate(ps, mask, false, s)
+	s.reset()
+	return n
+}
+
+// Base captures one profile's base world: the sorted infected set and
+// the sorted frontier (the boost-only push targets that stayed
+// inactive, filtered in place).
+func (c *cascade) Base(ps uint64, st *profile.Store[struct{}], s *evalScratch) {
+	s.bumpTouchEpoch()
+	c.simulate(ps, nil, true, s)
+	front := s.touched[:0]
+	for _, v := range s.touched {
+		if !s.active[v] {
+			front = append(front, v)
+		}
+	}
+	st.Add(s.actNode, front, nil)
+	s.reset()
 }
 
 // boostActivates reports whether boosting node b activates it against
@@ -273,384 +197,33 @@ func (p *Pool) simulate(ps uint64, mask []bool, collect bool, s *evalScratch) in
 // the boosted probability. (A base-active in-neighbor with a *live*
 // edge into inactive b cannot exist — b would be base-active — so the
 // boosted-transmissibility test alone is exact here.)
-func (p *Pool) boostActivates(ps uint64, b int32, s *evalScratch) bool {
-	in := p.g.InFrom(b)
-	pb := p.g.InPBoost(b)
+func (c *cascade) boostActivates(ps uint64, b int32, s *evalScratch) bool {
+	in := c.g.InFrom(b)
+	pb := c.g.InPBoost(b)
 	for j, u := range in {
 		if !s.active[u] {
 			continue
 		}
-		if edgeU(ps, u, b) < transQ(pb[j], p.m.duration(ps, u)) {
+		if edgeU(ps, u, b) < transQ(pb[j], c.m.duration(ps, u)) {
 			return true
 		}
 	}
 	return false
 }
 
-// baseActive / baseFront / baseCount are CSR views of one profile's
-// cached base-world state.
-func (p *Pool) baseActive(pi int) []int32 {
-	return p.activeItems[p.activeStart[pi]:p.activeStart[pi+1]]
-}
-func (p *Pool) baseFront(pi int) []int32 {
-	return p.frontItems[p.frontStart[pi]:p.frontStart[pi+1]]
-}
-func (p *Pool) baseCount(pi int) int32 {
-	return p.activeStart[pi+1] - p.activeStart[pi]
-}
-
-// frontierProfiles returns the profiles whose base frontier contains v.
-func (p *Pool) frontierProfiles(v int32) []int32 {
-	return p.idxItems[p.idxStart[v]:p.idxStart[v+1]]
-}
-
-// sirShard is one worker's private Extend output: the base-world state
-// of a contiguous run of profiles, stored flat exactly like the pool's
-// arrays (local CSR offsets starting at 0). Shards cover ascending
-// profile ranges and are merged in range order with bulk appends, so
-// pool contents stay independent of scheduling.
-type sirShard struct {
-	activeStart []int32 // len = profiles+1
-	activeItems []int32
-	frontStart  []int32 // len = profiles+1
-	frontItems  []int32
-}
-
-// Extend grows the pool to at least target profiles. Growth is
-// incremental: existing profiles and their cached state are untouched,
-// only the shortfall is simulated (sharded across the pool's workers,
-// merged in profile order), and the frontier index is merged in one
-// pass.
-func (p *Pool) Extend(target int) {
-	// Ctx-less compat form; without a cancelable ctx or armed faults the
-	// context variant cannot fail.
-	_ = p.ExtendContext(context.Background(), target)
-}
-
-// ExtendContext is Extend with cooperative cancellation and shard-worker
-// panic containment. On any error — ctx canceled, injected fault, or a
-// worker panic (returned as *panicsafe.Error) — no shard is merged and
-// the pool rolls back to its exact pre-call state: the appended profile
-// seeds are truncated and the root RNG restored, so a retried call
-// draws the same seeds again and the final pool is bit-identical to one
-// built without interruption.
-func (p *Pool) ExtendContext(ctx context.Context, target int) error {
-	if ctx == nil {
-		ctx = context.Background()
+// Delta computes the marginal infections of boosting bset ∪ {extra} on
+// one profile, starting from its cached base reachability. Phase 1
+// scans each inactive boosted node's in-edges against the base active
+// set (the only sources whose out-attempts the cascade will not
+// replay); phase 2 cascades from the nodes that activated.
+func (c *cascade) Delta(pr profile.Profile[struct{}], bset []int32, mask []bool, extra int32, s *evalScratch) int {
+	for _, u := range pr.Active {
+		s.active[u] = true
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	need := target - len(p.profileSeed)
-	if need <= 0 {
-		return nil
-	}
-	from := len(p.profileSeed)
-	savedRoot := *p.root // for rollback: Uint64 draws below advance it
-	for i := 0; i < need; i++ {
-		p.profileSeed = append(p.profileSeed, p.root.Uint64())
-	}
-	shards := make([]sirShard, p.workers)
-	var wg sync.WaitGroup
-	var stop atomic.Bool // flipped on first failure so sibling shards bail early
-	errs := make([]error, p.workers)
-	chunk := (need + p.workers - 1) / p.workers
-	for w := 0; w < p.workers; w++ {
-		lo := w * chunk
-		if lo >= need {
-			break
-		}
-		hi := lo + chunk
-		if hi > need {
-			hi = need
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			err := panicsafe.Do(func() {
-				if e := faults.CheckContext(ctx, faults.PoolBuildShard); e != nil {
-					errs[w] = e
-					stop.Store(true)
-					return
-				}
-				s := p.getScratch()
-				defer p.putScratch(s)
-				sh := &shards[w]
-				sh.activeStart = append(sh.activeStart, 0)
-				sh.frontStart = append(sh.frontStart, 0)
-				for i := lo; i < hi; i++ {
-					if (i-lo)%cancelStride == 0 && (stop.Load() || ctx.Err() != nil) {
-						errs[w] = ctx.Err()
-						stop.Store(true)
-						return
-					}
-					p.simulateBaseInto(p.profileSeed[from+i], sh, s)
-				}
-			})
-			if err != nil {
-				errs[w] = err
-				stop.Store(true)
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	abort := ctx.Err()
-	for _, err := range errs {
-		if err != nil {
-			abort = err
-			break
-		}
-	}
-	if abort != nil {
-		p.profileSeed = p.profileSeed[:from]
-		*p.root = savedRoot
-		return abort
-	}
-
-	// Merge the shards in profile order: bulk-append the flat state,
-	// shifting the local CSR offsets. Trailing workers get no profiles
-	// when need is smaller than their chunk offset; their shards stay
-	// zero-valued and are skipped.
-	for w := range shards {
-		sh := &shards[w]
-		if len(sh.activeStart) == 0 {
-			continue
-		}
-		activeBase := int32(len(p.activeItems))
-		frontBase := int32(len(p.frontItems))
-		p.activeItems = append(p.activeItems, sh.activeItems...)
-		p.frontItems = append(p.frontItems, sh.frontItems...)
-		for _, end := range sh.activeStart[1:] {
-			p.activeStart = append(p.activeStart, activeBase+end)
-		}
-		for _, end := range sh.frontStart[1:] {
-			p.frontStart = append(p.frontStart, frontBase+end)
-		}
-		p.baseSum += int64(len(sh.activeItems))
-	}
-
-	// Merge the frontier index: count the batch contribution per node,
-	// then interleave old and new posting lists in one O(old+new) pass.
-	n := p.g.N()
-	counts := make([]int32, n)
-	for w := range shards {
-		for _, v := range shards[w].frontItems {
-			counts[v]++
-		}
-	}
-	newStart := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		newStart[v+1] = newStart[v] + (p.idxStart[v+1] - p.idxStart[v]) + counts[v]
-	}
-	newItems := make([]int32, newStart[n])
-	next := counts // reuse as per-node write cursors
-	for v := 0; v < n; v++ {
-		old := p.idxItems[p.idxStart[v]:p.idxStart[v+1]]
-		copy(newItems[newStart[v]:], old)
-		next[v] = newStart[v] + int32(len(old))
-	}
-	for pi := from; pi < len(p.profileSeed); pi++ {
-		for _, v := range p.baseFront(pi) {
-			newItems[next[v]] = int32(pi)
-			next[v]++
-		}
-	}
-	p.idxStart, p.idxItems = newStart, newItems
-	p.generation++
-	return nil
-}
-
-// simulateBaseInto runs one profile's base world (B = ∅) and appends
-// its cached state to sh: sorted infected set, sorted frontier (the
-// boost-only push targets that stayed inactive).
-func (p *Pool) simulateBaseInto(ps uint64, sh *sirShard, s *evalScratch) {
-	s.bumpTouchEpoch()
-	p.simulate(ps, nil, true, s)
-	activeOff := len(sh.activeItems)
-	sh.activeItems = append(sh.activeItems, s.actNode...)
-	active := sh.activeItems[activeOff:]
-	slices.Sort(active)
-	sh.activeStart = append(sh.activeStart, int32(len(sh.activeItems)))
-	frontOff := len(sh.frontItems)
-	for _, v := range s.touched {
-		if !s.active[v] {
-			sh.frontItems = append(sh.frontItems, v)
-		}
-	}
-	front := sh.frontItems[frontOff:]
-	slices.Sort(front)
-	sh.frontStart = append(sh.frontStart, int32(len(sh.frontItems)))
-	s.reset()
-}
-
-// estimateParallelMin is the minimum number of affected profiles before
-// batch estimation fans out to the pool's workers; a variable so tests
-// can force the parallel path on small pools.
-var estimateParallelMin = 256
-
-// EstimateSpread returns the pooled estimate of the boosted-SIR spread
-// σ̂(B) by incrementally evaluating boost from every affected profile's
-// cached base state. It is deterministic for a fixed pool generation,
-// bit-exact across worker counts, and shares its possible worlds with
-// every other estimate from the same pool (common random numbers).
-func (p *Pool) EstimateSpread(boost []int32) (float64, error) {
-	total, err := p.estimateCount(boost)
-	if err != nil {
-		return 0, err
-	}
-	return float64(total) / float64(len(p.profileSeed)), nil
-}
-
-// EstimateBoost returns the pooled estimate of the SIR boost
-// Δ̂_S(B) = σ̂(B) − σ̂(∅). Both terms are evaluated on the same
-// percolation profiles, so the difference is coupled, exactly zero for
-// an empty or ineffective boost set, and — because the infection sums
-// are differenced as integers before dividing — bit-identical to the
-// estimate GreedyBoost reports for the same boost set.
-func (p *Pool) EstimateBoost(boost []int32) (float64, error) {
-	total, err := p.estimateCount(boost)
-	if err != nil {
-		return 0, err
-	}
-	return float64(total-p.baseSum) / float64(len(p.profileSeed)), nil
-}
-
-// estimateCount returns Σ_i |active_i(B)|, the integer numerator of the
-// pooled spread estimate: the cached base sum plus the incremental
-// deltas of the profiles whose frontier intersects the boost set (no
-// other profile can change — see idxStart).
-func (p *Pool) estimateCount(boost []int32) (int64, error) {
-	R := len(p.profileSeed)
-	if R == 0 {
-		return 0, fmt.Errorf("sir: estimate on an empty pool (call Extend first)")
-	}
-	mask := make([]bool, p.g.N())
-	for _, v := range boost {
-		if v < 0 || int(v) >= p.g.N() {
-			return 0, fmt.Errorf("sir: boost node %d out of range [0,%d)", v, p.g.N())
-		}
-		mask[v] = true
-	}
-	// Dense boost list (deduplicated, sorted) for the per-profile pass.
-	var bset []int32
-	for v := int32(0); int(v) < p.g.N(); v++ {
-		if mask[v] {
-			bset = append(bset, v)
-		}
-	}
-	profs := p.mergeFrontierProfiles(nil, bset)
-	return p.baseSum + p.sumDeltas(profs, bset, mask, -1), nil
-}
-
-// mergeFrontierProfiles returns the sorted, deduplicated union of base
-// (already sorted ascending) and the posting lists of each node in
-// vs — the profiles a boost over base's owners plus vs could change.
-func (p *Pool) mergeFrontierProfiles(base []int32, vs []int32) []int32 {
-	lists := make([][]int32, 0, len(vs)+1)
-	if len(base) > 0 {
-		lists = append(lists, base)
-	}
-	for _, v := range vs {
-		if pl := p.frontierProfiles(v); len(pl) > 0 {
-			lists = append(lists, pl)
-		}
-	}
-	return mergeSorted(lists)
-}
-
-// mergeSorted merges sorted int32 lists into a sorted, deduplicated
-// union. The posting lists are short relative to R, so a simple k-way
-// min scan is enough.
-func mergeSorted(lists [][]int32) []int32 {
-	switch len(lists) {
-	case 0:
-		return nil
-	case 1:
-		return lists[0]
-	}
-	var out []int32
-	cur := make([]int, len(lists))
-	for {
-		best := int32(math.MaxInt32)
-		found := false
-		for li, l := range lists {
-			if cur[li] < len(l) && l[cur[li]] < best {
-				best = l[cur[li]]
-				found = true
-			}
-		}
-		if !found {
-			return out
-		}
-		out = append(out, best)
-		for li, l := range lists {
-			for cur[li] < len(l) && l[cur[li]] == best {
-				cur[li]++
-			}
-		}
-	}
-}
-
-// sumDeltas evaluates the boost set incrementally on each listed
-// profile and returns the summed activation deltas, fanning out to the
-// pool's workers for large batches. Deltas are integers summed in any
-// order, so the result does not depend on the sharding.
-func (p *Pool) sumDeltas(profs []int32, bset []int32, mask []bool, extra int32) int64 {
-	evalChunk := func(lo, hi int, s *evalScratch) int64 {
-		var sum int64
-		for _, pi := range profs[lo:hi] {
-			sum += int64(p.evalBoostSet(int(pi), bset, mask, extra, s))
-		}
-		return sum
-	}
-	if len(profs) < estimateParallelMin || p.workers <= 1 {
-		s := p.getScratch()
-		defer p.putScratch(s)
-		return evalChunk(0, len(profs), s)
-	}
-	sums := make([]int64, p.workers)
-	var wg sync.WaitGroup
-	chunk := (len(profs) + p.workers - 1) / p.workers
-	for w := 0; w < p.workers; w++ {
-		lo := w * chunk
-		if lo >= len(profs) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(profs) {
-			hi = len(profs)
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			s := p.getScratch()
-			defer p.putScratch(s)
-			sums[w] = evalChunk(lo, hi, s)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var total int64
-	for _, v := range sums {
-		total += v
-	}
-	return total
-}
-
-// evalBoostSet computes the marginal infections of boosting
-// bset ∪ {extra} on profile pi, starting from the cached base
-// reachability. Phase 1 scans each inactive boosted node's in-edges
-// against the base active set (the only sources whose out-attempts the
-// cascade will not replay); phase 2 cascades from the nodes that
-// activated. The scratch is left clean.
-func (p *Pool) evalBoostSet(pi int, bset []int32, mask []bool, extra int32, s *evalScratch) int {
-	ps := p.profileSeed[pi]
-	s.loadState(p.baseActive(pi))
+	s.loadedAct = append(s.loadedAct, pr.Active...)
 	delta := 0
 	activate := func(b int32) {
-		if s.active[b] {
-			return
-		}
-		if p.boostActivates(ps, b, s) {
+		if !s.active[b] && c.boostActivates(pr.Seed, b, s) {
 			s.active[b] = true
 			s.actNode = append(s.actNode, b)
 			s.queue = append(s.queue, b)
@@ -663,25 +236,7 @@ func (p *Pool) evalBoostSet(pi int, bset []int32, mask []bool, extra int32, s *e
 	if extra >= 0 {
 		activate(extra)
 	}
-	delta += p.runCascade(ps, mask, extra, false, s)
+	delta += c.runCascade(pr.Seed, mask, extra, false, s)
 	s.reset()
 	return delta
-}
-
-// estimateSpreadNaive re-simulates every profile from scratch under the
-// boost mask — the retained reference implementation the property tests
-// hold EstimateSpread to.
-func (p *Pool) estimateSpreadNaive(boost []int32) float64 {
-	mask := make([]bool, p.g.N())
-	for _, v := range boost {
-		mask[v] = true
-	}
-	s := p.getScratch()
-	defer p.putScratch(s)
-	var sum int64
-	for pi := range p.profileSeed {
-		sum += int64(p.simulate(p.profileSeed[pi], mask, false, s))
-		s.reset()
-	}
-	return float64(sum) / float64(len(p.profileSeed))
 }
