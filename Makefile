@@ -18,10 +18,10 @@ test:
 # maxcover (CoverageOf/MemoryBytes run concurrently with each other) and
 # graph (shared immutable CSR read from every worker) joined the race
 # matrix alongside the original four concurrent hot paths; the pluggable
-# model pools (sir, kthresh) shard their sampling across workers the
-# same way lt does.
+# model pools (lt, sir, kthresh) shard their sampling across workers
+# through the shared profile-pool kernel.
 race:
-	$(GO) test -race ./internal/prr ./internal/diffusion ./internal/engine ./internal/lt ./internal/maxcover ./internal/graph ./internal/model/sir ./internal/model/kthresh
+	$(GO) test -race ./internal/prr ./internal/diffusion ./internal/engine ./internal/lt ./internal/maxcover ./internal/graph ./internal/model/profile ./internal/model/sir ./internal/model/kthresh
 
 # lint runs the project's own invariant analyzers (cmd/kboostvet: see
 # internal/analysis) plus staticcheck and govulncheck when they are on

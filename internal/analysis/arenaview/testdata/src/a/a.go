@@ -83,3 +83,25 @@ func unrelated() []int32 {
 	s = append(s, 1) // plain slices are out of scope
 	return s[:cap(s)]
 }
+
+// store is a generic arena: views of an instantiated store resolve to
+// the declared accessor's annotation.
+type store[W any] struct {
+	items []int32
+	pay   []W
+	start []int32
+}
+
+// segment returns item segment i (kboost:aliased-view).
+func (s *store[W]) segment(i int) []int32 {
+	return s.items[s.start[i]:s.start[i+1]]
+}
+
+func appendGeneric(s *store[float64]) []int32 {
+	v := s.segment(0)
+	return append(v, 7) // want `append to aliased view from segment`
+}
+
+func escapeGeneric[W any](s *store[W], h *holder) {
+	h.kept = s.segment(1) // want `aliased view from segment .* stored into field kept`
+}

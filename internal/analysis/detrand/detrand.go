@@ -39,6 +39,9 @@ import (
 var DefaultScope = []string{
 	"internal/prr",
 	"internal/lt",
+	"internal/model/profile",
+	"internal/model/sir",
+	"internal/model/kthresh",
 	"internal/maxcover",
 	"internal/diffusion",
 	"internal/rng",

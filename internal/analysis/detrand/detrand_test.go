@@ -12,12 +12,19 @@ func TestDetrand(t *testing.T) {
 }
 
 func TestInScope(t *testing.T) {
+	// Every pooled model promises bit-identical results for a fixed
+	// (seed, workers), as does the kernel they share.
+	for _, rel := range []string{"internal/lt", "internal/model/profile", "internal/model/sir", "internal/model/kthresh"} {
+		if !detrand.InScope(rel) {
+			t.Errorf("InScope(%q) = false, want true", rel)
+		}
+	}
 	for _, rel := range detrand.DefaultScope {
 		if !detrand.InScope(rel) {
 			t.Errorf("InScope(%q) = false, want true", rel)
 		}
 	}
-	for _, rel := range []string{"internal/engine", "cmd/kboostd", ""} {
+	for _, rel := range []string{"internal/engine", "internal/model", "cmd/kboostd", ""} {
 		if detrand.InScope(rel) {
 			t.Errorf("InScope(%q) = true, want false", rel)
 		}

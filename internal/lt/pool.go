@@ -43,7 +43,6 @@ import (
 // concurrently with each other.
 type Pool struct {
 	kernel *profile.Pool[float64, *evalScratch]
-	c      *cascade // the dynamics on the pool's current graph
 }
 
 // NewPool creates an empty pool for (g, seeds). seed determines every
@@ -54,7 +53,7 @@ func NewPool(g *graph.Graph, seeds []int32, seed uint64, workers int) (*Pool, er
 	if err != nil {
 		return nil, err
 	}
-	return &Pool{kernel: k, c: k.Cascade().(*cascade)}, nil
+	return &Pool{kernel: k}, nil
 }
 
 // newCascade returns the constructor of the boosted-LT dynamics on g.
@@ -67,7 +66,10 @@ func newCascade(g *graph.Graph) func([]int32) profile.Cascade[float64, *evalScra
 // Norms returns the pool's per-node in-weight normalizers (see
 // Model.Norms). The slice aliases the pool's model and must not be
 // modified. kboost:aliased-view
-func (p *Pool) Norms() []float64 { return p.c.m.Norms() }
+func (p *Pool) Norms() []float64 { return p.dynamics().m.Norms() }
+
+// dynamics returns the boosted-LT cascade on the pool's current graph.
+func (p *Pool) dynamics() *cascade { return p.kernel.Cascade().(*cascade) }
 
 // NumProfiles returns the number of sampled threshold profiles.
 func (p *Pool) NumProfiles() int { return p.kernel.NumProfiles() }

@@ -1,6 +1,7 @@
 package lt
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -388,5 +389,34 @@ func TestPoolExtendTinyIncrement(t *testing.T) {
 	}
 	if gotEst != wantEst {
 		t.Fatalf("EstimateSpread %v != single-worker %v", gotEst, wantEst)
+	}
+}
+
+// TestKernelGreedyMatchesNaive runs the kernel's exhaustive greedy on
+// the LT cascade — the path that evaluates a tentative candidate as
+// Delta's extra node — against the full-resimulation reference. LT
+// serves its own CELF greedy, but the cascade must honor the whole
+// profile.Cascade contract.
+func TestKernelGreedyMatchesNaive(t *testing.T) {
+	r := rng.New(61)
+	for trial := 0; trial < 6; trial++ {
+		n := 12 + r.Intn(20)
+		g := testutil.RandomGraph(r, n, n+r.Intn(4*n), 0.5)
+		pool, err := NewPool(g, testutil.RandomSeedSet(r, n, 1+r.Intn(2)), uint64(trial)+9, 1+trial%3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool.Extend(300)
+		fast, fastEst, err := pool.kernel.GreedyBoostContext(context.Background(), 3, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slow, slowEst, err := pool.greedyBoostNaive(3, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fastEst != slowEst || fmt.Sprint(fast) != fmt.Sprint(slow) {
+			t.Fatalf("trial %d: kernel greedy %v/%v != naive %v/%v", trial, fast, fastEst, slow, slowEst)
+		}
 	}
 }

@@ -86,7 +86,6 @@ func (p *Pool) Repair(g2 *graph.Graph, dirtyOut, dirtyIn []bool, maxFrac float64
 	// The patched graph's normalizers change the dynamics; thresholds
 	// and profile seeds do not.
 	p.kernel.Resample(g2, newCascade(g2)(p.kernel.Seeds()), hit)
-	p.c = p.kernel.Cascade().(*cascade)
 	return sum.hits, true, nil
 }
 

@@ -18,13 +18,14 @@ package lt
 //     now push boosted weight into it). Profiles where neither holds
 //     replay bit-identically under the grown boost set, so their gains
 //     are provably unchanged — the invariant the equivalence property
-//     tests pin against the naive reference below;
+//     tests pin against the full-resimulation reference greedy
+//     (model/profile/profiletest);
 //   - re-evaluation is sharded across the pool's workers.
 //
-// The boosted-LT objective is not submodular, so this lazy greedy and
-// the kernel's exhaustive greedy (profile.Pool.GreedyBoostContext) may
-// pick different sets; LT keeps its own. The equivalence tests hold it
-// to the full-resimulation reference in profile/profiletest.
+// LT keeps this greedy rather than the kernel's exhaustive one
+// (profile.Pool.GreedyBoostContext): both return the reference's picks,
+// but re-evaluating only the affected profiles after each pick is
+// several times faster on LT pools, whose frontiers are wide.
 
 import (
 	"context"
@@ -283,7 +284,7 @@ func (p *Pool) evalProfilesInto(pis []int32, states []queryState, pick int32, ch
 // recomputes the profile's candidate gains and touch set. It mutates
 // st's slices by replacement only; the scratch is left clean.
 func (p *Pool) evalProfile(pi int, st *queryState, pick int32, chosenMask, candMask []bool, s *evalScratch) profEval {
-	c := p.c
+	c := p.dynamics()
 	ps := p.kernel.Profile(pi).Seed
 	s.loadState(st.active, st.front, st.frontW)
 	var ev profEval

@@ -124,12 +124,18 @@ func (st *Store[W]) appendRange(src *Store[W], lo, hi int) {
 	st.activeItems = append(st.activeItems, src.activeItems[a0:a1]...)
 	st.frontItems = append(st.frontItems, src.frontItems[f0:f1]...)
 	st.pay = append(st.pay, src.pay[f0:f1]...)
-	for _, end := range src.activeStart[lo+1 : hi+1] {
-		st.activeStart = append(st.activeStart, end+da)
+	st.activeStart = appendShifted(st.activeStart, src.activeStart[lo+1:hi+1], da)
+	st.frontStart = appendShifted(st.frontStart, src.frontStart[lo+1:hi+1], df)
+}
+
+// appendShifted appends ends to dst, each shifted by delta.
+func appendShifted(dst, ends []int32, delta int32) []int32 {
+	n := len(dst)
+	dst = append(dst, ends...)
+	for i := n; i < len(dst); i++ {
+		dst[i] += delta
 	}
-	for _, end := range src.frontStart[lo+1 : hi+1] {
-		st.frontStart = append(st.frontStart, end+df)
-	}
+	return dst
 }
 
 // cancelStride is the amortized cooperative-cancellation poll interval
@@ -241,7 +247,7 @@ func (p *Pool[W, S]) Seeds() []int32 { return p.seeds }
 func (p *Pool[W, S]) SeedMask() []bool { return p.seedMask }
 
 // Profile returns profile pi's cached base world. Its slices alias the
-// pool's flat arrays. kboost:aliased-view
+// pool's flat arrays: read them, never append to or write through them.
 func (p *Pool[W, S]) Profile(pi int) Profile[W] {
 	st := &p.st
 	a0, a1 := st.activeStart[pi], st.activeStart[pi+1]
@@ -372,9 +378,9 @@ func (p *Pool[W, S]) ExtendContext(ctx context.Context, target int) error {
 }
 
 // index merges the frontier postings of profiles [from, R) into the
-// inverted index, keeping the postings of profiles below from: count
-// the new contribution per node, then interleave old and new posting
-// lists in one O(old+new) pass.
+// inverted index, keeping the postings of profiles below from (none
+// when from is 0: a full rebuild): count the new contribution per node,
+// then interleave old and new posting lists in one O(old+new) pass.
 func (p *Pool[W, S]) index(from int) {
 	n := p.g.N()
 	counts := make([]int32, n)
@@ -383,14 +389,18 @@ func (p *Pool[W, S]) index(from int) {
 	}
 	newStart := make([]int32, n+1)
 	for v := 0; v < n; v++ {
-		newStart[v+1] = newStart[v] + (p.idxStart[v+1] - p.idxStart[v]) + counts[v]
+		newStart[v+1] = newStart[v] + counts[v]
+		if from > 0 {
+			newStart[v+1] += p.idxStart[v+1] - p.idxStart[v]
+		}
 	}
 	newItems := make([]int32, newStart[n])
 	next := counts // reuse as per-node write cursors
 	for v := 0; v < n; v++ {
-		old := p.idxItems[p.idxStart[v]:p.idxStart[v+1]]
-		copy(newItems[newStart[v]:], old)
-		next[v] = newStart[v] + int32(len(old))
+		next[v] = newStart[v]
+		if from > 0 {
+			next[v] += int32(copy(newItems[newStart[v]:], p.idxItems[p.idxStart[v]:p.idxStart[v+1]]))
+		}
 	}
 	for pi := from; pi < len(p.profileSeed); pi++ {
 		for _, v := range p.st.frontItems[p.st.frontStart[pi]:p.st.frontStart[pi+1]] {
@@ -472,8 +482,6 @@ func (p *Pool[W, S]) Resample(g *graph.Graph, c Cascade[W, S], touched []bool) {
 		pi++
 	}
 	p.st = st
-	clear(p.idxStart)
-	p.idxItems = nil
 	p.index(0)
 	p.generation++
 }
