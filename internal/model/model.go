@@ -51,8 +51,8 @@ type Pool interface {
 	// NumProfiles reports the current simulation count.
 	NumProfiles() int
 	// Generation identifies the pool contents: it increments on every
-	// ExtendContext call that added profiles, so callers may cache results
-	// keyed by (generation, query) and invalidate on change.
+	// ExtendContext call that added profiles, so callers may cache
+	// results keyed by (generation, query) and invalidate on change.
 	Generation() uint64
 	// MemoryEstimate is the pool's resident bytes — exact array lengths
 	// times element sizes, the contract the engine's byte eviction

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -40,6 +41,22 @@ func TestPublicPipeline(t *testing.T) {
 				t.Fatalf("negative boost %v", boost)
 			}
 		})
+	}
+}
+
+// TestLTPoolMethodSet pins the exported method set of the LTPool
+// facade, so internal restructuring of the LT pool cannot silently add
+// or drop public API.
+func TestLTPoolMethodSet(t *testing.T) {
+	typ := reflect.TypeOf(&LTPool{})
+	var got []string
+	for i := 0; i < typ.NumMethod(); i++ {
+		got = append(got, typ.Method(i).Name)
+	}
+	want := "[BaseSpread EstimateBoost EstimateSpread Extend ExtendContext Generation Graph GreedyBoost " +
+		"GreedyBoostAmong GreedyBoostAmongContext GreedyBoostContext MemoryEstimate Norms NumProfiles Repair Seeds]"
+	if fmt.Sprint(got) != want {
+		t.Fatalf("LTPool methods %v, want %s", got, want)
 	}
 }
 
