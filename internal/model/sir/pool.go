@@ -69,7 +69,7 @@ type evalScratch struct {
 	active []bool
 	queue  []int32
 
-	loadedAct []int32 // nodes whose active flag was set by loadState
+	loadedAct []int32 // nodes whose active flag was set by Delta's load
 	actNode   []int32 // every activation since load, in order
 	touched   []int32 // boost-only push targets (base-world capture)
 
