@@ -31,6 +31,19 @@ import (
 // serial, the test default, and an uneven split.
 var chaosWorkers = []int{1, 2, 7}
 
+// chaosModes are the pooled modes the build-failure properties are
+// checked for: both PRR modes and every simulation model. All of them
+// sample through the same faults.PoolBuildShard boundary.
+var chaosModes = []string{"ic", "lb", "lt", "sir", "kthresh"}
+
+// chaosRequest is testRequest in the given mode, with a small profile
+// budget for the simulation modes (ignored by the PRR modes).
+func chaosRequest(mode string) BoostRequest {
+	req := testRequest()
+	req.Mode, req.Sims = mode, 400
+	return req
+}
+
 func resetFaults(t *testing.T) {
 	t.Helper()
 	faults.Reset()
@@ -174,128 +187,186 @@ func TestChaosCancelSimExtension(t *testing.T) {
 }
 
 // TestChaosInjectedBuildError fails one shard of a cold build with an
-// injected error and asserts the failure surfaces (wrapping the
-// injected error), drops the entry rather than caching a half-built
-// pool, and the retry is bit-identical to an uninterrupted run.
+// injected error and asserts, for every pooled mode, that the failure
+// surfaces (wrapping the injected error), drops the entry rather than
+// caching a half-built pool, and the retry is bit-identical to an
+// uninterrupted run.
 func TestChaosInjectedBuildError(t *testing.T) {
-	resetFaults(t)
-	req := testRequest()
+	for _, mode := range chaosModes {
+		t.Run(mode, func(t *testing.T) {
+			resetFaults(t)
+			req := chaosRequest(mode)
 
-	ref := newTestEngine(t, Options{})
-	want, err := ref.Boost(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+			ref := newTestEngine(t, Options{})
+			want, err := ref.Boost(req)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	e := newTestEngine(t, Options{})
-	faults.Enable(faults.PoolBuildShard, faults.Fault{Mode: "error", Count: 1})
-	if _, err := e.Boost(req); !errors.Is(err, faults.ErrInjected) {
-		t.Fatalf("build with injected shard error returned %v, want faults.ErrInjected", err)
-	}
-	assertNoPools(t, e)
+			e := newTestEngine(t, Options{})
+			faults.Enable(faults.PoolBuildShard, faults.Fault{Mode: "error", Count: 1})
+			if _, err := e.Boost(req); !errors.Is(err, faults.ErrInjected) {
+				t.Fatalf("build with injected shard error returned %v, want faults.ErrInjected", err)
+			}
+			assertNoPools(t, e)
 
-	// Count: 1 disarmed the point after firing; the retry builds clean.
-	got, err := e.Boost(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameBoost(got, want) {
-		t.Errorf("retry after injected error not bit-identical:\n got %+v\nwant %+v", got, want)
+			// Count: 1 disarmed the point after firing; the retry builds clean.
+			got, err := e.Boost(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBoost(got, want) {
+				t.Errorf("retry after injected error not bit-identical:\n got %+v\nwant %+v", got, want)
+			}
+		})
 	}
 }
 
-// TestChaosShardPanicIsolation panics a shard worker and asserts the
-// panic is contained (surfacing as a *panicsafe.Error-wrapped internal
-// error, not a crash), counted, and leaves the cache unpoisoned for a
-// clean retry.
+// TestChaosFailedRebuildKeepsPool fails the rebuild a larger k forces
+// on a PRR pool and asserts the error surfaces while the old pool stays
+// cached: it still serves every k it was built for, and a repeat of the
+// original query is a cache hit bit-identical to its first answer.
+func TestChaosFailedRebuildKeepsPool(t *testing.T) {
+	for _, mode := range []string{"ic", "lb"} {
+		t.Run(mode, func(t *testing.T) {
+			resetFaults(t)
+			e := newTestEngine(t, Options{})
+			small := chaosRequest(mode)
+			small.K = 1
+			want, err := e.Boost(small)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			big := small
+			big.K = 4
+			faults.Enable(faults.PoolBuildShard, faults.Fault{Mode: "error", Count: 1})
+			if _, err := e.Boost(big); !errors.Is(err, faults.ErrInjected) {
+				t.Fatalf("rebuild with injected shard error returned %v, want faults.ErrInjected", err)
+			}
+			st := e.Stats()
+			if st.Pools != 1 {
+				t.Errorf("Pools = %d after a failed rebuild, want 1 (old pool kept)", st.Pools)
+			}
+			if st.PoolRebuilds != 0 {
+				t.Errorf("PoolRebuilds = %d after a failed rebuild, want 0", st.PoolRebuilds)
+			}
+
+			got, err := e.Boost(small)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.CacheHit || got.Rebuilt || got.NewSamples != 0 {
+				t.Errorf("repeat k=1 after failed rebuild: CacheHit=%v Rebuilt=%v NewSamples=%d, want a warm hit",
+					got.CacheHit, got.Rebuilt, got.NewSamples)
+			}
+			if got.PoolK != 1 || !sameBoost(got, want) {
+				t.Errorf("repeat k=1 not served bit-identically by the old pool:\n got %+v\nwant %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestChaosShardPanicIsolation panics a shard worker and asserts, for
+// every pooled mode, that the panic is contained (surfacing as a
+// *panicsafe.Error-wrapped internal error, not a crash), counted, and
+// leaves the cache unpoisoned for a clean retry.
 func TestChaosShardPanicIsolation(t *testing.T) {
-	resetFaults(t)
-	req := testRequest()
+	for _, mode := range chaosModes {
+		t.Run(mode, func(t *testing.T) {
+			resetFaults(t)
+			req := chaosRequest(mode)
 
-	ref := newTestEngine(t, Options{})
-	want, err := ref.Boost(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+			ref := newTestEngine(t, Options{})
+			want, err := ref.Boost(req)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	e := newTestEngine(t, Options{})
-	faults.Enable(faults.PoolBuildShard, faults.Fault{Mode: "panic", Count: 1})
-	_, err = e.Boost(req)
-	var pe *panicsafe.Error
-	if !errors.As(err, &pe) {
-		t.Fatalf("build with injected panic returned %v, want a *panicsafe.Error", err)
-	}
-	if got := e.Stats().PanicsRecovered; got != 1 {
-		t.Errorf("PanicsRecovered = %d, want 1", got)
-	}
-	assertNoPools(t, e)
+			e := newTestEngine(t, Options{})
+			faults.Enable(faults.PoolBuildShard, faults.Fault{Mode: "panic", Count: 1})
+			_, err = e.Boost(req)
+			var pe *panicsafe.Error
+			if !errors.As(err, &pe) {
+				t.Fatalf("build with injected panic returned %v, want a *panicsafe.Error", err)
+			}
+			if got := e.Stats().PanicsRecovered; got != 1 {
+				t.Errorf("PanicsRecovered = %d, want 1", got)
+			}
+			assertNoPools(t, e)
 
-	got, err := e.Boost(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameBoost(got, want) {
-		t.Errorf("retry after contained panic not bit-identical:\n got %+v\nwant %+v", got, want)
+			got, err := e.Boost(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBoost(got, want) {
+				t.Errorf("retry after contained panic not bit-identical:\n got %+v\nwant %+v", got, want)
+			}
+		})
 	}
 }
 
 // TestChaosCanceledLeaderHandsOff cancels a cold-build leader while an
-// identical follower waits on the entry. The abandoned entry must be
-// handed to the follower (not dropped, not poisoned): the follower
-// builds under the same lock and serves the same bit-identical result
-// an uninterrupted run produces.
+// identical follower waits on the entry, for every pooled mode. The
+// abandoned entry must be handed to the follower (not dropped, not
+// poisoned): the follower builds under the same lock and serves the
+// same bit-identical result an uninterrupted run produces.
 func TestChaosCanceledLeaderHandsOff(t *testing.T) {
-	resetFaults(t)
-	req := testRequest()
+	for _, mode := range chaosModes {
+		t.Run(mode, func(t *testing.T) {
+			resetFaults(t)
+			req := chaosRequest(mode)
 
-	ref := newTestEngine(t, Options{})
-	want, err := ref.Boost(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+			ref := newTestEngine(t, Options{})
+			want, err := ref.Boost(req)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	e := newTestEngine(t, Options{})
-	faults.Enable(faults.PoolBuildShard, faults.Fault{Mode: "latency", Delay: 2 * time.Second})
+			e := newTestEngine(t, Options{})
+			faults.Enable(faults.PoolBuildShard, faults.Fault{Mode: "latency", Delay: 2 * time.Second})
 
-	leaderCtx, cancelLeader := context.WithCancel(context.Background())
-	leaderErr := make(chan error, 1)
-	go func() {
-		_, err := e.BoostContext(leaderCtx, req)
-		leaderErr <- err
-	}()
-	// Give the leader time to take the entry lock and stall on the
-	// injected latency, and the follower time to queue behind it. If the
-	// timing misses (loaded CI machine), the entry is dropped instead of
-	// handed off and the follower cold-builds its own — the observable
-	// result is identical either way; the sleeps just bias the test
-	// toward exercising the handoff path.
-	time.Sleep(50 * time.Millisecond)
-	followerRes := make(chan *BoostResult, 1)
-	followerErr := make(chan error, 1)
-	go func() {
-		res, err := e.Boost(req)
-		followerRes <- res
-		followerErr <- err
-	}()
-	time.Sleep(50 * time.Millisecond)
-	cancelLeader()
-	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
-		t.Fatalf("leader returned %v, want context.Canceled", err)
-	}
-	// The follower now owns the build; let it run clean.
-	faults.Reset()
-	if err := <-followerErr; err != nil {
-		t.Fatalf("follower failed after leader handoff: %v", err)
-	}
-	got := <-followerRes
-	if !sameBoost(got, want) {
-		t.Errorf("follower result not bit-identical after handoff:\n got %+v\nwant %+v", got, want)
-	}
-	if n := poolCount(e); n != 1 {
-		t.Errorf("pool count after handoff = %d, want 1", n)
-	}
-	if got := e.Stats().RequestsCanceled; got != 1 {
-		t.Errorf("RequestsCanceled = %d, want 1", got)
+			leaderCtx, cancelLeader := context.WithCancel(context.Background())
+			leaderErr := make(chan error, 1)
+			go func() {
+				_, err := e.BoostContext(leaderCtx, req)
+				leaderErr <- err
+			}()
+			// Give the leader time to take the entry lock and stall on the
+			// injected latency, and the follower time to queue behind it. If
+			// the timing misses (loaded CI machine), the entry is dropped
+			// instead of handed off and the follower cold-builds its own —
+			// the observable result is identical either way; the sleeps just
+			// bias the test toward exercising the handoff path.
+			time.Sleep(50 * time.Millisecond)
+			followerRes := make(chan *BoostResult, 1)
+			followerErr := make(chan error, 1)
+			go func() {
+				res, err := e.Boost(req)
+				followerRes <- res
+				followerErr <- err
+			}()
+			time.Sleep(50 * time.Millisecond)
+			cancelLeader()
+			if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+				t.Fatalf("leader returned %v, want context.Canceled", err)
+			}
+			// The follower now owns the build; let it run clean.
+			faults.Reset()
+			if err := <-followerErr; err != nil {
+				t.Fatalf("follower failed after leader handoff: %v", err)
+			}
+			got := <-followerRes
+			if !sameBoost(got, want) {
+				t.Errorf("follower result not bit-identical after handoff:\n got %+v\nwant %+v", got, want)
+			}
+			if n := poolCount(e); n != 1 {
+				t.Errorf("pool count after handoff = %d, want 1", n)
+			}
+			if got := e.Stats().RequestsCanceled; got != 1 {
+				t.Errorf("RequestsCanceled = %d, want 1", got)
+			}
+		})
 	}
 }
 
