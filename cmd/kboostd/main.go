@@ -44,7 +44,7 @@
 // of Monte-Carlo threshold profiles ("sims" sets the profile budget; LT
 // selection is a heuristic with no approximation guarantee). All modes
 // share the pool LRU, so warm LT queries skip sampling the same way
-// warm PRR queries do — watch the lt_* counters in /v1/stats.
+// warm PRR queries do — watch the sim_modes.lt counters in /v1/stats.
 //
 // kboostd shuts down gracefully on SIGINT/SIGTERM: /readyz flips to 503
 // (so load balancers stop routing), in-flight requests drain for up to

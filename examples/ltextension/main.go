@@ -11,7 +11,7 @@
 //
 // This example measures exactly that: a cold LT boost query against a
 // fresh engine, then warm repeats and variations, printing the latency
-// ratio and the engine's lt_* counters. It closes with the
+// ratio and the engine's sim_modes.lt counters. It closes with the
 // cross-model comparison the extension exists for — how an IC-chosen
 // PRR-Boost set scores when the world actually diffuses by boosted LT.
 //
@@ -104,11 +104,11 @@ func main() {
 	fmt.Printf("  LT-native pooled greedy:  %6.2f\n", cold.EstBoost)
 	fmt.Printf("  PRR-Boost (IC-chosen):    %6.2f  (estimate cache_hit=%v)\n", icOnLT.Boost, icOnLT.CacheHit)
 
-	st := eng.Stats()
-	fmt.Printf("\nengine counters: lt_boost_queries=%d lt_estimate_queries=%d "+
-		"lt_pool_hits=%d lt_pool_misses=%d lt_pool_extensions=%d lt_result_hits=%d lt_profiles=%d\n",
-		st.LTBoostQueries, st.LTEstimateQueries, st.LTPoolHits, st.LTPoolMisses,
-		st.LTPoolExtensions, st.LTResultHits, st.LTProfiles)
+	lt := eng.Stats().SimModes["lt"]
+	fmt.Printf("\nengine counters (sim_modes.lt): boost_queries=%d estimate_queries=%d "+
+		"pool_hits=%d pool_misses=%d pool_extensions=%d result_hits=%d profiles=%d\n",
+		lt.BoostQueries, lt.EstimateQueries, lt.PoolHits, lt.PoolMisses,
+		lt.PoolExtensions, lt.ResultHits, lt.Profiles)
 
 	fmt.Println("\ntakeaway: IC-chosen boosts carry a useful fraction of their value")
 	fmt.Println("to the LT world, but the model-native selector does better — and the")

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
+	"time"
 
+	"github.com/kboost/kboost/internal/faults"
+	"github.com/kboost/kboost/internal/prr"
 	"github.com/kboost/kboost/internal/rng"
 	"github.com/kboost/kboost/internal/rrset"
 	"github.com/kboost/kboost/internal/testutil"
@@ -79,5 +84,46 @@ func TestSelectSeedsAdaptive(t *testing.T) {
 	}
 	if res.EstInfluence < 3 {
 		t.Fatalf("influence estimate %v below seed count", res.EstInfluence)
+	}
+}
+
+// Cancellation must reach the adaptive controller's sampling, not just
+// its setup: an injected stall holds the first Extend's shard at the
+// build boundary, and canceling during it must abort the whole build
+// with ctx.Err() — IMM and adaptive builds alike, for PRR pools and
+// RR-set seed selection.
+func TestAdaptiveBuildHonorsCancel(t *testing.T) {
+	g := testutil.RandomGraph(rng.New(8), 200, 800, 0.1)
+	seeds := []int32{0, 1}
+	runs := map[string]func(ctx context.Context) error{
+		"imm": func(ctx context.Context) error {
+			_, err := BuildPoolContext(ctx, g, seeds, Options{K: 3, Seed: 3, Workers: 2}, prr.ModeFull)
+			return err
+		},
+		"adaptive": func(ctx context.Context) error {
+			_, err := BuildPoolContext(ctx, g, seeds, Options{K: 3, Seed: 3, Workers: 2, Adaptive: true}, prr.ModeFull)
+			return err
+		},
+		"rrset-adaptive": func(ctx context.Context) error {
+			_, err := rrset.SelectSeedsContext(ctx, g, 3, rrset.Options{Seed: 3, Workers: 2, Adaptive: true})
+			return err
+		},
+	}
+	for name, run := range runs {
+		t.Run(name, func(t *testing.T) {
+			faults.Reset()
+			t.Cleanup(faults.Reset)
+			faults.Enable(faults.PoolBuildShard, faults.Fault{Mode: "latency", Delay: 2 * time.Second, Count: 1})
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			time.AfterFunc(30*time.Millisecond, cancel)
+			start := time.Now()
+			if err := run(ctx); !errors.Is(err, context.Canceled) {
+				t.Fatalf("canceled build returned %v, want context.Canceled", err)
+			}
+			if d := time.Since(start); d > 1500*time.Millisecond {
+				t.Errorf("cancellation took %s, want a prompt return well before the injected 2s stall", d)
+			}
+		})
 	}
 }

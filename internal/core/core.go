@@ -36,7 +36,7 @@ type Options struct {
 	Seed       uint64  // RNG seed (default 1)
 	Workers    int     // parallelism (default GOMAXPROCS)
 	MaxSamples int     // optional cap on generated PRR-graphs (0 = theory-driven)
-	// Adaptive switches the sampling phase from IMM (Run) to the
+	// Adaptive switches the sampling phase from IMM (RunContext) to the
 	// SSA-style stop-and-stare controller (imm.RunAdaptive): usually far
 	// fewer samples, no formal certificate. See DESIGN.md §4.2.
 	Adaptive bool
@@ -145,7 +145,7 @@ func boostOnce(g *graph.Graph, seeds []int32, opt Options, mode prr.Mode) (*Resu
 		return nil, err
 	}
 	sampling := time.Since(t0)
-	res, err := BoostFromPool(pool, opt)
+	res, err := BoostFromPoolContext(context.Background(), pool, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -153,19 +153,14 @@ func boostOnce(g *graph.Graph, seeds []int32, opt Options, mode prr.Mode) (*Resu
 	return res, nil
 }
 
-// BuildPool runs the sampling phase on a fresh pool and returns it
-// sized for (opt.K, opt.Epsilon, opt.Ell). It is the exported half of
-// the PRRBoost split: long-lived callers (internal/engine) keep the
-// returned pool and amortize it across queries with GrowPool and
-// BoostFromPool.
-func BuildPool(g *graph.Graph, seeds []int32, opt Options, mode prr.Mode) (*prr.Pool, error) {
-	return BuildPoolContext(context.Background(), g, seeds, opt, mode)
-}
-
-// BuildPoolContext is BuildPool with cooperative cancellation threaded
-// through the IMM sampling loop: a canceled build aborts within a few
-// sketches, merges nothing, and a retry regenerates a bit-identical
-// pool.
+// BuildPoolContext runs the sampling phase on a fresh pool and returns
+// it sized for (opt.K, opt.Epsilon, opt.Ell). It is the exported half
+// of the PRRBoost split: long-lived callers (internal/engine) keep the
+// returned pool and amortize it across queries with GrowPoolContext
+// and BoostFromPoolContext. Cancellation is threaded through the
+// sampling loop, IMM and adaptive alike: a canceled build aborts within
+// a few sketches, merges nothing, and a retry regenerates a
+// bit-identical pool.
 func BuildPoolContext(ctx context.Context, g *graph.Graph, seeds []int32, opt Options, mode prr.Mode) (*prr.Pool, error) {
 	opt = opt.WithDefaults()
 	if err := validate(g, seeds, opt); err != nil {
@@ -174,19 +169,14 @@ func BuildPoolContext(ctx context.Context, g *graph.Graph, seeds []int32, opt Op
 	return buildPool(ctx, g, seeds, opt, mode)
 }
 
-// GrowPool re-runs the IMM sizing against an existing pool, extending
-// it in place when the requested (K, Epsilon, Ell, MaxSamples) demand
-// more samples than the pool holds. Existing PRR-graphs are never
-// regenerated; the returned count is the number of newly generated
-// ones (zero when the pool is already large enough). opt.K must not
-// exceed the pool's generation budget pool.K().
-func GrowPool(pool *prr.Pool, opt Options) (added int, err error) {
-	return GrowPoolContext(context.Background(), pool, opt)
-}
-
-// GrowPoolContext is GrowPool with cooperative cancellation: an aborted
-// grow leaves the pool exactly as it was (completed IMM rounds are
-// kept; a partial Extend never merges).
+// GrowPoolContext re-runs the IMM sizing against an existing pool,
+// extending it in place when the requested (K, Epsilon, Ell,
+// MaxSamples) demand more samples than the pool holds. Existing
+// PRR-graphs are never regenerated; the returned count is the number of
+// newly generated ones (zero when the pool is already large enough).
+// opt.K must not exceed the pool's generation budget pool.K(). An
+// aborted grow leaves the pool exactly as it was (completed IMM rounds
+// are kept; a partial Extend never merges).
 func GrowPoolContext(ctx context.Context, pool *prr.Pool, opt Options) (added int, err error) {
 	opt = opt.WithDefaults()
 	if err := validate(pool.Graph(), pool.Seeds(), opt); err != nil {
@@ -209,19 +199,15 @@ func GrowPoolContext(ctx context.Context, pool *prr.Pool, opt Options) (added in
 	return pool.Size() - before, nil
 }
 
-// BoostFromPool runs the selection phase of Algorithm 2 on an existing
-// pool: greedy max coverage of the critical-node sets (B_μ), and — for
-// ModeFull pools — the Δ̂ greedy plus the sandwich choice between the
-// two. The pool is not grown; callers wanting the full algorithm
-// combine BuildPool/GrowPool with this. SamplingTime is left zero.
-func BoostFromPool(pool *prr.Pool, opt Options) (*Result, error) {
-	return BoostFromPoolContext(context.Background(), pool, opt)
-}
-
-// BoostFromPoolContext is BoostFromPool with cooperative cancellation:
-// the CELF selection loops poll ctx once per pick, so a canceled warm
-// query returns within one re-evaluation round. The pool is read-only
-// here; cancellation cannot corrupt it.
+// BoostFromPoolContext runs the selection phase of Algorithm 2 on an
+// existing pool: greedy max coverage of the critical-node sets (B_μ),
+// and — for ModeFull pools — the Δ̂ greedy (restricted to
+// opt.Candidates when set) plus the sandwich choice between the two.
+// The pool is not grown; callers wanting the full algorithm combine
+// BuildPoolContext/GrowPoolContext with this. SamplingTime is left
+// zero. The CELF selection loops poll ctx once per pick, so a canceled
+// warm query returns within one re-evaluation round; the pool is
+// read-only here, so cancellation cannot corrupt it.
 func BoostFromPoolContext(ctx context.Context, pool *prr.Pool, opt Options) (*Result, error) {
 	opt = opt.WithDefaults()
 	g, seeds := pool.Graph(), pool.Seeds()
@@ -280,10 +266,7 @@ func buildPool(ctx context.Context, g *graph.Graph, seeds []int32, opt Options, 
 		MaxSamples: opt.MaxSamples,
 	}
 	if opt.Adaptive {
-		trained, _, err := imm.RunAdaptive(func(s uint64) (imm.ValidatableSketcher, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+		trained, _, err := imm.RunAdaptive(ctx, func(s uint64) (imm.ValidatableSketcher, error) {
 			return prr.NewPool(g, seeds, opt.K, mode, opt.Seed*0x9e3779b97f4a7c15+s, opt.Workers)
 		}, params)
 		if err != nil {

@@ -1,8 +1,8 @@
 // Package engine turns the one-shot kboost library into a long-lived
 // query-serving system: it holds registered graph snapshots and a
-// bounded LRU cache of PRR-graph pools, so that repeated boosting
-// queries over the same (graph, seed set) amortize the expensive
-// sampling phase instead of regenerating it from scratch.
+// bounded LRU cache of sampled pools, so that repeated boosting and
+// estimate queries over the same (graph, seed set) amortize the
+// expensive sampling phase instead of regenerating it from scratch.
 //
 // Graphs mutate only by installing a fresh immutable snapshot under a
 // monotonically increasing per-id version, and every pool cache key
@@ -15,32 +15,31 @@
 // started with, and new queries only ever find pools keyed to the
 // current version.
 //
-// Pools are cached per (graph snapshot, seed set, mode). Each cached
-// pool remembers the generation budget k it was built with; because a
+// Pools are cached per (graph snapshot, seed set, mode), in one LRU
+// under one byte budget, and every pooled mode is served by the same
+// acquire path (acquire.go) over a small pool contract with two
+// implementations. The PRR modes ("ic", "lb") cache PRR-graph pools,
+// each with the generation budget k it was built with: because a
 // PRR-graph generated for budget k' is valid for any query with
 // k <= k', a cached pool serves every smaller-or-equal k directly,
-// while a larger k forces a rebuild (generation-time pruning depends
-// on k, so growth cannot help there). A query that needs more samples
-// — tighter ε, higher ℓ, or a raised sample cap — grows the cached
-// pool in place via core.GrowPool: existing PRR-graphs are reused and
-// only the shortfall is generated.
+// while a larger k forces a rebuild (generation-time pruning depends on
+// k, so growth cannot help there). The simulation modes ("lt", "sir",
+// "kthresh" — every internal/model Model) cache pre-sampled
+// possible-world pools, whose profiles do not depend on k: any k is a
+// warm query and such a pool never rebuilds. Either kind grows in place
+// when a query needs more samples — tighter ε, higher ℓ or a raised
+// sample cap for PRR, a larger simulation budget for the profile pools
+// — reusing existing samples and generating only the shortfall.
 //
 // Access to each cached pool is serialized by a per-entry mutex, which
 // doubles as singleflight deduplication: when identical queries arrive
 // concurrently, exactly one builds the pool and the rest block until
-// it is ready, then reuse it.
-//
-// The simulation modes ("lt", "sir", "kthresh" — every internal/model
-// Model) are served from a second pool family under the same cache:
-// pre-sampled possible-world pools behind the generic model.Pool
-// interface. They share the LRU, the byte budget, the singleflight
-// entry locks and the per-pool result cache, but differ structurally in
-// one happy way: simulation profiles do not depend on the boost budget
-// k, so a sim pool never rebuilds — any k is a warm query, and only a
-// larger simulation budget grows it (in place). The mode registry
-// (mode.go) resolves request modes and per-model knobs onto the two
-// families, and the optional content modifier derives per-request
-// graphs whose pools are cached under content-tagged keys.
+// it is ready, then reuse it. Selection results are cached per pool
+// generation, so an identical warm query skips selection entirely. The
+// mode registry (mode.go) resolves request modes and per-model knobs
+// onto the two pool families, and the optional content modifier
+// derives per-request graphs whose pools are cached under
+// content-tagged keys.
 package engine
 
 import (
@@ -54,7 +53,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/kboost/kboost/internal/approx"
 	"github.com/kboost/kboost/internal/core"
@@ -207,17 +205,6 @@ type Stats struct {
 	// generated. A mode appears once it has served at least one query.
 	SimModes map[string]SimModeStats `json:"sim_modes,omitempty"`
 
-	// The lt_* counters mirror SimModes["lt"] — the boosted-LT path
-	// predates the generic mode registry and dashboards already scrape
-	// these names.
-	LTBoostQueries    int64 `json:"lt_boost_queries"`
-	LTEstimateQueries int64 `json:"lt_estimate_queries"`
-	LTPoolHits        int64 `json:"lt_pool_hits"`
-	LTPoolMisses      int64 `json:"lt_pool_misses"`
-	LTPoolExtensions  int64 `json:"lt_pool_extensions"`
-	LTResultHits      int64 `json:"lt_result_hits"`
-	LTProfiles        int64 `json:"lt_profiles"`
-
 	// The request-lifecycle counters. RequestsShed counts requests the
 	// server's admission control rejected with 429 (never admitted, so
 	// they appear in no per-query counter); RequestsCanceled counts
@@ -327,24 +314,13 @@ type poolEntry struct {
 	elem *list.Element // kboost:guarded-by Engine.mu
 
 	mu   sync.RWMutex
-	pool *prr.Pool // nil until the first query builds it // kboost:guarded-by mu
-	// sim is the possible-world profile pool for simulation-mode entries
-	// ("lt", "sir", "kthresh"; an entry is either a PRR pool or a sim
-	// pool, never both — the families live under distinct keys but share
-	// the LRU, byte accounting and result cache machinery).
-	sim model.Pool // kboost:guarded-by mu
-	// derived marks a sim pool sampled from a content-derived graph
-	// rather than the registered snapshot itself. Such pools are dropped
-	// (not repaired) on graph patches: the patch delta describes the base
+	pool pool // nil until the first query builds it // kboost:guarded-by mu
+	// derived marks a pool sampled from a content-derived graph rather
+	// than the registered snapshot itself. Such pools are dropped (not
+	// repaired) on graph patches: the patch delta describes the base
 	// graph, and migrating worlds sampled under transformed probabilities
 	// onto it would mix the two.
 	derived bool // kboost:guarded-by mu
-	// sized records the (K, ε, ℓ, MaxSamples) sizings already applied to
-	// the current pool. Re-running the IMM sizing re-derives its OPT
-	// lower bound from the now-larger pool and can land on a slightly
-	// larger sample target, so without this memo a literally identical
-	// repeat query would still generate a few samples. Reset on rebuild.
-	sized map[string]bool // kboost:guarded-by mu
 
 	// bytes is the pool's last MemoryEstimate, accounted into
 	// Engine.poolBytes; guarded by Engine.mu, not entry.mu.
@@ -628,16 +604,6 @@ func (e *Engine) Stats() Stats {
 		}
 	}
 	e.simCtrMu.Unlock()
-	// The legacy lt_* fields mirror SimModes["lt"] for existing scrapes.
-	if ltStats, ok := st.SimModes["lt"]; ok {
-		st.LTBoostQueries = ltStats.BoostQueries
-		st.LTEstimateQueries = ltStats.EstimateQueries
-		st.LTPoolHits = ltStats.PoolHits
-		st.LTPoolMisses = ltStats.PoolMisses
-		st.LTPoolExtensions = ltStats.PoolExtensions
-		st.LTResultHits = ltStats.ResultHits
-		st.LTProfiles = ltStats.Profiles
-	}
 	e.mu.Lock()
 	st.Graphs = len(e.graphs)
 	st.Pools = len(e.pools)
@@ -828,11 +794,11 @@ func (e *Engine) estimateWarm(req EstimateRequest) bool {
 	})
 }
 
-// Boost answers a boosting query, reusing a cached PRR pool when one
-// exists for the same (graph snapshot, seed set, mode) with a
-// generation budget covering req.K. Selection always runs against the
-// current pool, so a given query is deterministic for a fixed engine
-// history.
+// Boost answers a boosting query from the cached pool for the same
+// (graph snapshot, seed set, mode): a PRR pool serves every k up to its
+// generation budget and is rebuilt for a larger one, a simulation pool
+// serves every k. Selection always runs against the current pool, so a
+// given query is deterministic for a fixed engine history.
 func (e *Engine) Boost(req BoostRequest) (*BoostResult, error) {
 	return e.BoostContext(context.Background(), req)
 }
@@ -840,11 +806,13 @@ func (e *Engine) Boost(req BoostRequest) (*BoostResult, error) {
 // BoostContext is Boost with cooperative cancellation. Cancellation is
 // polled at shard and pick boundaries in the sampling and selection
 // loops, so a canceled cold build returns ctx.Err() within a few
-// sketches. A canceled build never poisons the cache: the pool under
-// construction is discarded whole (nothing half-merged), and the cache
-// entry is either handed off to a follower already blocked on its
-// singleflight lock or dropped — a retried identical request rebuilds
-// from the same RNG streams and returns bit-identical results.
+// sketches. A canceled build never poisons the cache (see acquire): a
+// retried identical request rebuilds from the same RNG streams and
+// returns bit-identical results. The simulation modes' profile RNG
+// seed is fixed at pool construction; a later query's Seed does not
+// re-sample a cached pool. acquire returns holding ent.mu.RLock, which
+// covers the ent.pool reads below.
+// kboost:holds mu
 func (e *Engine) BoostContext(ctx context.Context, req BoostRequest) (*BoostResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -853,149 +821,80 @@ func (e *Engine) BoostContext(ctx context.Context, req BoostRequest) (*BoostResu
 	if err != nil {
 		return nil, err
 	}
-	if spec.sim != nil {
-		return e.boostSim(ctx, spec, req)
-	}
 	g, version, err := e.snapshotFor(req.GraphID)
 	if err != nil {
 		return nil, err
 	}
-	rg := &reqGraph{base: g, content: spec.content}
-	seeds := canonicalSeeds(req.Seeds)
-	opt := core.Options{
-		K:          req.K,
-		Epsilon:    req.Epsilon,
-		Ell:        req.Ell,
-		Seed:       req.Seed,
-		Workers:    e.workersFor(req.Workers),
-		MaxSamples: req.MaxSamples,
-	}.WithDefaults()
+	r := poolReq{
+		graphID: req.GraphID, version: version, seeds: canonicalSeeds(req.Seeds), spec: spec,
+		rg: &reqGraph{base: g, content: spec.content},
+		size: sizing{opt: core.Options{
+			K: req.K, Epsilon: req.Epsilon, Ell: req.Ell, Seed: req.Seed,
+			Workers: e.workersFor(req.Workers), MaxSamples: req.MaxSamples,
+		}.WithDefaults()},
+	}
 	// Reject bad requests before touching the cache: a garbage query
 	// must not bump the LRU or evict a warm pool.
-	if err := core.Validate(g, seeds, opt); err != nil {
+	switch {
+	case spec.sim == nil:
+		err = core.Validate(g, r.seeds, r.size.opt)
+	case req.K < 1:
+		err = fmt.Errorf("engine: k=%d must be >= 1", req.K)
+	default:
+		err = validateSimSeeds(g, r.seeds)
+	}
+	if err == nil && req.Prefilter > 0 && req.Prefilter < req.K {
+		// The shortlist could never fill the requested k, so the query
+		// would silently return (and cache) a degraded result.
+		err = fmt.Errorf("engine: prefilter %d is smaller than k=%d — the shortlist cannot fill the boost set (raise prefilter or drop it)", req.Prefilter, req.K)
+	}
+	if err != nil {
 		return nil, err
 	}
-	if err := validatePrefilter(req.Prefilter, opt.K); err != nil {
+	key := resultKey{k: req.K}
+	e.ctr.boostQueries.Add(1)
+	if spec.sim == nil {
+		o := r.size.opt
+		r.size.memo = fmt.Sprintf("%d|%g|%g|%d", o.K, o.Epsilon, o.Ell, o.MaxSamples)
+	} else {
+		r.sc = e.simCtr(spec.name)
+		r.sc.boostQueries.Add(1)
+		// A boost query's simulation budget is a quality floor, so an
+		// omitted Sims means the full default — unlike estimates, which
+		// reuse a cached pool lazily at whatever size it has.
+		if r.size.sims = req.Sims; r.size.sims <= 0 {
+			r.size.sims = defaultSimProfiles
+		}
+		key.cand = spec.sim.CandidateCap(req.K, req.CandCap)
+	}
+
+	ent, a, err := e.acquire(ctx, &r)
+	if err != nil {
 		return nil, err
 	}
-	pre := 0
+	defer ent.mu.RUnlock()
+	out := &BoostResult{CacheHit: a.hit, Rebuilt: a.rebuilt, NewSamples: a.added, PoolK: ent.pool.K(), GraphVersion: version}
+	var cands []int32
 	if req.Prefilter > 0 {
-		// Tier-0 pre-filter: the Δ̂ greedy only considers the two-hop
-		// ranking's shortlist. Deterministic in (graph, seeds, cap), so
-		// the result cache can key on the cap alone.
-		g2, err := rg.get()
+		// Tier-0 pre-filter: the greedy only considers the closed-form
+		// two-hop ranking's shortlist under the pool's normalizers.
+		// Deterministic in (graph, seeds, cap), so the result cache keys
+		// on the cap alone, and the candidate cap is ignored — the
+		// shortlist IS the cap.
+		g2, err := r.rg.get()
 		if err != nil {
 			return nil, err
-		}
-		if cands := approx.BoostCandidates(g2, seeds, req.Prefilter, nil); len(cands) >= req.Prefilter {
-			opt.Candidates = cands
-			pre = req.Prefilter
 		}
 		// A shorter shortlist means the two-hop ranking ran out of nodes
 		// with any boostable path from the seeds: restricting the greedy
 		// to it would silently degrade (and cache!) the result, so fall
-		// back to unrestricted selection — pre stays 0, sharing the
-		// exact queries' cache slot.
-	}
-	key := poolKey(req.GraphID, version, spec.tag(), seeds)
-	sizeKey := fmt.Sprintf("%d|%g|%g|%d", opt.K, opt.Epsilon, opt.Ell, opt.MaxSamples)
-
-	e.ctr.boostQueries.Add(1)
-	ent := e.acquireEntry(key, req.GraphID, version)
-
-	out := &BoostResult{GraphVersion: version}
-
-	// Fast path: a fully warm entry — pool built, budget covers K, this
-	// exact sizing already applied — needs only read access. Taking the
-	// read lock lets concurrent warm queries on the same pool select in
-	// parallel instead of serializing.
-	rlockEntry(ent)
-	if ent.pool != nil && ent.pool.K() >= req.K && ent.sized[sizeKey] {
-		defer ent.mu.RUnlock()
-		out.CacheHit = true
-		e.ctr.poolHits.Add(1)
-		return e.finishBoost(ctx, ent, out, opt, pre)
-	}
-	ent.mu.RUnlock()
-
-	lockEntry(ent)
-	if err := ctx.Err(); err != nil {
-		// Canceled while blocked on the singleflight lock: nothing was
-		// built on our behalf, so just walk away. The entry belongs to
-		// whoever is building (or will build) under it.
-		ent.mu.Unlock()
-		return nil, e.noteRequestErr(err)
-	}
-	switch {
-	case ent.pool == nil:
-		g2, err := rg.get()
-		if err != nil {
-			e.abandonColdBuild(ent)
-			return nil, err
-		}
-		pool, err := core.BuildPoolContext(ctx, g2, seeds, opt, spec.prrMode)
-		if err != nil {
-			e.abandonColdBuild(ent)
-			return nil, e.noteRequestErr(err)
-		}
-		ent.pool = pool
-		ent.derived = !spec.content.Identity()
-		ent.sized = map[string]bool{sizeKey: true}
-		ent.ready.Store(true)
-		out.NewSamples = pool.Size()
-		e.ctr.poolMisses.Add(1)
-		e.ctr.prrGenerated.Add(int64(out.NewSamples))
-	case ent.pool.K() < req.K:
-		// Generation-time pruning depends on k; a bigger budget needs a
-		// rebuild. The new pool serves this and every smaller k after it.
-		// On failure keep the old pool — it still serves smaller k.
-		g2, err := rg.get()
-		if err != nil {
-			ent.mu.Unlock()
-			return nil, err
-		}
-		pool, err := core.BuildPoolContext(ctx, g2, seeds, opt, spec.prrMode)
-		if err != nil {
-			ent.mu.Unlock()
-			return nil, e.noteRequestErr(err)
-		}
-		ent.pool = pool
-		ent.derived = !spec.content.Identity()
-		ent.sized = map[string]bool{sizeKey: true}
-		ent.clearResults() // a rebuilt pool may repeat generation numbers
-		out.Rebuilt = true
-		out.NewSamples = pool.Size()
-		e.ctr.poolRebuilds.Add(1)
-		e.ctr.prrGenerated.Add(int64(out.NewSamples))
-	default:
-		// Another query raced us here and finished the sizing between the
-		// read and write locks; or this sizing still needs a growth pass.
-		// A failed growth (canceled or faulted) merges nothing — the pool
-		// keeps serving its current sizings, so the entry stays.
-		var added int
-		if !ent.sized[sizeKey] {
-			if added, err = core.GrowPoolContext(ctx, ent.pool, opt); err != nil {
-				ent.mu.Unlock()
-				return nil, e.noteRequestErr(err)
-			}
-			ent.sized[sizeKey] = true
-		}
-		out.CacheHit = true
-		out.NewSamples = added
-		e.ctr.poolHits.Add(1)
-		if added > 0 {
-			e.ctr.poolExtensions.Add(1)
-			e.ctr.prrGenerated.Add(int64(added))
+		// back to unrestricted selection, sharing the exact queries'
+		// cache slot.
+		if c := approx.BoostCandidates(g2, r.seeds, req.Prefilter, ent.pool.Norms()); len(c) >= req.Prefilter {
+			key.cand, key.pre, cands = 0, req.Prefilter, c
 		}
 	}
-	e.accountBytes(ent, ent.pool.MemoryEstimate())
-	// Downgrade to a read lock for selection. Another query may grow the
-	// pool in the gap; selection then simply runs against the larger
-	// pool, which is the same behavior concurrent queries always had.
-	ent.mu.Unlock()
-	ent.mu.RLock()
-	defer ent.mu.RUnlock()
-	return e.finishBoost(ctx, ent, out, opt, pre)
+	return e.selectCached(ctx, ent, r.sc, out, key, cands)
 }
 
 // lockEntry acquires ent.mu for writing while counting the caller in
@@ -1022,22 +921,6 @@ func rlockEntry(ent *poolEntry) {
 	ent.waiters.Add(-1)
 }
 
-// abandonColdBuild releases an entry whose cold build did not complete
-// (canceled, faulted, or panicked). The entry holds no pool, so it must
-// not stay in the cache looking warm: if followers are blocked on the
-// singleflight lock the entry is handed off — the next follower finds
-// pool == nil and runs the cold build itself, exactly the path it would
-// have taken had it arrived first — otherwise the entry is dropped.
-// Either way the cache never retains a half-built pool. Called with
-// ent.mu held for writing; always unlocks it.
-func (e *Engine) abandonColdBuild(ent *poolEntry) {
-	handoff := ent.waiters.Load() > 0
-	ent.mu.Unlock()
-	if !handoff {
-		e.dropEntry(ent)
-	}
-}
-
 // noteRequestErr classifies a request-path failure into the lifecycle
 // counters: context cancellations and deadline expiries bump
 // requests_canceled; contained shard-worker panics bump
@@ -1057,56 +940,6 @@ func (e *Engine) noteRequestErr(err error) error {
 		return fmt.Errorf("engine: internal error: %w", err)
 	}
 	return err
-}
-
-// validatePrefilter rejects a pre-filter cap smaller than the boost
-// budget: the shortlist could never fill the requested k, so the query
-// would silently return (and cache) a degraded result. 0 disables the
-// pre-filter and is always valid.
-func validatePrefilter(prefilter, k int) error {
-	if prefilter > 0 && prefilter < k {
-		return fmt.Errorf("engine: prefilter %d is smaller than k=%d — the shortlist cannot fill the boost set (raise prefilter or drop it)", prefilter, k)
-	}
-	return nil
-}
-
-// finishBoost runs (or recalls) the selection phase for a ready pool.
-// Callers hold ent.mu.RLock; ent.pool is immutable for the duration.
-// kboost:holds mu
-func (e *Engine) finishBoost(ctx context.Context, ent *poolEntry, out *BoostResult, opt core.Options, pre int) (*BoostResult, error) {
-	pool := ent.pool
-	key := resultKey{gen: pool.Generation(), k: opt.K, pre: pre}
-
-	ent.resMu.Lock()
-	if ent.resultsGen != key.gen {
-		ent.results, ent.resultsGen = nil, key.gen
-	}
-	cached := ent.results[key]
-	ent.resMu.Unlock()
-	if cached != nil {
-		out.Result = copyResult(cached)
-		out.ResultCached = true
-		out.PoolK = pool.K()
-		e.ctr.resultHits.Add(1)
-		return out, nil
-	}
-
-	res, err := core.BoostFromPoolContext(ctx, pool, opt)
-	if err != nil {
-		return nil, e.noteRequestErr(err)
-	}
-	ent.resMu.Lock()
-	if ent.resultsGen == key.gen && len(ent.results) < maxCachedResults {
-		if ent.results == nil {
-			ent.results = make(map[resultKey]*core.Result)
-		}
-		ent.results[key] = res
-	}
-	ent.resMu.Unlock()
-
-	out.Result = copyResult(res)
-	out.PoolK = pool.K()
-	return out, nil
 }
 
 // copyResult returns res with its slices copied, so callers (and later
@@ -1134,15 +967,6 @@ func (ent *poolEntry) clearResults() {
 // does not set one (matching lt.Options' historical default).
 const defaultSimProfiles = 10000
 
-// validateSimBoost rejects bad simulation-mode boost queries before
-// they can touch the cache.
-func validateSimBoost(g *graph.Graph, seeds []int32, k int) error {
-	if k < 1 {
-		return fmt.Errorf("engine: k=%d must be >= 1", k)
-	}
-	return validateSimSeeds(g, seeds)
-}
-
 // validateSimSeeds checks a canonical (sorted) seed set: non-empty, in
 // range, and free of duplicates — rejected like the PRR path does, so
 // two spellings of one seed set cannot fragment the pool cache.
@@ -1159,217 +983,6 @@ func validateSimSeeds(g *graph.Graph, seeds []int32) error {
 		}
 	}
 	return nil
-}
-
-// boostSim answers a simulation-mode boosting query from the cached
-// profile pool for (graph snapshot, mode spec, seed set): warm queries
-// reuse (and, when the request asks for more simulations, extend in
-// place) the pool's pre-sampled possible worlds, and identical repeat
-// queries are answered from the generation-keyed result cache without
-// running selection at all. Sim pools have no generation budget —
-// profiles are k-independent — so unlike the PRR path there is no
-// rebuild case. The profile RNG seed is fixed at pool construction; a
-// later query's Seed does not re-sample a cached pool (register a new
-// query with different seeds, or rely on eviction, to draw fresh
-// worlds). simAcquire returns holding ent.mu.RLock, which covers the
-// ent.sim reads below.
-// kboost:holds mu
-func (e *Engine) boostSim(ctx context.Context, spec *modeSpec, req BoostRequest) (*BoostResult, error) {
-	g, version, err := e.snapshotFor(req.GraphID)
-	if err != nil {
-		return nil, err
-	}
-	rg := &reqGraph{base: g, content: spec.content}
-	seeds := canonicalSeeds(req.Seeds)
-	if err := validateSimBoost(g, seeds, req.K); err != nil {
-		return nil, err
-	}
-	if err := validatePrefilter(req.Prefilter, req.K); err != nil {
-		return nil, err
-	}
-	sc := e.simCtr(spec.name)
-	e.ctr.boostQueries.Add(1)
-	sc.boostQueries.Add(1)
-	// A boost query's simulation budget is a quality floor, so an
-	// omitted Sims means the full default — unlike estimates, which
-	// reuse a cached pool lazily at whatever size it has.
-	if req.Sims <= 0 {
-		req.Sims = defaultSimProfiles
-	}
-	ent, hit, added, err := e.simAcquire(ctx, spec, sc, req, rg, version, seeds)
-	if err != nil {
-		return nil, err
-	}
-	defer ent.mu.RUnlock()
-	out := &BoostResult{CacheHit: hit, NewSamples: added, GraphVersion: version}
-	if req.Prefilter > 0 {
-		// Tier-0 pre-filter: rank candidates with the closed-form two-hop
-		// score under the pool's model normalizers instead of the model's
-		// default ranking. CandCap is ignored — the shortlist IS the cap.
-		g2, err := rg.get()
-		if err != nil {
-			return nil, err
-		}
-		cands := approx.BoostCandidates(g2, seeds, req.Prefilter, ent.sim.Norms())
-		if len(cands) >= req.Prefilter {
-			return e.finishBoostSim(ctx, ent, sc, out, req.K, 0, req.Prefilter, cands)
-		}
-		// Shortlist ran dry (fewer nonzero-score candidates than the
-		// cap): fall through to unrestricted selection under pre=0 so the
-		// degraded shortlist is neither used nor cached.
-	}
-	return e.finishBoostSim(ctx, ent, sc, out, req.K, spec.sim.CandidateCap(req.K, req.CandCap), 0, nil)
-}
-
-// simAcquire returns the pool entry for (graph snapshot, mode tag,
-// seeds) with its profile pool built or extended to at least the
-// requested simulation count, holding ent.mu for reading on success
-// (the caller must RUnlock). sims <= 0 is lazy: an existing pool is
-// reused at whatever size it has (a read must not silently trigger an
-// expensive extension), and only a cold build falls back to
-// defaultSimProfiles. hit reports whether a cached pool served the
-// query (true even when it was extended in place); added is the number
-// of freshly generated profiles. The content-derived graph is only
-// materialized on a cold build — warm queries never pay the derive.
-func (e *Engine) simAcquire(ctx context.Context, spec *modeSpec, sc *simCounters, req BoostRequest, rg *reqGraph, version uint64, seeds []int32) (ent *poolEntry, hit bool, added int, err error) {
-	sims := req.Sims
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	key := poolKey(req.GraphID, version, spec.tag(), seeds)
-
-	ent = e.acquireEntry(key, req.GraphID, version)
-
-	// Fast path: the pool exists and already holds enough profiles —
-	// concurrent warm queries share the read lock and run in parallel.
-	rlockEntry(ent)
-	if ent.sim != nil && ent.sim.NumProfiles() >= sims {
-		e.ctr.poolHits.Add(1)
-		sc.poolHits.Add(1)
-		return ent, true, 0, nil
-	}
-	ent.mu.RUnlock()
-
-	lockEntry(ent)
-	if err := ctx.Err(); err != nil {
-		// Canceled while blocked on the singleflight lock: nothing was
-		// built on our behalf, walk away and leave the entry to the
-		// builder (see BoostContext).
-		ent.mu.Unlock()
-		return nil, false, 0, e.noteRequestErr(err)
-	}
-	switch {
-	case ent.sim != nil && sims <= 0:
-		// Lazy request racing a concurrent build: reuse whatever exists.
-		hit = true
-		e.ctr.poolHits.Add(1)
-		sc.poolHits.Add(1)
-	case ent.sim == nil:
-		if sims <= 0 {
-			sims = defaultSimProfiles
-		}
-		g2, err := rg.get()
-		if err != nil {
-			e.abandonColdBuild(ent)
-			return nil, false, 0, err
-		}
-		pool, err := spec.sim.NewPool(g2, seeds, seed, e.workersFor(req.Workers))
-		if err != nil {
-			e.abandonColdBuild(ent)
-			return nil, false, 0, err
-		}
-		if err := pool.ExtendContext(ctx, sims); err != nil {
-			// The half-sampled pool is discarded whole; the entry is
-			// handed to a waiting follower or dropped, never cached.
-			e.abandonColdBuild(ent)
-			return nil, false, 0, e.noteRequestErr(err)
-		}
-		ent.sim = pool
-		ent.derived = !spec.content.Identity()
-		ent.ready.Store(true)
-		added = sims
-		e.ctr.poolMisses.Add(1)
-		sc.poolMisses.Add(1)
-		sc.profiles.Add(int64(added))
-	case ent.sim.NumProfiles() < sims:
-		added = sims - ent.sim.NumProfiles()
-		if err := ent.sim.ExtendContext(ctx, sims); err != nil {
-			// A failed extension merges nothing and restores the RNG
-			// state, so the cached pool is exactly as it was: keep it.
-			ent.mu.Unlock()
-			return nil, false, 0, e.noteRequestErr(err)
-		}
-		hit = true
-		e.ctr.poolHits.Add(1)
-		sc.poolHits.Add(1)
-		e.ctr.poolExtensions.Add(1)
-		sc.poolExtensions.Add(1)
-		sc.profiles.Add(int64(added))
-	default:
-		// Another query raced us here and finished the extension between
-		// the read and write locks.
-		hit = true
-		e.ctr.poolHits.Add(1)
-		sc.poolHits.Add(1)
-	}
-	e.accountBytes(ent, ent.sim.MemoryEstimate())
-	ent.mu.Unlock()
-	ent.mu.RLock()
-	return ent, hit, added, nil
-}
-
-// finishBoostSim runs (or recalls) the pooled greedy for a ready
-// pool. Callers hold ent.mu.RLock; ent.sim is immutable for the
-// duration.
-// kboost:holds mu
-func (e *Engine) finishBoostSim(ctx context.Context, ent *poolEntry, sc *simCounters, out *BoostResult, k, candCap, pre int, cands []int32) (*BoostResult, error) {
-	pool := ent.sim
-	key := resultKey{gen: pool.Generation(), k: k, cand: candCap, pre: pre}
-
-	ent.resMu.Lock()
-	if ent.resultsGen != key.gen {
-		ent.results, ent.resultsGen = nil, key.gen
-	}
-	cached := ent.results[key]
-	ent.resMu.Unlock()
-	if cached != nil {
-		out.Result = copyResult(cached)
-		out.ResultCached = true
-		e.ctr.resultHits.Add(1)
-		sc.resultHits.Add(1)
-		return out, nil
-	}
-
-	start := time.Now()
-	var chosen []int32
-	var est float64
-	var err error
-	if pre > 0 {
-		chosen, est, err = pool.GreedyBoostAmongContext(ctx, k, cands)
-	} else {
-		chosen, est, err = pool.GreedyBoostContext(ctx, k, candCap)
-	}
-	if err != nil {
-		return nil, e.noteRequestErr(err)
-	}
-	res := &core.Result{
-		BoostSet:      chosen,
-		EstBoost:      est,
-		Samples:       pool.NumProfiles(),
-		SelectionTime: time.Since(start),
-	}
-	ent.resMu.Lock()
-	if ent.resultsGen == key.gen && len(ent.results) < maxCachedResults {
-		if ent.results == nil {
-			ent.results = make(map[resultKey]*core.Result)
-		}
-		ent.results[key] = res
-	}
-	ent.resMu.Unlock()
-
-	out.Result = copyResult(res)
-	return out, nil
 }
 
 // accountBytes records a pool's current memory estimate into the
@@ -1633,7 +1246,6 @@ func (e *Engine) EstimateDegraded(ctx context.Context, req EstimateRequest) (Est
 	// Degraded answers only meet an explicit error target by luck; report
 	// the honest default (no target ⇒ trivially met, like tier dispatch).
 	out.ErrorTargetMet = req.MaxError <= 0
-	e.ctr.estimateQueries.Add(1)
 	e.ctr.degradedEstimates.Add(1)
 	return out, nil
 }
@@ -1685,18 +1297,17 @@ func (e *Engine) estimateTier2(ctx context.Context, spec *modeSpec, req Estimate
 
 // estimateSim evaluates σ̂ and Δ̂ under a pooled simulation model on
 // the cached profile pool for (graph snapshot, mode, seed set),
-// building or extending the pool exactly like a boost query in the
-// same mode would — so estimates issued after a boost query (or vice
-// versa) hit the same warm pool, and both legs of Δ̂ share possible
-// worlds (coupled, low-variance). simAcquire returns holding
-// ent.mu.RLock, which covers the ent.sim reads below.
+// acquired exactly like a boost query in the same mode would — so
+// estimates issued after a boost query (or vice versa) hit the same
+// warm pool, and both legs of Δ̂ share possible worlds (coupled,
+// low-variance). acquire returns holding ent.mu.RLock, which covers the
+// ent.pool reads below.
 // kboost:holds mu
 func (e *Engine) estimateSim(ctx context.Context, spec *modeSpec, req EstimateRequest) (EstimateResult, error) {
 	g, version, err := e.snapshotFor(req.GraphID)
 	if err != nil {
 		return EstimateResult{}, err
 	}
-	rg := &reqGraph{base: g, content: spec.content}
 	seeds := canonicalSeeds(req.Seeds)
 	if err := validateSimSeeds(g, seeds); err != nil {
 		return EstimateResult{}, err
@@ -1709,23 +1320,25 @@ func (e *Engine) estimateSim(ctx context.Context, spec *modeSpec, req EstimateRe
 	sc := e.simCtr(spec.name)
 	e.ctr.estimateQueries.Add(1)
 	sc.estimateQueries.Add(1)
-	ent, hit, _, err := e.simAcquire(ctx, spec, sc, BoostRequest{
-		GraphID: req.GraphID, Seeds: seeds,
-		Sims: req.Sims, Seed: req.Seed, Workers: req.Workers,
-	}, rg, version, seeds)
+	ent, a, err := e.acquire(ctx, &poolReq{
+		graphID: req.GraphID, version: version, seeds: seeds, spec: spec,
+		rg: &reqGraph{base: g, content: spec.content}, sc: sc,
+		size: sizing{opt: core.Options{Seed: req.Seed, Workers: e.workersFor(req.Workers)}.WithDefaults(), sims: req.Sims},
+	})
 	if err != nil {
 		return EstimateResult{}, err
 	}
 	defer ent.mu.RUnlock()
-	spread, err := ent.sim.EstimateSpread(req.Boost)
+	p := ent.pool.(simPool)
+	spread, err := p.EstimateSpread(req.Boost)
 	if err != nil {
 		return EstimateResult{}, err
 	}
-	out := EstimateResult{Spread: spread, CacheHit: hit}
+	out := EstimateResult{Spread: spread, CacheHit: a.hit}
 	if len(req.Boost) > 0 {
 		// Differenced on the pool's integer activation sums, so it agrees
 		// bit-for-bit with the Δ̂ a boost query reports for the same set.
-		boost, err := ent.sim.EstimateBoost(req.Boost)
+		boost, err := p.EstimateBoost(req.Boost)
 		if err != nil {
 			return EstimateResult{}, err
 		}

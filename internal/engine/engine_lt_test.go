@@ -52,11 +52,11 @@ func TestLTWarmQuerySkipsResampling(t *testing.T) {
 	}
 
 	st := e.Stats()
-	if st.LTBoostQueries != 2 || st.LTPoolMisses != 1 || st.LTPoolHits != 1 || st.LTResultHits != 1 {
+	if st.SimModes["lt"].BoostQueries != 2 || st.SimModes["lt"].PoolMisses != 1 || st.SimModes["lt"].PoolHits != 1 || st.SimModes["lt"].ResultHits != 1 {
 		t.Errorf("lt stats = %+v, want 2 queries / 1 miss / 1 hit / 1 result hit", st)
 	}
-	if st.LTProfiles != int64(req.Sims) {
-		t.Errorf("LTProfiles=%d, want %d", st.LTProfiles, req.Sims)
+	if st.SimModes["lt"].Profiles != int64(req.Sims) {
+		t.Errorf("lt profiles=%d, want %d", st.SimModes["lt"].Profiles, req.Sims)
 	}
 	if st.BoostQueries != 2 || st.PoolMisses != 1 || st.PoolHits != 1 {
 		t.Errorf("shared counters not bumped by LT traffic: %+v", st)
@@ -94,11 +94,11 @@ func TestLTMoreSimsExtendsInPlace(t *testing.T) {
 		t.Errorf("Samples=%d, want 2000", grown.Samples)
 	}
 	st := e.Stats()
-	if st.LTPoolExtensions != 1 || st.PoolExtensions != 1 {
-		t.Errorf("extensions=%d/%d, want 1/1", st.LTPoolExtensions, st.PoolExtensions)
+	if st.SimModes["lt"].PoolExtensions != 1 || st.PoolExtensions != 1 {
+		t.Errorf("extensions=%d/%d, want 1/1", st.SimModes["lt"].PoolExtensions, st.PoolExtensions)
 	}
-	if st.LTProfiles != 2000 {
-		t.Errorf("LTProfiles=%d, want 2000 cumulative", st.LTProfiles)
+	if st.SimModes["lt"].Profiles != 2000 {
+		t.Errorf("lt profiles=%d, want 2000 cumulative", st.SimModes["lt"].Profiles)
 	}
 	// A smaller budget after growth is fully warm.
 	req.Sims = 500
@@ -184,17 +184,17 @@ func TestLTEstimateSharesBoostPool(t *testing.T) {
 		t.Errorf("estimate Δ̂=%v != selection Δ̂=%v on the same pool", est.Boost, boostRes.EstBoost)
 	}
 	st := e.Stats()
-	if st.LTEstimateQueries != 1 || st.EstimateQueries != 1 {
-		t.Errorf("estimate counters = %d/%d, want 1/1", st.LTEstimateQueries, st.EstimateQueries)
+	if st.SimModes["lt"].EstimateQueries != 1 || st.EstimateQueries != 1 {
+		t.Errorf("estimate counters = %d/%d, want 1/1", st.SimModes["lt"].EstimateQueries, st.EstimateQueries)
 	}
-	if st.LTPoolMisses != 1 {
-		t.Errorf("LTPoolMisses=%d, want the single boost-side build", st.LTPoolMisses)
+	if st.SimModes["lt"].PoolMisses != 1 {
+		t.Errorf("lt pool misses=%d, want the single boost-side build", st.SimModes["lt"].PoolMisses)
 	}
 
 	// An estimate that omits sims reuses the cached pool at its current
 	// size — a read must not silently extend the pool to the default
 	// budget.
-	profiles := e.Stats().LTProfiles
+	profiles := e.Stats().SimModes["lt"].Profiles
 	lazy, err := e.Estimate(EstimateRequest{
 		GraphID: "g", Seeds: []int32{0, 20, 40}, Boost: []int32{7}, Mode: "lt",
 	})
@@ -204,7 +204,7 @@ func TestLTEstimateSharesBoostPool(t *testing.T) {
 	if !lazy.CacheHit {
 		t.Error("sims-less estimate missed the warm pool")
 	}
-	if got := e.Stats().LTProfiles; got != profiles {
+	if got := e.Stats().SimModes["lt"].Profiles; got != profiles {
 		t.Errorf("sims-less estimate grew the pool: %d -> %d profiles", profiles, got)
 	}
 
@@ -341,11 +341,11 @@ func TestLTConcurrentColdQueriesShareOneBuild(t *testing.T) {
 		}
 	}
 	st := e.Stats()
-	if st.LTPoolMisses != 1 {
-		t.Errorf("LTPoolMisses=%d, want 1 (singleflight should dedupe the build)", st.LTPoolMisses)
+	if st.SimModes["lt"].PoolMisses != 1 {
+		t.Errorf("lt pool misses=%d, want 1 (singleflight should dedupe the build)", st.SimModes["lt"].PoolMisses)
 	}
-	if st.LTProfiles != int64(req.Sims) {
-		t.Errorf("LTProfiles=%d, want one pool's worth (%d)", st.LTProfiles, req.Sims)
+	if st.SimModes["lt"].Profiles != int64(req.Sims) {
+		t.Errorf("lt profiles=%d, want one pool's worth (%d)", st.SimModes["lt"].Profiles, req.Sims)
 	}
 }
 

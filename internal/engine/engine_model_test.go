@@ -17,9 +17,9 @@ import (
 	"github.com/kboost/kboost/internal/model"
 )
 
-// simModes are the pooled simulation modes served by boostSim; every
-// generic-path test loops over all of them so a regression in one
-// model's adapter cannot hide behind the others.
+// simModes are the pooled simulation modes; every generic-path test
+// loops over all of them so a regression in one model's adapter cannot
+// hide behind the others.
 var simModes = []string{"lt", "sir", "kthresh"}
 
 // TestSimBoostRoundTripAllModes: every simulation mode serves a boost

@@ -2,15 +2,17 @@ package engine
 
 // This file is the engine's diffusion-mode registry. Every query names
 // a mode; resolveSpec canonicalizes it ("" and "full" are "ic"),
-// validates the per-model knobs, and returns a modeSpec the serving
-// paths dispatch on. Two families exist behind one registry:
+// validates the per-model knobs, and returns a modeSpec carrying the
+// mode's pool family. Two families exist behind one registry:
 //
 //   - the PRR family ("ic" and its lower-bound variant "lb"), whose
-//     k-dependent pools and approximation guarantees keep their own
-//     specialized path (Boost's PRR branch), and
+//     k-dependent pools keep the approximation guarantees of
+//     internal/core, and
 //   - the pooled simulation family (every internal/model Model: "lt",
-//     "sir", "kthresh"), served by the generic boostSim/estimateSim
-//     path written once against model.Pool.
+//     "sir", "kthresh"), written once against model.Pool.
+//
+// Both are served by the one acquire path in acquire.go; the spec only
+// says how to build a fresh pool of its family.
 //
 // The registry is also where the optional content-properties modifier
 // lives: a request carrying Content computes against a derived graph
@@ -19,6 +21,7 @@ package engine
 // never shares sampled worlds or calibrations.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -40,6 +43,9 @@ type modeSpec struct {
 	// content is the normalized transmission modifier (identity when the
 	// request carried none).
 	content model.Content
+	// build samples a fresh pool of the mode's family (buildPRR or
+	// buildSim, acquire.go).
+	build func(ctx context.Context, spec *modeSpec, g *graph.Graph, seeds []int32, s sizing) (pool, error)
 }
 
 // errUnknownMode is the one unknown-mode error every endpoint returns,
@@ -67,9 +73,9 @@ func resolveSpec(mode string, p model.Params, content *model.Content) (*modeSpec
 	spec.content = c
 	switch mode {
 	case "", "full", "ic":
-		spec.name, spec.prrMode = "ic", prr.ModeFull
+		spec.name, spec.prrMode, spec.build = "ic", prr.ModeFull, buildPRR
 	case "lb":
-		spec.name, spec.prrMode = "lb", prr.ModeLB
+		spec.name, spec.prrMode, spec.build = "lb", prr.ModeLB, buildPRR
 	default:
 		m, err := model.New(mode, p)
 		if err != nil {
@@ -82,7 +88,7 @@ func resolveSpec(mode string, p model.Params, content *model.Content) (*modeSpec
 			}
 			return nil, fmt.Errorf("engine: %w", err)
 		}
-		spec.name, spec.sim = mode, m
+		spec.name, spec.sim, spec.build = mode, m, buildSim
 		return spec, nil
 	}
 	// The PRR modes take no model params; rejecting them here keeps the

@@ -50,7 +50,6 @@ import (
 
 	"github.com/kboost/kboost/internal/faults"
 	"github.com/kboost/kboost/internal/graph"
-	"github.com/kboost/kboost/internal/model"
 )
 
 // ErrGraphChanged is returned (wrapped) when a snapshot is replaced or
@@ -205,66 +204,30 @@ func (e *Engine) RepairGraphContext(ctx context.Context, id string, delta *graph
 // rather than serving (or growing) a pool that now belongs to the
 // re-keyed fresh entry.
 func (e *Engine) repairEntry(ent *poolEntry, g2 *graph.Graph, eff *graph.DeltaEffect, newVersion uint64) (fresh *poolEntry, bytes int64, sketches, profiles int, hadPool bool) {
-	frac := e.opt.RepairFallbackFraction
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
 	defer ent.clearResults()
-
-	switch {
-	case ent.pool != nil:
-		pool := ent.pool
-		derived := ent.derived
-		ent.pool, ent.sized = nil, nil
-		if derived {
-			// Sampled from a content-derived graph; the base-graph delta
-			// does not describe its probabilities. Drop and rebuild cold.
-			return nil, 0, 0, 0, true
-		}
-		touched, ok, err := pool.Repair(g2, eff.DirtyIn, frac)
-		if err != nil || !ok {
-			return nil, 0, 0, 0, true
-		}
-		sketches = touched
-		fresh = &poolEntry{key: rekey(ent.key, ent.graphID, newVersion), graphID: ent.graphID}
-		fresh.ready.Store(true)
-		bytes = pool.MemoryEstimate()
-		fresh.mu.Lock()
-		// The sizing memo restarts empty (not carried over): it was
-		// derived against the pre-patch graph, and re-running the sizing
-		// against the patched one lets the next query top the pool up if
-		// the patched graph demands more samples.
-		fresh.pool = pool
-		fresh.sized = make(map[string]bool)
-		fresh.mu.Unlock()
-		return fresh, bytes, sketches, 0, true
-	case ent.sim != nil:
-		pool := ent.sim
-		derived := ent.derived
-		ent.sim = nil
-		// Only pools that can migrate in place (model.Repairer) and were
-		// sampled from the base snapshot are repairable: a content-derived
-		// pool's worlds came from transformed probabilities the base-graph
-		// delta does not describe. Everything else falls back to a drop
-		// and cold rebuild.
-		rep, canRepair := pool.(model.Repairer)
-		if !canRepair || derived {
-			return nil, 0, 0, 0, true
-		}
-		touched, ok, err := rep.Repair(g2, eff.DirtyOut, eff.DirtyIn, frac)
-		if err != nil || !ok {
-			return nil, 0, 0, 0, true
-		}
-		profiles = touched
-		fresh = &poolEntry{key: rekey(ent.key, ent.graphID, newVersion), graphID: ent.graphID}
-		fresh.ready.Store(true)
-		bytes = pool.MemoryEstimate()
-		fresh.mu.Lock()
-		fresh.sim = pool
-		fresh.mu.Unlock()
-		return fresh, bytes, 0, profiles, true
-	default:
+	p, derived := ent.pool, ent.derived
+	ent.pool = nil
+	if p == nil {
 		// Never built (a failed or just-acquired entry): nothing to
 		// migrate, nothing to drop.
 		return nil, 0, 0, 0, false
 	}
+	// A content-derived pool's worlds came from transformed
+	// probabilities the base-graph delta does not describe: drop it and
+	// rebuild cold.
+	if derived {
+		return nil, 0, 0, 0, true
+	}
+	sketches, profiles, ok := p.repair(g2, eff, e.opt.RepairFallbackFraction)
+	if !ok {
+		return nil, 0, 0, 0, true
+	}
+	fresh = &poolEntry{key: rekey(ent.key, ent.graphID, newVersion), graphID: ent.graphID}
+	fresh.ready.Store(true)
+	fresh.mu.Lock()
+	fresh.pool = p
+	fresh.mu.Unlock()
+	return fresh, p.MemoryEstimate(), sketches, profiles, true
 }

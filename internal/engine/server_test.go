@@ -240,11 +240,11 @@ func TestLTStatsCounters(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.LTBoostQueries != 2 || st.LTPoolMisses != 1 || st.LTPoolHits != 1 || st.LTResultHits != 1 {
+	if st.SimModes["lt"].BoostQueries != 2 || st.SimModes["lt"].PoolMisses != 1 || st.SimModes["lt"].PoolHits != 1 || st.SimModes["lt"].ResultHits != 1 {
 		t.Errorf("lt counters = %+v, want 2 queries / 1 miss / 1 hit / 1 result hit", st.Stats)
 	}
-	if st.LTProfiles != 900 {
-		t.Errorf("lt_profiles = %d, want 900", st.LTProfiles)
+	if st.SimModes["lt"].Profiles != 900 {
+		t.Errorf("lt_profiles = %d, want 900", st.SimModes["lt"].Profiles)
 	}
 	if st.Pools != 1 || st.PoolBytes <= 0 {
 		t.Errorf("pools=%d pool_bytes=%d, want the LT pool accounted", st.Pools, st.PoolBytes)

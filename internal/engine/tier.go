@@ -211,7 +211,8 @@ func (e *Engine) estimateTiered(ctx context.Context, spec *modeSpec, req Estimat
 // tier 0 when the mode has a closed-form normalizer form, tier 1
 // otherwise. It is the degrade-mode workhorse (EstimateDegraded):
 // pool-free in both cases, so it stays cheap even on a cold engine
-// under load. Tier/counters are recorded; the caller owns the Degraded
+// under load. Its query and tier counters are recorded through
+// countTier, like every tier-0/1 serve; the caller owns the Degraded
 // and ErrorTargetMet marks.
 func (e *Engine) estimateFloor(ctx context.Context, spec *modeSpec, req EstimateRequest) (EstimateResult, error) {
 	g, _, err := e.snapshotFor(req.GraphID)
@@ -231,14 +232,14 @@ func (e *Engine) estimateFloor(ctx context.Context, spec *modeSpec, req Estimate
 	}
 	if norm, ok := spec.tier0Norms(g2); ok {
 		out := estimateTier0(g2, req, norm)
-		e.ctr.estimateTier0.Add(1)
+		e.countTier(0, spec)
 		return out, nil
 	}
 	out, err := e.estimateTier1(req, g2, spec)
 	if err != nil {
 		return EstimateResult{}, err
 	}
-	e.ctr.estimateTier1.Add(1)
+	e.countTier(1, spec)
 	return out, nil
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -48,6 +49,38 @@ func TestEstimateTier0ColdNoPool(t *testing.T) {
 		}
 		if st.EstimateTier0 != 1 || st.EstimateQueries != 1 {
 			t.Fatalf("mode %s: counters %+v", mode, st)
+		}
+	}
+}
+
+// A degraded estimate is one more estimate query of its mode: the
+// engine-wide and per-mode estimate counters must move together, as
+// they do for a tiered serve. lt degrades to tier 0, sir (which
+// declines the closed-form tier) to tier 1.
+func TestEstimateDegradedCountsPerMode(t *testing.T) {
+	for _, mode := range []string{"lt", "sir"} {
+		e := newTestEngine(t, Options{})
+		req := tierRequest(mode)
+		req.MaxLatencyMS = 50
+		tiered, err := e.Estimate(req)
+		if err != nil {
+			t.Fatalf("mode %s tiered: %v", mode, err)
+		}
+		degraded, err := e.EstimateDegraded(context.Background(), req)
+		if err != nil {
+			t.Fatalf("mode %s degraded: %v", mode, err)
+		}
+		if !degraded.Degraded || degraded.Tier != tiered.Tier {
+			t.Errorf("mode %s: degraded tier %d (degraded=%v), want tier %d", mode, degraded.Tier, degraded.Degraded, tiered.Tier)
+		}
+		st := e.Stats()
+		if st.EstimateQueries != 2 || st.SimModes[mode].EstimateQueries != 2 {
+			t.Errorf("mode %s: estimate_queries=%d sim_modes.%s.estimate_queries=%d, want 2/2",
+				mode, st.EstimateQueries, mode, st.SimModes[mode].EstimateQueries)
+		}
+		if st.DegradedEstimates != 1 || st.EstimateTier0+st.EstimateTier1 != 2 {
+			t.Errorf("mode %s: degraded=%d tier0=%d tier1=%d, want 1 degraded of 2 floor-tier serves",
+				mode, st.DegradedEstimates, st.EstimateTier0, st.EstimateTier1)
 		}
 	}
 }

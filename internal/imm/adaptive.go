@@ -1,11 +1,12 @@
 package imm
 
 import (
+	"context"
 	"fmt"
 	"math"
 )
 
-// RunAdaptive is a stop-and-stare style alternative to Run, after the
+// RunAdaptive is a stop-and-stare style alternative to RunContext, after the
 // SSA/D-SSA line of work the paper cites as interchangeable with IMM
 // ("other similar frameworks based on RR-sets (e.g., SSA/D-SSA) could
 // also be applied", Section IV-A).
@@ -18,10 +19,11 @@ import (
 // validation estimates agree within ε/2 (overfitting control).
 //
 // This implementation keeps SSA's structure but not its exact constant
-// bookkeeping; use Run when the formal (1−1/e−ε) certificate matters.
-// In practice it needs considerably fewer sketches on easy instances —
-// see BenchmarkAblationSampler.
-func RunAdaptive(newSketcher func(seed uint64) (ValidatableSketcher, error), p Params) (ValidatableSketcher, Stats, error) {
+// bookkeeping; use RunContext when the formal (1−1/e−ε) certificate
+// matters. In practice it needs considerably fewer sketches on easy
+// instances — see BenchmarkAblationSampler. ctx is threaded into every
+// ExtendContext, so cancellation stops it within a few sketches.
+func RunAdaptive(ctx context.Context, newSketcher func(seed uint64) (ValidatableSketcher, error), p Params) (ValidatableSketcher, Stats, error) {
 	p = p.withDefaults()
 	if err := p.validate(); err != nil {
 		return nil, Stats{}, err
@@ -54,8 +56,12 @@ func RunAdaptive(newSketcher func(seed uint64) (ValidatableSketcher, error), p P
 			target = p.MaxSamples
 			st.CapHit = true
 		}
-		train.Extend(target)
-		valid.Extend(target)
+		if err := train.ExtendContext(ctx, target); err != nil {
+			return nil, Stats{}, err
+		}
+		if err := valid.ExtendContext(ctx, target); err != nil {
+			return nil, Stats{}, err
+		}
 
 		items, covTrain := train.SelectAndCover(p.K)
 		covValid := valid.CoverageOf(items)
@@ -89,9 +95,9 @@ var errNilFactory = fmt.Errorf("imm: nil sketcher factory")
 
 // RunAdaptiveChecked guards against nil factories (convenience for
 // callers plumbing optional configuration).
-func RunAdaptiveChecked(newSketcher func(seed uint64) (ValidatableSketcher, error), p Params) (ValidatableSketcher, Stats, error) {
+func RunAdaptiveChecked(ctx context.Context, newSketcher func(seed uint64) (ValidatableSketcher, error), p Params) (ValidatableSketcher, Stats, error) {
 	if newSketcher == nil {
 		return nil, Stats{}, errNilFactory
 	}
-	return RunAdaptive(newSketcher, p)
+	return RunAdaptive(ctx, newSketcher, p)
 }

@@ -1,6 +1,7 @@
 package imm
 
 import (
+	"context"
 	"testing"
 
 	"github.com/kboost/kboost/internal/rng"
@@ -40,7 +41,7 @@ func TestRunAdaptiveConverges(t *testing.T) {
 	factory := func(seed uint64) (ValidatableSketcher, error) {
 		return newValidatableToy(1000, 0.2, 0.01, seed), nil
 	}
-	trained, st, err := RunAdaptive(factory, Params{N: 1000, K: 1, Epsilon: 0.3, Ell: 1})
+	trained, st, err := RunAdaptive(context.Background(), factory, Params{N: 1000, K: 1, Epsilon: 0.3, Ell: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestRunAdaptiveHonorsCap(t *testing.T) {
 	factory := func(seed uint64) (ValidatableSketcher, error) {
 		return newValidatableToy(100000, 0.00001, 0.000005, seed), nil
 	}
-	_, st, err := RunAdaptive(factory, Params{N: 100000, K: 1, Epsilon: 0.5, Ell: 1, MaxSamples: 3000})
+	_, st, err := RunAdaptive(context.Background(), factory, Params{N: 100000, K: 1, Epsilon: 0.5, Ell: 1, MaxSamples: 3000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestRunAdaptiveHonorsCap(t *testing.T) {
 }
 
 func TestRunAdaptiveChecked(t *testing.T) {
-	if _, _, err := RunAdaptiveChecked(nil, Params{N: 10, K: 1}); err == nil {
+	if _, _, err := RunAdaptiveChecked(context.Background(), nil, Params{N: 10, K: 1}); err == nil {
 		t.Fatal("nil factory accepted")
 	}
 }
@@ -81,7 +82,7 @@ func TestRunAdaptiveValidatesParams(t *testing.T) {
 	factory := func(seed uint64) (ValidatableSketcher, error) {
 		return newValidatableToy(10, 0.5, 0.1, seed), nil
 	}
-	if _, _, err := RunAdaptive(factory, Params{N: 10, K: 0}); err == nil {
+	if _, _, err := RunAdaptive(context.Background(), factory, Params{N: 10, K: 0}); err == nil {
 		t.Fatal("K=0 accepted")
 	}
 }

@@ -21,8 +21,9 @@ import (
 // Sketcher abstracts a growable pool of random sketches with greedy
 // max-coverage selection over the current pool.
 type Sketcher interface {
-	// Extend grows the pool to at least target sketches.
-	Extend(target int)
+	// ExtendContext grows the pool to at least target sketches, aborting
+	// with ctx.Err() — merging nothing — if ctx is canceled first.
+	ExtendContext(ctx context.Context, target int) error
 	// Size returns the current number of sketches, including "empty"
 	// sketches that no item can cover (their count matters: estimates
 	// are normalized by the total pool size).
@@ -30,17 +31,6 @@ type Sketcher interface {
 	// SelectAndCover greedily chooses up to k items and returns them with
 	// the number of covered sketches.
 	SelectAndCover(k int) (items []int32, covered int)
-}
-
-// CtxSketcher is implemented by sketchers whose Extend can be canceled
-// mid-pool (the production pools: prr, rrset). RunContext uses it to
-// propagate cancellation into the sampling loops; plain Sketchers are
-// still supported and are only checked between rounds.
-type CtxSketcher interface {
-	Sketcher
-	// ExtendContext grows the pool to at least target sketches, aborting
-	// with ctx.Err() — merging nothing — if ctx is canceled first.
-	ExtendContext(ctx context.Context, target int) error
 }
 
 // Params configures a run.
@@ -96,34 +86,18 @@ func lnChoose(n, k int) float64 {
 	return ln1 - ln2 - ln3
 }
 
-// Run executes the IMM sampling phase: it grows the sketch pool until
-// the pool size reaches θ = λ*/LB, where LB is a high-confidence lower
-// bound on OPT found by geometric search. After Run returns, the caller
-// performs the final selection on the same pool.
-func Run(s Sketcher, p Params) (Stats, error) {
-	return RunContext(context.Background(), s, p)
-}
-
-// RunContext is Run with cooperative cancellation: ctx is checked
-// before every doubling round and threaded into the pool's Extend when
-// the sketcher implements CtxSketcher, so a canceled caller stops
-// within a few sketches rather than after the full sampling phase. On
-// cancellation the pool may hold sketches from completed rounds but
-// never a partial Extend.
+// RunContext executes the IMM sampling phase: it grows the sketch pool
+// until the pool size reaches θ = λ*/LB, where LB is a high-confidence
+// lower bound on OPT found by geometric search. After it returns, the
+// caller performs the final selection on the same pool. ctx is threaded
+// into every ExtendContext, so a canceled caller stops within a few
+// sketches rather than after the full sampling phase; on cancellation
+// the pool may hold sketches from completed rounds but never a partial
+// Extend.
 func RunContext(ctx context.Context, s Sketcher, p Params) (Stats, error) {
 	p = p.withDefaults()
 	if err := p.validate(); err != nil {
 		return Stats{}, err
-	}
-	extend := func(target int) error {
-		if cs, ok := s.(CtxSketcher); ok {
-			return cs.ExtendContext(ctx, target)
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		s.Extend(target)
-		return nil
 	}
 	n := float64(p.N)
 	lnN := math.Log(n)
@@ -150,7 +124,7 @@ func RunContext(ctx context.Context, s Sketcher, p Params) (Stats, error) {
 			thetaI = p.MaxSamples
 			st.CapHit = true
 		}
-		if err := extend(thetaI); err != nil {
+		if err := s.ExtendContext(ctx, thetaI); err != nil {
 			return Stats{}, err
 		}
 		_, covered := s.SelectAndCover(p.K)
@@ -171,7 +145,7 @@ func RunContext(ctx context.Context, s Sketcher, p Params) (Stats, error) {
 		target = p.MaxSamples
 		st.CapHit = true
 	}
-	if err := extend(target); err != nil {
+	if err := s.ExtendContext(ctx, target); err != nil {
 		return Stats{}, err
 	}
 	st.Samples = s.Size()

@@ -1,6 +1,7 @@
 package imm
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -37,7 +38,7 @@ func TestParamsValidation(t *testing.T) {
 		{N: 10, K: 1, Epsilon: 1.5},
 	}
 	for _, p := range bad {
-		if _, err := Run(s, p); err == nil {
+		if _, err := RunContext(context.Background(), s, p); err == nil {
 			t.Errorf("params %+v accepted", p)
 		}
 	}
@@ -65,6 +66,13 @@ func (s *toySketcher) Extend(target int) {
 		s.best = append(s.best, s.r.Bernoulli(s.pBest))
 		s.rest = append(s.rest, s.r.Bernoulli(s.pRest))
 	}
+}
+func (s *toySketcher) ExtendContext(ctx context.Context, target int) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	s.Extend(target)
+	return nil
 }
 func (s *toySketcher) Size() int { return len(s.best) }
 func (s *toySketcher) SelectAndCover(k int) ([]int32, int) {
@@ -95,7 +103,7 @@ func (s *toySketcher) SelectAndCover(k int) ([]int32, int) {
 
 func TestRunEstablishesLB(t *testing.T) {
 	s := newToySketcher(1000, 0.2, 0.01)
-	st, err := Run(s, Params{N: 1000, K: 1, Epsilon: 0.3, Ell: 1})
+	st, err := RunContext(context.Background(), s, Params{N: 1000, K: 1, Epsilon: 0.3, Ell: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +125,7 @@ func TestRunEstablishesLB(t *testing.T) {
 
 func TestRunHonorsMaxSamples(t *testing.T) {
 	s := newToySketcher(100000, 0.0001, 0.00005)
-	st, err := Run(s, Params{N: 100000, K: 1, Epsilon: 0.5, Ell: 1, MaxSamples: 5000})
+	st, err := RunContext(context.Background(), s, Params{N: 100000, K: 1, Epsilon: 0.5, Ell: 1, MaxSamples: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,9 +18,9 @@
 // boosted Linear Threshold model (internal/lt, which keeps its own CELF
 // selection and in-place repair), boosted SIR (model/sir) and
 // k-threshold complex contagion (model/kthresh). The IC/PRR family
-// stays on its own specialized path — PRR pools are k-dependent and
-// carry approximation guarantees the generic pool contract cannot
-// express — but shares the engine's mode registry.
+// stays outside this contract — PRR pools are k-dependent and carry
+// approximation guarantees (internal/core) it cannot express — but the
+// engine serves both families through one acquire path.
 //
 // Every implementation keeps the repo's hardening contract: pool
 // contents are a pure function of (seed, graph, seed set) independent

@@ -211,9 +211,6 @@ func (p *Pool) Extend(target int) {
 // same sketches from the same stateless per-index streams and the final
 // pool is bit-identical to one built without interruption.
 func (p *Pool) ExtendContext(ctx context.Context, target int) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}

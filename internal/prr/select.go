@@ -156,25 +156,15 @@ func (p *Pool) SelectDelta(k int) ([]int32, int, error) {
 	return p.selectDelta(context.Background(), k, nil)
 }
 
-// SelectDeltaContext is SelectDelta with cooperative cancellation: the
-// CELF pick loop polls ctx once per chosen node, so a canceled request
-// stops within one re-evaluation round.
-func (p *Pool) SelectDeltaContext(ctx context.Context, k int) ([]int32, int, error) {
-	return p.selectDelta(ctx, k, nil)
-}
-
-// SelectDeltaAmong is SelectDelta restricted to the given candidate
-// set: only listed nodes may be picked. Coverage accounting and gain
-// maintenance still run over the whole pool, so the returned covered
-// count means the same thing — only the argmax is narrowed. Callers
-// (the engine's tier-0 pre-filter) trade the exact greedy for a
-// cheaper one over a shortlist; cands == nil behaves like SelectDelta.
-func (p *Pool) SelectDeltaAmong(k int, cands []int32) ([]int32, int, error) {
-	return p.SelectDeltaAmongContext(context.Background(), k, cands)
-}
-
-// SelectDeltaAmongContext is SelectDeltaAmong with cooperative
-// cancellation (see SelectDeltaContext).
+// SelectDeltaAmongContext is SelectDelta restricted to the given
+// candidate set, with cooperative cancellation: only listed nodes may
+// be picked, and the CELF pick loop polls ctx once per chosen node, so
+// a canceled request stops within one re-evaluation round. Coverage
+// accounting and gain maintenance still run over the whole pool, so the
+// returned covered count means the same thing — only the argmax is
+// narrowed. Callers (the engine's tier-0 pre-filter) trade the exact
+// greedy for a cheaper one over a shortlist; cands == nil behaves like
+// SelectDelta.
 func (p *Pool) SelectDeltaAmongContext(ctx context.Context, k int, cands []int32) ([]int32, int, error) {
 	if cands == nil {
 		return p.selectDelta(ctx, k, nil)

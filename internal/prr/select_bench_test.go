@@ -61,8 +61,9 @@ func BenchmarkSelectDeltaWarm(b *testing.B) {
 
 // BenchmarkExtendIncremental measures pool growth including the
 // incremental maintenance of the selection index: one-shot generation
-// versus the same total arriving in ten batches (the Engine's GrowPool
-// pattern), which exercises the posting-CSR merge repeatedly.
+// versus the same total arriving in ten batches (the Engine's
+// GrowPoolContext pattern), which exercises the posting-CSR merge
+// repeatedly.
 func BenchmarkExtendIncremental(b *testing.B) {
 	total := 10000
 	if testing.Short() {

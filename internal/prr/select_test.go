@@ -1,6 +1,7 @@
 package prr
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -112,7 +113,7 @@ func TestSelectDeltaAmongFullSetMatches(t *testing.T) {
 			all = append(all, v)
 		}
 		for name, cands := range map[string][]int32{"all": all, "nil": nil} {
-			got, gotCov, err := pool.SelectDeltaAmong(3, cands)
+			got, gotCov, err := pool.SelectDeltaAmongContext(context.Background(), 3, cands)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +124,7 @@ func TestSelectDeltaAmongFullSetMatches(t *testing.T) {
 		}
 		// A genuine shortlist: picks must stay inside it.
 		short := all[:4]
-		got, _, err := pool.SelectDeltaAmong(3, short)
+		got, _, err := pool.SelectDeltaAmongContext(context.Background(), 3, short)
 		if err != nil {
 			t.Fatal(err)
 		}

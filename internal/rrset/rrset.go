@@ -103,9 +103,6 @@ func (p *Pool) Extend(target int) {
 // and are discarded wholesale on failure, so a retry reconstructs the
 // pool from its seed and remains bit-identical.
 func (p *Pool) ExtendContext(ctx context.Context, target int) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -259,8 +256,7 @@ func SelectSeeds(g *graph.Graph, k int, opt Options) (Result, error) {
 }
 
 // SelectSeedsContext is SelectSeeds with cooperative cancellation
-// threaded through the IMM sampling loop. The adaptive path retrains
-// whole pools and is only checked between phases.
+// threaded through the sampling loop, IMM and adaptive alike.
 func SelectSeedsContext(ctx context.Context, g *graph.Graph, k int, opt Options) (Result, error) {
 	opt = opt.withDefaults()
 	if k < 1 || k > g.N() {
@@ -273,13 +269,7 @@ func SelectSeedsContext(ctx context.Context, g *graph.Graph, k int, opt Options)
 	}
 	var pool *Pool
 	if opt.Adaptive {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		trained, _, err := imm.RunAdaptive(func(s uint64) (imm.ValidatableSketcher, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+		trained, _, err := imm.RunAdaptive(ctx, func(s uint64) (imm.ValidatableSketcher, error) {
 			return NewPool(g, opt.Seed*0x9e3779b97f4a7c15+s, opt.Workers), nil
 		}, params)
 		if err != nil {
