@@ -90,16 +90,11 @@ func TestSelectSeedsAdaptive(t *testing.T) {
 // Cancellation must reach the adaptive controller's sampling, not just
 // its setup: an injected stall holds the first Extend's shard at the
 // build boundary, and canceling during it must abort the whole build
-// with ctx.Err() — IMM and adaptive builds alike, for PRR pools and
-// RR-set seed selection.
+// with ctx.Err(), for PRR pools and RR-set seed selection alike.
 func TestAdaptiveBuildHonorsCancel(t *testing.T) {
 	g := testutil.RandomGraph(rng.New(8), 200, 800, 0.1)
 	seeds := []int32{0, 1}
 	runs := map[string]func(ctx context.Context) error{
-		"imm": func(ctx context.Context) error {
-			_, err := BuildPoolContext(ctx, g, seeds, Options{K: 3, Seed: 3, Workers: 2}, prr.ModeFull)
-			return err
-		},
 		"adaptive": func(ctx context.Context) error {
 			_, err := BuildPoolContext(ctx, g, seeds, Options{K: 3, Seed: 3, Workers: 2, Adaptive: true}, prr.ModeFull)
 			return err

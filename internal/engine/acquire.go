@@ -244,7 +244,11 @@ func (e *Engine) acquire(ctx context.Context, r *poolReq) (*poolEntry, acquired,
 	}
 	var a acquired
 	if ent.pool == nil || ent.pool.stale(r.size) {
-		p, err := e.buildFor(ctx, r)
+		g, err := r.rg.get()
+		var p pool
+		if err == nil {
+			p, err = r.spec.build(ctx, r.spec, g, r.seeds, r.size)
+		}
 		if err != nil {
 			// A failed cold build leaves an entry with no pool, which must
 			// not stay in the cache looking warm: if followers are blocked
@@ -283,15 +287,6 @@ func (e *Engine) acquire(ctx context.Context, r *poolReq) (*poolEntry, acquired,
 	ent.mu.Unlock()
 	ent.mu.RLock()
 	return ent, a, nil
-}
-
-// buildFor samples a fresh pool for r on the request's graph.
-func (e *Engine) buildFor(ctx context.Context, r *poolReq) (pool, error) {
-	g, err := r.rg.get()
-	if err != nil {
-		return nil, err
-	}
-	return r.spec.build(ctx, r.spec, g, r.seeds, r.size)
 }
 
 // countPool records one acquire outcome. Added samples count into

@@ -178,11 +178,11 @@ type Stats struct {
 	EstimateTier2    int64 `json:"estimate_tier2"`
 	TierCalibrations int64 `json:"tier_calibrations"`
 
-	// PoolHits counts pool-backed queries (PRR and LT alike) served from
-	// a cached pool (possibly after an in-place extension); PoolMisses
-	// counts cold builds; PoolRebuilds counts builds forced by a k larger
-	// than the cached pool's generation budget (PRR only — LT profiles
-	// are k-independent and never rebuild).
+	// PoolHits counts pool-backed queries (every pooled mode) served
+	// from a cached pool (possibly after an in-place extension);
+	// PoolMisses counts cold builds; PoolRebuilds counts builds forced by
+	// a k larger than the cached pool's generation budget (PRR only —
+	// simulation profiles are k-independent and never rebuild).
 	PoolHits     int64 `json:"pool_hits"`
 	PoolMisses   int64 `json:"pool_misses"`
 	PoolRebuilds int64 `json:"pool_rebuilds"`
@@ -679,12 +679,14 @@ type BoostResult struct {
 	// because the query's K exceeded its generation budget.
 	Rebuilt bool
 	// NewSamples is the number of samples generated by this query:
-	// PRR-graphs for the PRR modes, threshold profiles for mode "lt"
-	// (both surface as new_prr_graphs in the HTTP response).
+	// PRR-graphs for the PRR modes, possible-world profiles for the
+	// simulation modes (both surface as new_prr_graphs in the HTTP
+	// response).
 	NewSamples int
 	// PoolK is the generation budget of the pool that served the query.
-	// Always 0 for mode "lt": LT profiles are k-independent, so an LT
-	// pool has no generation budget and serves every k.
+	// Always 0 for the simulation modes: their profiles are
+	// k-independent, so such a pool has no generation budget and serves
+	// every k.
 	PoolK int
 	// GraphVersion is the snapshot version the query computed against.
 	GraphVersion uint64

@@ -6,10 +6,10 @@ import (
 	"math"
 )
 
-// RunAdaptive is a stop-and-stare style alternative to RunContext, after the
-// SSA/D-SSA line of work the paper cites as interchangeable with IMM
-// ("other similar frameworks based on RR-sets (e.g., SSA/D-SSA) could
-// also be applied", Section IV-A).
+// RunAdaptive is a stop-and-stare style alternative to RunContext,
+// after the SSA/D-SSA line of work the paper cites as interchangeable
+// with IMM ("other similar frameworks based on RR-sets (e.g.,
+// SSA/D-SSA) could also be applied", Section IV-A).
 //
 // Instead of deriving a sample count from a lower bound on OPT, it
 // doubles a training pool, greedily selects on it, and *stares*:
