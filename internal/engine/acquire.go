@@ -84,9 +84,9 @@ func buildPRR(ctx context.Context, spec *modeSpec, g *graph.Graph, seeds []int32
 }
 
 // kboost:holds poolEntry.mu
-func (p *prrPool) covers(s sizing) bool { return p.Pool.K() >= s.opt.K && p.sized[s.memo] }
+func (p *prrPool) covers(s sizing) bool { return p.K() >= s.opt.K && p.sized[s.memo] }
 
-func (p *prrPool) stale(s sizing) bool { return s.opt.K > p.Pool.K() }
+func (p *prrPool) stale(s sizing) bool { return s.opt.K > p.K() }
 
 // kboost:holds poolEntry.mu
 func (p *prrPool) grow(ctx context.Context, s sizing) (int, error) {
@@ -101,7 +101,7 @@ func (p *prrPool) grow(ctx context.Context, s sizing) (int, error) {
 	return added, nil
 }
 
-func (p *prrPool) size() int        { return p.Pool.Size() }
+func (p *prrPool) size() int        { return p.Size() }
 func (p *prrPool) Norms() []float64 { return nil }
 
 func (p *prrPool) selectBoost(ctx context.Context, k, _ int, cands []int32) (*core.Result, error) {

@@ -864,7 +864,8 @@ func (e *Engine) BoostContext(ctx context.Context, req BoostRequest) (*BoostResu
 		// A boost query's simulation budget is a quality floor, so an
 		// omitted Sims means the full default — unlike estimates, which
 		// reuse a cached pool lazily at whatever size it has.
-		if r.size.sims = req.Sims; r.size.sims <= 0 {
+		r.size.sims = req.Sims
+		if r.size.sims <= 0 {
 			r.size.sims = defaultSimProfiles
 		}
 		key.cand = spec.sim.CandidateCap(req.K, req.CandCap)
