@@ -11,19 +11,12 @@ package diffusion
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
 	"github.com/kboost/kboost/internal/graph"
 	"github.com/kboost/kboost/internal/rng"
-)
-
-// Edge status in a sampled possible world.
-const (
-	statusUnsampled uint8 = iota
-	statusBlocked         // fails even for boosted targets
-	statusLive            // succeeds regardless of boosting
-	statusBoostOnly       // succeeds only if the target is boosted
 )
 
 // Simulator runs boosted-IC diffusions on one graph. It owns scratch
@@ -32,11 +25,9 @@ const (
 type Simulator struct {
 	g *graph.Graph
 
-	status  []uint8 // per out-edge sampled status (epoch = touched list)
-	touched []int32 // out-edge indices sampled in the current world
-
-	mark  []int32 // per-node visit epoch
-	epoch int32
+	mark  []int32 // per-node visit stamp
+	live  []int32 // per out-edge: stamped when live in PairOnce's world (allocated on first use)
+	epoch int32   // kboost:epoch
 
 	queue []int32
 }
@@ -44,11 +35,24 @@ type Simulator struct {
 // NewSimulator returns a Simulator for g.
 func NewSimulator(g *graph.Graph) *Simulator {
 	return &Simulator{
-		g:      g,
-		status: make([]uint8, g.M()),
-		mark:   make([]int32, g.N()),
-		epoch:  0,
+		g:    g,
+		mark: make([]int32, g.N()),
 	}
+}
+
+// nextEpoch advances the stamp shared by mark and live, clearing both
+// when the int32 epoch would wrap, so a stamp from 2³¹ worlds ago can
+// never read as current. Epochs stay positive: PairOnce's base pass
+// stamps mark with the negated epoch.
+// kboost:epoch-helper
+func (s *Simulator) nextEpoch() int32 {
+	if s.epoch == math.MaxInt32 {
+		clear(s.mark)
+		clear(s.live)
+		s.epoch = 0
+	}
+	s.epoch++
+	return s.epoch
 }
 
 // MaskFromSet returns an n-length boolean mask with mask[v]=true for
@@ -61,42 +65,62 @@ func MaskFromSet(n int, nodes []int32) []bool {
 	return mask
 }
 
-// SpreadOnce runs one diffusion from seeds with boost mask (nil means no
-// boosted nodes) and returns the number of activated nodes. Edge
-// outcomes are drawn from r.
-func (s *Simulator) SpreadOnce(seeds []int32, boost []bool, r *rng.Source) int {
-	g := s.g
-	s.epoch++
-	active := 0
-	s.queue = s.queue[:0]
+// seedQueue stamps the distinct seeds with stamp and returns them as
+// the initial BFS queue.
+func seedQueue(queue, mark []int32, seeds []int32, stamp int32) []int32 {
+	queue = queue[:0]
 	for _, v := range seeds {
-		if s.mark[v] != s.epoch {
-			s.mark[v] = s.epoch
-			s.queue = append(s.queue, v)
-			active++
+		if mark[v] != stamp {
+			mark[v] = stamp
+			queue = append(queue, v)
 		}
 	}
-	for qi := 0; qi < len(s.queue); qi++ {
-		u := s.queue[qi]
+	return queue
+}
+
+// SpreadOnce runs one diffusion from seeds with boost mask (nil means no
+// boosted nodes) and returns the number of activated nodes.
+//
+// Draw order: nodes are expanded in BFS order and each node's out-edges
+// in CSR order. An edge to a node already active draws nothing; any
+// other edge makes one r.Bernoulli call with p, or p' if its target is
+// boosted, which draws nothing when that probability is 0 or 1.
+func (s *Simulator) SpreadOnce(seeds []int32, boost []bool, r *rng.Source) int {
+	g := s.g
+	epoch := s.nextEpoch()
+	mark := s.mark
+	queue := seedQueue(s.queue, mark, seeds, epoch)
+	s0, s1, s2, s3 := r.State()
+	for qi := 0; qi < len(queue); qi++ {
+		u := queue[qi]
 		to := g.OutTo(u)
 		p := g.OutP(u)
 		pb := g.OutPBoost(u)
 		for i, v := range to {
-			if s.mark[v] == s.epoch {
+			if mark[v] == epoch {
 				continue
 			}
 			prob := p[i]
 			if boost != nil && boost[v] {
 				prob = pb[i]
 			}
-			if r.Bernoulli(prob) {
-				s.mark[v] = s.epoch
-				s.queue = append(s.queue, v)
-				active++
+			if prob <= 0 {
+				continue
 			}
+			if prob < 1 {
+				var x uint64
+				x, s0, s1, s2, s3 = rng.Step(s0, s1, s2, s3)
+				if rng.Unit(x) >= prob {
+					continue
+				}
+			}
+			mark[v] = epoch
+			queue = append(queue, v)
 		}
 	}
-	return active
+	r.SetState(s0, s1, s2, s3)
+	s.queue = queue
+	return len(queue)
 }
 
 // PairOnce samples one possible world (per-edge status live /
@@ -104,104 +128,63 @@ func (s *Simulator) SpreadOnce(seeds []int32, boost []bool, r *rng.Source) int {
 // the spread with the given boost mask, both measured in that same
 // world. Because the worlds are coupled, boosted-base is an unbiased,
 // low-variance per-replicate estimate of the boost of influence.
+//
+// Draw order: the boosted pass expands nodes in BFS order and each
+// node's out-edges in CSR order, and every such edge draws exactly one
+// r.Float64 u — before, and regardless of, whether its target is
+// already active — and is live if u < p, live-upon-boost if
+// p <= u < p', blocked otherwise. The base pass draws nothing: it only
+// follows the live edges the boosted pass stamped, which cover it
+// because base activation is a subset of boosted activation.
 func (s *Simulator) PairOnce(seeds []int32, boost []bool, r *rng.Source) (base, boosted int) {
 	g := s.g
-
-	// Pass 1: boosted world. Superset of the base activation, so every
-	// edge the base pass needs has a recorded status afterwards.
-	s.epoch++
-	boostEpoch := s.epoch
-	s.queue = s.queue[:0]
-	for _, v := range seeds {
-		if s.mark[v] != boostEpoch {
-			s.mark[v] = boostEpoch
-			s.queue = append(s.queue, v)
-			boosted++
-		}
+	if s.live == nil {
+		s.live = make([]int32, g.M())
 	}
-	for qi := 0; qi < len(s.queue); qi++ {
-		u := s.queue[qi]
-		start := edgeStart(g, u)
+	epoch := s.nextEpoch()
+	mark, live := s.mark, s.live
+
+	// Pass 1: boosted world, stamping live edges.
+	queue := seedQueue(s.queue, mark, seeds, epoch)
+	s0, s1, s2, s3 := r.State()
+	for qi := 0; qi < len(queue); qi++ {
+		u := queue[qi]
+		start := g.OutOffset(u)
 		to := g.OutTo(u)
 		p := g.OutP(u)
 		pb := g.OutPBoost(u)
 		for i, v := range to {
-			e := start + int32(i)
-			st := s.status[e]
-			if st == statusUnsampled {
-				st = sampleStatus(p[i], pb[i], r)
-				s.status[e] = st
-				s.touched = append(s.touched, e)
-			}
-			if s.mark[v] == boostEpoch {
+			var x uint64
+			x, s0, s1, s2, s3 = rng.Step(s0, s1, s2, s3)
+			f := rng.Unit(x)
+			if f < p[i] {
+				live[start+int32(i)] = epoch
+			} else if f >= pb[i] || boost == nil || !boost[v] {
 				continue
 			}
-			if st == statusLive || (st == statusBoostOnly && boost != nil && boost[v]) {
-				s.mark[v] = boostEpoch
-				s.queue = append(s.queue, v)
-				boosted++
+			if mark[v] != epoch {
+				mark[v] = epoch
+				queue = append(queue, v)
 			}
 		}
 	}
+	r.SetState(s0, s1, s2, s3)
+	boosted = len(queue)
 
-	// Pass 2: base world over recorded statuses (live edges only).
-	s.epoch++
-	baseEpoch := s.epoch
-	s.queue = s.queue[:0]
-	for _, v := range seeds {
-		if s.mark[v] != baseEpoch {
-			s.mark[v] = baseEpoch
-			s.queue = append(s.queue, v)
-			base++
-		}
-	}
-	for qi := 0; qi < len(s.queue); qi++ {
-		u := s.queue[qi]
-		start := edgeStart(g, u)
-		to := g.OutTo(u)
-		for i, v := range to {
-			if s.mark[v] == baseEpoch {
-				continue
-			}
-			if s.status[start+int32(i)] == statusLive {
-				s.mark[v] = baseEpoch
-				s.queue = append(s.queue, v)
-				base++
+	// Pass 2: base world over the stamped live edges.
+	queue = seedQueue(queue, mark, seeds, -epoch)
+	for qi := 0; qi < len(queue); qi++ {
+		u := queue[qi]
+		start := g.OutOffset(u)
+		for i, v := range g.OutTo(u) {
+			if mark[v] != -epoch && live[start+int32(i)] == epoch {
+				mark[v] = -epoch
+				queue = append(queue, v)
 			}
 		}
 	}
-
-	// Reset sampled statuses for the next world.
-	for _, e := range s.touched {
-		s.status[e] = statusUnsampled
-	}
-	s.touched = s.touched[:0]
-	return base, boosted
-}
-
-// sampleStatus draws the three-way edge status: live with probability p,
-// live-upon-boost with probability pb-p, blocked otherwise.
-func sampleStatus(p, pb float64, r *rng.Source) uint8 {
-	u := r.Float64()
-	switch {
-	case u < p:
-		return statusLive
-	case u < pb:
-		return statusBoostOnly
-	default:
-		return statusBlocked
-	}
-}
-
-// edgeStart returns the index of u's first out-edge in the global edge
-// arrays. graph exposes subslices; recover the offset from capacity-free
-// arithmetic instead would be fragile, so Graph gives us the count
-// directly: the offset equals the sum of degrees of nodes < u, which the
-// CSR start array stores. We re-derive it via OutTo alignment.
-func edgeStart(g *graph.Graph, u int32) int32 {
-	// OutTo(u) aliases the shared edge array; its offset is exposed by
-	// Graph via OutOffset.
-	return g.OutOffset(u)
+	s.queue = queue
+	return len(queue), boosted
 }
 
 // Options configures a Monte-Carlo estimation.

@@ -33,16 +33,8 @@ func (s *Simulator) SpreadOnceTarget(seeds []int32, boost []bool, target BoostTa
 		return s.SpreadOnce(seeds, boost, r)
 	}
 	g := s.g
-	s.epoch++
-	active := 0
-	s.queue = s.queue[:0]
-	for _, v := range seeds {
-		if s.mark[v] != s.epoch {
-			s.mark[v] = s.epoch
-			s.queue = append(s.queue, v)
-			active++
-		}
-	}
+	epoch := s.nextEpoch()
+	s.queue = seedQueue(s.queue, s.mark, seeds, epoch)
 	for qi := 0; qi < len(s.queue); qi++ {
 		u := s.queue[qi]
 		senderBoosted := boost != nil && boost[u]
@@ -50,7 +42,7 @@ func (s *Simulator) SpreadOnceTarget(seeds []int32, boost []bool, target BoostTa
 		p := g.OutP(u)
 		pb := g.OutPBoost(u)
 		for i, v := range to {
-			if s.mark[v] == s.epoch {
+			if s.mark[v] == epoch {
 				continue
 			}
 			prob := p[i]
@@ -58,13 +50,12 @@ func (s *Simulator) SpreadOnceTarget(seeds []int32, boost []bool, target BoostTa
 				prob = pb[i]
 			}
 			if r.Bernoulli(prob) {
-				s.mark[v] = s.epoch
+				s.mark[v] = epoch
 				s.queue = append(s.queue, v)
-				active++
 			}
 		}
 	}
-	return active
+	return len(s.queue)
 }
 
 // EstimateSpreadTarget estimates σ_S(B) under the chosen boost variant.

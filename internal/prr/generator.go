@@ -22,14 +22,6 @@ const (
 	ModeLB
 )
 
-// edge status codes for the sampled possible world.
-const (
-	esUnsampled uint8 = iota
-	esBlocked
-	esLive
-	esBoost // live-upon-boost
-)
-
 const inf = int32(1) << 29
 
 // rawEdge is a non-blocked edge recorded during the backward BFS, in
@@ -248,76 +240,10 @@ func (gen *Generator) generateInto(a *arena, root int32, r *rng.Source) Result {
 		return res
 	}
 
-	g := gen.g
-	kGen := gen.genBudget()
-
-	// Phase 1: backward 0-1 BFS from the root. Bucket queues process
-	// nodes in nondecreasing boost-distance, so a node's distance is
-	// final when it is expanded.
-	gen.dr[root] = 0
-	gen.rawNodes = append(gen.rawNodes, root)
-	gen.cur = append(gen.cur, root)
-	seenSeed := false
-	d := int32(0)
-	for len(gen.cur) > 0 {
-		for qi := 0; qi < len(gen.cur); qi++ {
-			u := gen.cur[qi]
-			if gen.dr[u] != d || gen.expanded[u] {
-				continue
-			}
-			gen.expanded[u] = true
-			from := g.InFrom(u)
-			pArr := g.InP(u)
-			pbArr := g.InPBoost(u)
-			for i, v := range from {
-				// Every node is expanded at most once and edge (v,u) lives
-				// only in u's in-edge list, so each edge of the possible
-				// world is sampled exactly once per generation — no status
-				// cache is needed for consistency.
-				st := sampleEdge(pArr[i], pbArr[i], r)
-				res.EdgesExamined++
-				if st == esBlocked {
-					continue
-				}
-				dvr := d
-				var b uint8
-				if st == esBoost {
-					dvr++
-					b = 1
-				}
-				if dvr > kGen {
-					continue // pruning: cannot become live with <= k boosts
-				}
-				gen.rawEdges = append(gen.rawEdges, rawEdge{from: v, to: u, boost: b})
-				if dvr < gen.dr[v] {
-					if gen.dr[v] == inf {
-						gen.rawNodes = append(gen.rawNodes, v)
-					}
-					gen.dr[v] = dvr
-					if gen.seedMask[v] {
-						if dvr == 0 {
-							res.Kind = KindActivated
-							return res
-						}
-						seenSeed = true
-						// Seeds terminate paths: never expanded.
-					} else if dvr == d {
-						gen.cur = append(gen.cur, v)
-					} else {
-						gen.next = append(gen.next, v)
-					}
-				}
-			}
-		}
-		gen.cur, gen.next = gen.next, gen.cur[:0]
-		d++
-	}
-	if !seenSeed {
-		res.Kind = KindHopeless
+	res.Kind, res.EdgesExamined = gen.phase1(root, r)
+	if res.Kind != KindBoostable {
 		return res
 	}
-
-	res.Kind = KindBoostable
 	res.RawEdges = len(gen.rawEdges)
 
 	if gen.mode == ModeLB {
@@ -336,16 +262,92 @@ func (gen *Generator) generateInto(a *arena, root int32, r *rng.Source) Result {
 	return res
 }
 
-func sampleEdge(p, pb float64, r *rng.Source) uint8 {
-	u := r.Float64()
-	switch {
-	case u < p:
-		return esLive
-	case u < pb:
-		return esBoost
-	default:
-		return esBlocked
+// phase1 is the backward 0-1 BFS from root (Algorithm 1, phase 1): it
+// samples the possible world lazily, records the non-blocked edges and
+// discovered nodes that can lie on a seed→root path with at most
+// genBudget boosts, and classifies the root. It returns the kind and
+// the number of edges examined. Bucket queues process nodes in
+// nondecreasing boost-distance, so a node's distance is final when it
+// is expanded.
+//
+// Draw order (see lastExpanded): nodes are expanded in bucket-queue
+// order and each expanded node's in-edges in CSR order, and every such
+// edge draws exactly one r.Float64 u — live if u < p, live-upon-boost
+// if p <= u < p', blocked otherwise. Generation stops at the draw that
+// makes a seed live-reach the root.
+func (gen *Generator) phase1(root int32, r *rng.Source) (kind Kind, examined int) {
+	g := gen.g
+	kGen := gen.genBudget()
+	dr, expanded, seedMask := gen.dr, gen.expanded, gen.seedMask
+	rawEdges, rawNodes := gen.rawEdges, gen.rawNodes
+	cur, next := gen.cur, gen.next
+	s0, s1, s2, s3 := r.State()
+
+	dr[root] = 0
+	rawNodes = append(rawNodes, root)
+	cur = append(cur, root)
+	kind = KindHopeless
+	d := int32(0)
+bfs:
+	for len(cur) > 0 {
+		for qi := 0; qi < len(cur); qi++ {
+			u := cur[qi]
+			if dr[u] != d || expanded[u] {
+				continue
+			}
+			expanded[u] = true
+			from := g.InFrom(u)
+			pArr := g.InP(u)
+			pbArr := g.InPBoost(u)
+			for i, v := range from {
+				// Every node is expanded at most once and edge (v,u) lives
+				// only in u's in-edge list, so each edge of the possible
+				// world is sampled exactly once per generation — no status
+				// cache is needed for consistency.
+				var x uint64
+				x, s0, s1, s2, s3 = rng.Step(s0, s1, s2, s3)
+				examined++
+				f := rng.Unit(x)
+				dvr := d
+				var b uint8
+				if f >= pArr[i] {
+					if f >= pbArr[i] {
+						continue // blocked
+					}
+					dvr++
+					b = 1
+				}
+				if dvr > kGen {
+					continue // pruning: cannot become live with <= k boosts
+				}
+				rawEdges = append(rawEdges, rawEdge{from: v, to: u, boost: b})
+				if dvr < dr[v] {
+					if dr[v] == inf {
+						rawNodes = append(rawNodes, v)
+					}
+					dr[v] = dvr
+					if seedMask[v] {
+						if dvr == 0 {
+							kind = KindActivated
+							break bfs
+						}
+						kind = KindBoostable
+						// Seeds terminate paths: never expanded.
+					} else if dvr == d {
+						cur = append(cur, v)
+					} else {
+						next = append(next, v)
+					}
+				}
+			}
+		}
+		cur, next = next, cur[:0]
+		d++
 	}
+	r.SetState(s0, s1, s2, s3)
+	gen.rawEdges, gen.rawNodes = rawEdges, rawNodes
+	gen.cur, gen.next = cur, next
+	return kind, examined
 }
 
 // rawAdj builds forward and backward adjacency over the raw edges in

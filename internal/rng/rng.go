@@ -62,6 +62,34 @@ func (r *Source) Uint64() uint64 {
 	return result
 }
 
+// Step is Uint64 as a pure function: it returns the output x and the
+// advanced state. Hot loops load a Source's state with State, keep it
+// in locals across many draws and store it back with SetState; the
+// draws are exactly those Uint64 would have made, without a memory
+// round trip per draw. (Uint64 keeps its own copy of the recurrence:
+// written through Step it no longer fits the inliner's budget.)
+func Step(s0, s1, s2, s3 uint64) (x, n0, n1, n2, n3 uint64) {
+	x = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = rotl(s3, 45)
+	return x, s0, s1, s2, s3
+}
+
+// State returns the Source's xoshiro state (see Step).
+func (r *Source) State() (s0, s1, s2, s3 uint64) { return r.s0, r.s1, r.s2, r.s3 }
+
+// SetState stores a state advanced by Step back into the Source.
+func (r *Source) SetState(s0, s1, s2, s3 uint64) { r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3 }
+
+// Unit maps 64 random bits to a uniform float64 in [0, 1) exactly as
+// Float64 does.
+func Unit(x uint64) float64 { return float64(x>>11) * (1.0 / (1 << 53)) }
+
 // Split derives a new Source whose stream is statistically independent of
 // the receiver's. The receiver advances by one output.
 func (r *Source) Split() *Source {

@@ -276,3 +276,27 @@ func TestStreamSeedStatelessAndDistinct(t *testing.T) {
 		}
 	}
 }
+
+// Step, State and SetState must reproduce the Source's own stream draw
+// for draw, and Unit must map bits to floats exactly as Float64 does:
+// the samplers that keep the state in locals rely on it to stay
+// bit-identical to the method calls they replaced.
+func TestStepMatchesSource(t *testing.T) {
+	r, local := New(9), New(9)
+	s0, s1, s2, s3 := local.State()
+	for i := 0; i < 1000; i++ {
+		var x uint64
+		x, s0, s1, s2, s3 = Step(s0, s1, s2, s3)
+		if i%2 == 0 {
+			if got := r.Uint64(); got != x {
+				t.Fatalf("draw %d: Step %d, Uint64 %d", i, x, got)
+			}
+		} else if got := r.Float64(); got != Unit(x) {
+			t.Fatalf("draw %d: Unit %v, Float64 %v", i, Unit(x), got)
+		}
+	}
+	local.SetState(s0, s1, s2, s3)
+	if a, b := local.Uint64(), r.Uint64(); a != b {
+		t.Fatalf("stream after SetState: %d, want %d", a, b)
+	}
+}

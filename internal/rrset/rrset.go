@@ -15,6 +15,7 @@ package rrset
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -42,14 +43,29 @@ type Pool struct {
 	scratch []*walker
 }
 
-// walker holds per-worker BFS state.
+// walker holds per-worker BFS state and the worker's output for one
+// Extend: its RR-sets back to back in items, set i ending at ends[i].
 type walker struct {
 	mark  []int32
-	epoch int32
-	queue []int32
+	epoch int32 // kboost:epoch
+	items []int32
+	ends  []int32
 }
 
 func newWalker(n int) *walker { return &walker{mark: make([]int32, n)} }
+
+// nextEpoch advances the visit stamp, clearing mark when the int32
+// epoch would wrap so a stamp from 2³¹ sets ago can never read as
+// current.
+// kboost:epoch-helper
+func (wk *walker) nextEpoch() int32 {
+	if wk.epoch == math.MaxInt32 {
+		clear(wk.mark)
+		wk.epoch = 0
+	}
+	wk.epoch++
+	return wk.epoch
+}
 
 // NewPool returns an empty Pool. workers <= 0 means GOMAXPROCS.
 func NewPool(g *graph.Graph, seed uint64, workers int) *Pool {
@@ -110,7 +126,6 @@ func (p *Pool) ExtendContext(ctx context.Context, target int) error {
 	if need <= 0 {
 		return nil
 	}
-	results := make([][][]int32, p.workers)
 	counts := make([]int, p.workers)
 	base, rem := need/p.workers, need%p.workers
 	for w := 0; w < p.workers; w++ {
@@ -137,7 +152,7 @@ func (p *Pool) ExtendContext(ctx context.Context, target int) error {
 				}
 				r := p.streams[w]
 				wk := p.scratch[w]
-				batch := make([][]int32, 0, counts[w])
+				wk.items, wk.ends = wk.items[:0], wk.ends[:0]
 				for i := 0; i < counts[w]; i++ {
 					if i%cancelStride == 0 && (stop.Load() || ctx.Err() != nil) {
 						errs[w] = ctx.Err()
@@ -145,9 +160,9 @@ func (p *Pool) ExtendContext(ctx context.Context, target int) error {
 						return
 					}
 					root := int32(r.Intn(p.g.N()))
-					batch = append(batch, generate(p.g, root, wk, r))
+					wk.items = generate(p.g, root, wk, wk.items, r)
+					wk.ends = append(wk.ends, int32(len(wk.items)))
 				}
-				results[w] = batch
 			})
 			if err != nil {
 				errs[w] = err
@@ -166,9 +181,14 @@ func (p *Pool) ExtendContext(ctx context.Context, target int) error {
 	if abort != nil {
 		return abort
 	}
-	for _, batch := range results {
-		for _, set := range batch {
-			p.cov.AddSet(set)
+	for w, wk := range p.scratch {
+		if counts[w] == 0 {
+			continue
+		}
+		start := int32(0)
+		for _, end := range wk.ends {
+			p.cov.AddSet(wk.items[start:end])
+			start = end
 		}
 	}
 	return nil
@@ -181,29 +201,49 @@ func (p *Pool) SelectAndCover(k int) ([]int32, int) {
 
 // Generate returns one RR-set rooted at root using r for randomness.
 func Generate(g *graph.Graph, root int32, r *rng.Source) []int32 {
-	return generate(g, root, newWalker(g.N()), r)
+	return generate(g, root, newWalker(g.N()), nil, r)
 }
 
-func generate(g *graph.Graph, root int32, wk *walker, r *rng.Source) []int32 {
-	wk.epoch++
-	wk.queue = wk.queue[:0]
-	wk.mark[root] = wk.epoch
-	wk.queue = append(wk.queue, root)
-	for qi := 0; qi < len(wk.queue); qi++ {
-		v := wk.queue[qi]
+// generate appends the RR-set rooted at root to dst and returns the
+// extended slice; the appended items double as the BFS queue, so the
+// set is emitted without a copy.
+//
+// Draw order: nodes are expanded in BFS order (the root first) and each
+// node's in-edges in CSR order. An edge from a node already in the set
+// draws nothing; any other edge makes one r.Bernoulli call with p,
+// which draws nothing when p is 0 or 1.
+func generate(g *graph.Graph, root int32, wk *walker, dst []int32, r *rng.Source) []int32 {
+	epoch := wk.nextEpoch()
+	mark := wk.mark
+	mark[root] = epoch
+	start := len(dst)
+	dst = append(dst, root)
+	s0, s1, s2, s3 := r.State()
+	for qi := start; qi < len(dst); qi++ {
+		v := dst[qi]
 		from := g.InFrom(v)
 		prob := g.InP(v)
 		for i, u := range from {
-			if wk.mark[u] == wk.epoch {
+			if mark[u] == epoch {
 				continue
 			}
-			if r.Bernoulli(prob[i]) {
-				wk.mark[u] = wk.epoch
-				wk.queue = append(wk.queue, u)
+			p := prob[i]
+			if p <= 0 {
+				continue
 			}
+			if p < 1 {
+				var x uint64
+				x, s0, s1, s2, s3 = rng.Step(s0, s1, s2, s3)
+				if rng.Unit(x) >= p {
+					continue
+				}
+			}
+			mark[u] = epoch
+			dst = append(dst, u)
 		}
 	}
-	return append([]int32(nil), wk.queue...)
+	r.SetState(s0, s1, s2, s3)
+	return dst
 }
 
 // CoverageOf returns how many RR-sets the items cover (the validation
