@@ -5,7 +5,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: all build test race lint bench bench-short bench-gate fuzz-short chaos-short
+.PHONY: all build test race lint bench bench-short bench-gate bench-gate-baseline fuzz-short chaos-short
 
 all: build test
 
@@ -89,24 +89,41 @@ bench-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkEstimateTier' -benchmem -benchtime 1x -short -count=1 ./internal/engine
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineWarmBoost|BenchmarkLTWarmBoost|BenchmarkLTPoolExtend|BenchmarkGraphPatch' -benchmem -benchtime 1x -short -count=1 .
 
-# bench-gate re-runs the cheap warm-path benchmarks at full size, emits
-# BENCH_fresh.json, and fails on a >25% ns/op or allocs_per_op
-# regression against the committed BENCH_select.json baseline. Gated
-# set: the warm selection/estimate paths (the *Short variants exist so
-# every gated benchmark completes >= 20 iterations — the full-size
-# naive references run 1-9 iterations, too noisy to gate) plus the
-# graph-patch repair path and the tiered estimate serves (tier 0 must
-# stay closed-form cheap; the warm tier-2 baseline guards the pool
-# read path). Cold ns/op varies too much across runners to
-# gate on, so BenchmarkGraphPatchRebuild and the full-size warm benches
-# stay informational; alloc counts are exact, so the alloc gate catches
-# an accidental per-call allocation on the warm path even when the
-# runner is noisy. Re-runs use -count=3 and the comparator compares
-# the fastest fresh run against the median baseline run, so neither a
-# scheduler hiccup here nor a lucky baseline can fail the gate — the
-# sub-microsecond cache-hit benchmarks need that headroom. The
-# comparator lives in cmd/benchjson.
+# bench-gate is the paired same-host gate: it exports BASE (default:
+# the merge-base with main) with git archive, compiles the gated
+# benchmarks in both trees, runs them alternately (A/B, B/A, ...) for 5
+# rounds on this host, and fails when the median paired ns/op ratio or
+# the median allocs/op of any gated benchmark regresses by more than
+# 25% (scripts/bench-gate.sh, cmd/benchjson -paired). Pairing makes the
+# gate host-free: both trees run on the same machine at the same
+# GOMAXPROCS, so hardware and shard-count skew cancel. Gated set: the
+# warm selection/estimate paths (the *Short variants exist so every
+# gated benchmark completes >= 20 iterations), the graph-patch repair
+# path and the tiered estimate serves.
+BASE ?= $(shell git merge-base HEAD main 2>/dev/null || git merge-base HEAD origin/main 2>/dev/null || echo HEAD)
+GATE_FILTER := Warm|PatchRepair|EstimateTier
+GATED := \
+	./internal/prr='BenchmarkSelectDeltaWarm' \
+	./internal/lt='BenchmarkLTSelectWarmShort|BenchmarkLTEstimateWarmShort' \
+	./internal/model/sir='BenchmarkSIRSelectWarm|BenchmarkSIREstimateWarm' \
+	./internal/model/kthresh='BenchmarkKThreshSelectWarm|BenchmarkKThreshEstimateWarm' \
+	./internal/engine='BenchmarkEstimateTier' \
+	.='BenchmarkEngineWarmBoost|BenchmarkLTWarmBoostShort|BenchmarkGraphPatchRepair'
+
 bench-gate:
+	GO='$(GO)' bash scripts/bench-gate.sh '$(BASE)' 5 '$(GATE_FILTER)' $(GATED)
+
+# bench-gate-baseline is the earlier file-based gate: it re-runs the
+# gated set, emits BENCH_fresh.json, and compares it against the
+# committed BENCH_select.json. Cold ns/op varies too much across runners
+# to gate on, so BenchmarkGraphPatchRebuild and the full-size warm
+# benches stay informational; alloc counts are exact, so the alloc gate
+# catches an accidental per-call allocation on the warm path even when
+# the runner is noisy. Re-runs use -count=3 and the comparator compares
+# the fastest fresh run against the median baseline run. The baseline
+# carries the skew of the host that recorded it, so this gate is only
+# meaningful on that host; the paired bench-gate is the one CI runs.
+bench-gate-baseline:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkSelectDeltaWarm' -benchmem -count=3 ./internal/prr && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkLTSelectWarmShort|BenchmarkLTEstimateWarmShort' -benchmem -count=3 ./internal/lt && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkSIRSelectWarm|BenchmarkSIREstimateWarm' -benchmem -count=3 ./internal/model/sir && \

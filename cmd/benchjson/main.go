@@ -13,6 +13,11 @@
 //
 //	benchjson -baseline BENCH_select.json -current BENCH_fresh.json \
 //	          -filter 'Warm|PatchRepair' -max-regress 0.25 -max-alloc-regress 0.25
+//
+// With -paired as well, -baseline names a base tree's results recorded
+// next to -current's on the same host, one entry per round, and the
+// gate compares the median per-round ratio (see comparePaired); this is
+// what `make bench-gate` runs.
 package main
 
 import (
@@ -45,14 +50,18 @@ func main() {
 		filter          = fs.String("filter", "", "regexp selecting which benchmarks the compare gate covers")
 		maxRegress      = fs.Float64("max-regress", 0.25, "maximum tolerated fractional ns/op regression")
 		maxAllocRegress = fs.Float64("max-alloc-regress", 0.25, "maximum tolerated fractional allocs/op regression (negative disables the alloc gate)")
+		paired          = fs.Bool("paired", false, "with -baseline: compare per-round pairs of a base tree's results recorded alongside -current")
 	)
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
 	}
 	var err error
-	if *baseline != "" {
+	switch {
+	case *baseline != "" && *paired:
+		err = comparePaired(*baseline, *current, *filter, *maxRegress, *maxAllocRegress, os.Stdout)
+	case *baseline != "":
 		err = compare(*baseline, *current, *filter, *maxRegress, *maxAllocRegress, os.Stdout)
-	} else {
+	default:
 		err = run()
 	}
 	if err != nil {

@@ -194,3 +194,56 @@ func TestCompareGateMedianBaseline(t *testing.T) {
 		t.Fatalf("min-vs-median compare failed: %v", err)
 	}
 }
+
+func TestComparePairedGate(t *testing.T) {
+	dir := t.TempDir()
+	// Five rounds; the host slowed down in round 3 for both sides and
+	// round 5 hiccupped on the current side only.
+	base := writeJSON(t, dir, "base.json", `[
+		{"name": "BenchmarkWarmA-2", "iterations": 10, "ns_per_op": 1000, "allocs_per_op": 4},
+		{"name": "BenchmarkWarmA-2", "iterations": 10, "ns_per_op": 1010, "allocs_per_op": 4},
+		{"name": "BenchmarkWarmA-2", "iterations": 10, "ns_per_op": 2000, "allocs_per_op": 4},
+		{"name": "BenchmarkWarmA-2", "iterations": 10, "ns_per_op": 990, "allocs_per_op": 4},
+		{"name": "BenchmarkWarmA-2", "iterations": 10, "ns_per_op": 1000, "allocs_per_op": 4}
+	]`)
+	ok := writeJSON(t, dir, "ok.json", `[
+		{"name": "BenchmarkWarmA-2", "iterations": 10, "ns_per_op": 1100, "allocs_per_op": 4},
+		{"name": "BenchmarkWarmA-2", "iterations": 10, "ns_per_op": 1050, "allocs_per_op": 4},
+		{"name": "BenchmarkWarmA-2", "iterations": 10, "ns_per_op": 2300, "allocs_per_op": 4},
+		{"name": "BenchmarkWarmA-2", "iterations": 10, "ns_per_op": 1000, "allocs_per_op": 4},
+		{"name": "BenchmarkWarmA-2", "iterations": 10, "ns_per_op": 9000, "allocs_per_op": 4}
+	]`)
+	if err := comparePaired(base, ok, "Warm", 0.25, 0.25, &strings.Builder{}); err != nil {
+		t.Fatalf("within-gate paired compare failed: %v", err)
+	}
+
+	// A steady 30% slowdown fails even though every current run is
+	// faster than the base's slow round 3.
+	slow := writeJSON(t, dir, "slow.json", `[
+		{"name": "BenchmarkWarmA-2", "iterations": 10, "ns_per_op": 1300, "allocs_per_op": 4},
+		{"name": "BenchmarkWarmA-2", "iterations": 10, "ns_per_op": 1313, "allocs_per_op": 4},
+		{"name": "BenchmarkWarmA-2", "iterations": 10, "ns_per_op": 1900, "allocs_per_op": 4},
+		{"name": "BenchmarkWarmA-2", "iterations": 10, "ns_per_op": 1287, "allocs_per_op": 4},
+		{"name": "BenchmarkWarmA-2", "iterations": 10, "ns_per_op": 1300, "allocs_per_op": 4}
+	]`)
+	err := comparePaired(base, slow, "Warm", 0.25, 0.25, &strings.Builder{})
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkWarmA") {
+		t.Fatalf("30%% paired slowdown passed the gate: %v", err)
+	}
+
+	// One extra allocation per op (4 -> 6) fails the alloc gate.
+	allocs := writeJSON(t, dir, "allocs.json", `[
+		{"name": "BenchmarkWarmA-2", "iterations": 10, "ns_per_op": 1000, "allocs_per_op": 6},
+		{"name": "BenchmarkWarmA-2", "iterations": 10, "ns_per_op": 1000, "allocs_per_op": 6},
+		{"name": "BenchmarkWarmA-2", "iterations": 10, "ns_per_op": 2000, "allocs_per_op": 6},
+		{"name": "BenchmarkWarmA-2", "iterations": 10, "ns_per_op": 990, "allocs_per_op": 6},
+		{"name": "BenchmarkWarmA-2", "iterations": 10, "ns_per_op": 1000, "allocs_per_op": 6}
+	]`)
+	if err := comparePaired(base, allocs, "Warm", 0.25, 0.25, &strings.Builder{}); err == nil {
+		t.Fatal("alloc regression passed the paired gate")
+	}
+
+	if err := comparePaired(base, ok, "NoSuchBench", 0.25, 0.25, &strings.Builder{}); err == nil {
+		t.Fatal("empty paired comparison passed the gate")
+	}
+}
