@@ -5,16 +5,16 @@
 #
 #   bash scripts/bench-gate.sh BASE ROUNDS FILTER PKG=REGEX [PKG=REGEX...]
 #
-# BASE is exported with `git archive` into a temporary directory, so it
+# BASE is exported with `git archive` into .bench_build/gate/base, so it
 # must be a committed revision; the working tree is used as it is,
 # uncommitted changes included. Each PKG's test binary is compiled once
-# per tree, then every round runs all binaries on both trees, the tree
-# that goes first alternating from round to round (A/B, B/A, ...). The
-# results go through `benchjson -paired`, which gates the median
-# per-round ns/op ratio and the median allocs/op of every benchmark
-# whose name matches FILTER at 25%. Both trees run at the host's
-# GOMAXPROCS. Raw output is kept in .bench_build/gate/. $GO names the
-# go command (default: go).
+# per tree. Every round then runs each package on both trees back to
+# back, the tree that goes first alternating from round to round (A/B,
+# B/A, ...). `benchjson -paired` gates the median per-round ns/op ratio
+# and the median allocs/op of every benchmark whose name matches FILTER
+# at 25%; the others run but are not compared. Both trees run at the
+# host's GOMAXPROCS. Raw output stays in .bench_build/gate/. $GO names
+# the go command (default: go).
 set -euo pipefail
 GO=${GO:-go}
 
@@ -45,30 +45,31 @@ for i in "${!specs[@]}"; do
 	(cd "$root" && "$GO" test -c -o "$out/cur.$i.test" "$pkg")
 done
 
-# run_tree SIDE DIR runs every package's benchmarks once on one tree,
-# from the package directory as `go test` would.
-run_tree() {
-	local side=$1 dir=$2 i pkg regex
-	for i in "${!specs[@]}"; do
-		pkg=${specs[$i]%%=*}
-		regex=${specs[$i]#*=}
-		(cd "$dir/$pkg" && "$out/$side.$i.test" -test.run '^$' -test.bench "$regex" -test.benchmem -test.count 1) >"$out/last.txt"
-		cat "$out/last.txt" >>"$out/$side.txt"
-		sed -n "s/^Benchmark/$side: Benchmark/p" "$out/last.txt" >&2
-	done
+# run_pkg SIDE DIR I runs package I's benchmarks once on one tree, from
+# the package directory as `go test` would.
+run_pkg() {
+	local side=$1 dir=$2 i=$3
+	local pkg=${specs[$i]%%=*} regex=${specs[$i]#*=}
+	(cd "$dir/$pkg" && "$out/$side.$i.test" -test.run '^$' -test.bench "$regex" -test.benchmem -test.count 1 -test.timeout 30m) >"$out/last.txt"
+	cat "$out/last.txt" >>"$out/$side.txt"
+	sed -n "s/^Benchmark/$side: Benchmark/p" "$out/last.txt" >&2
 }
 
+# Each round runs every package on both trees back to back, so the two
+# runs of a pair are close in time; the tree that goes first alternates.
 : >"$out/base.txt"
 : >"$out/cur.txt"
 for ((round = 1; round <= rounds; round++)); do
 	echo "bench-gate: round $round/$rounds" >&2
-	if ((round % 2 == 1)); then
-		run_tree base "$out/base"
-		run_tree cur "$root"
-	else
-		run_tree cur "$root"
-		run_tree base "$out/base"
-	fi
+	for i in "${!specs[@]}"; do
+		if ((round % 2 == 1)); then
+			run_pkg base "$out/base" "$i"
+			run_pkg cur "$root" "$i"
+		else
+			run_pkg cur "$root" "$i"
+			run_pkg base "$out/base" "$i"
+		fi
+	done
 done
 
 cd "$root"
