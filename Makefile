@@ -92,9 +92,10 @@ bench-short:
 # bench-gate is the paired same-host gate: it exports BASE (default:
 # the merge-base with main) with git archive, compiles the gated
 # benchmarks in both trees, runs them alternately (A/B, B/A, ...) for 5
-# rounds on this host, and fails when the median paired ns/op ratio or
-# the median allocs/op of any gated benchmark regresses by more than
-# 25% (scripts/bench-gate.sh, cmd/benchjson -paired). Pairing makes the
+# rounds on this host, each round keeping the fastest of three runs,
+# and fails when the median paired ns/op ratio or the median allocs/op
+# of any gated benchmark regresses by more than 25%
+# (scripts/bench-gate.sh, cmd/benchjson -paired). Pairing makes the
 # gate host-free: both trees run on the same machine at the same
 # GOMAXPROCS, so hardware and shard-count skew cancel. Gated set: the
 # warm selection/estimate paths (the *Short variants exist so every

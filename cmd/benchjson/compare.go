@@ -216,7 +216,7 @@ func comparePaired(basePath, currentPath, filter string, maxRegress, maxAllocReg
 		}
 		compared++
 		ratio := median(ratios)
-		bAllocs, cAllocs := medianAllocs(b[:n]), medianAllocs(c[:n])
+		bAllocs, cAllocs := medianOf(b[:n], allocsPerOp), medianOf(c[:n], allocsPerOp)
 		status := "ok"
 		if ratio > 1+maxRegress {
 			status = "REGRESSION"
@@ -235,7 +235,7 @@ func comparePaired(basePath, currentPath, filter string, maxRegress, maxAllocReg
 			}
 		}
 		fmt.Fprintf(w, "benchjson: %-50s %12.0f -> %12.0f ns/op  median ratio %.3f (%+6.1f%%, %d rounds)  %4.0f -> %4.0f allocs/op  %s\n",
-			name, medianNs(b[:n]), medianNs(c[:n]), ratio, (ratio-1)*100, len(ratios), bAllocs, cAllocs, status)
+			name, medianOf(b[:n], nsPerOp), medianOf(c[:n], nsPerOp), ratio, (ratio-1)*100, len(ratios), bAllocs, cAllocs, status)
 	}
 	if compared == 0 {
 		return fmt.Errorf("no benchmarks matched filter %q on both sides", filter)
@@ -283,18 +283,14 @@ func median(xs []float64) float64 {
 	return (xs[mid-1] + xs[mid]) / 2
 }
 
-func medianNs(rs []result) float64 {
+// medianOf returns the median of field over rs.
+func medianOf(rs []result, field func(result) float64) float64 {
 	xs := make([]float64, len(rs))
 	for i, r := range rs {
-		xs[i] = r.NsPerOp
+		xs[i] = field(r)
 	}
 	return median(xs)
 }
 
-func medianAllocs(rs []result) float64 {
-	xs := make([]float64, len(rs))
-	for i, r := range rs {
-		xs[i] = r.AllocsPerOp
-	}
-	return median(xs)
-}
+func nsPerOp(r result) float64     { return r.NsPerOp }
+func allocsPerOp(r result) float64 { return r.AllocsPerOp }
