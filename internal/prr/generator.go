@@ -275,23 +275,27 @@ func (gen *Generator) generateInto(a *arena, root int32, r *rng.Source) Result {
 // edge draws exactly one r.Float64 u — live if u < p, live-upon-boost
 // if p <= u < p', blocked otherwise. Generation stops at the draw that
 // makes a seed live-reach the root.
+//
+// The RNG state and the fixed-size scratch stay in locals for the whole
+// BFS. The growing queues and raw-edge lists stay in their fields: they
+// are written only for non-blocked edges, and copying them in and out
+// cost more than it saved on sparse graphs, where most generations
+// expand a handful of nodes.
 func (gen *Generator) phase1(root int32, r *rng.Source) (kind Kind, examined int) {
 	g := gen.g
 	kGen := gen.genBudget()
 	dr, expanded, seedMask := gen.dr, gen.expanded, gen.seedMask
-	rawEdges, rawNodes := gen.rawEdges, gen.rawNodes
-	cur, next := gen.cur, gen.next
 	s0, s1, s2, s3 := r.State()
 
 	dr[root] = 0
-	rawNodes = append(rawNodes, root)
-	cur = append(cur, root)
+	gen.rawNodes = append(gen.rawNodes, root)
+	gen.cur = append(gen.cur, root)
 	kind = KindHopeless
 	d := int32(0)
 bfs:
-	for len(cur) > 0 {
-		for qi := 0; qi < len(cur); qi++ {
-			u := cur[qi]
+	for len(gen.cur) > 0 {
+		for qi := 0; qi < len(gen.cur); qi++ {
+			u := gen.cur[qi]
 			if dr[u] != d || expanded[u] {
 				continue
 			}
@@ -320,10 +324,10 @@ bfs:
 				if dvr > kGen {
 					continue // pruning: cannot become live with <= k boosts
 				}
-				rawEdges = append(rawEdges, rawEdge{from: v, to: u, boost: b})
+				gen.rawEdges = append(gen.rawEdges, rawEdge{from: v, to: u, boost: b})
 				if dvr < dr[v] {
 					if dr[v] == inf {
-						rawNodes = append(rawNodes, v)
+						gen.rawNodes = append(gen.rawNodes, v)
 					}
 					dr[v] = dvr
 					if seedMask[v] {
@@ -334,19 +338,17 @@ bfs:
 						kind = KindBoostable
 						// Seeds terminate paths: never expanded.
 					} else if dvr == d {
-						cur = append(cur, v)
+						gen.cur = append(gen.cur, v)
 					} else {
-						next = append(next, v)
+						gen.next = append(gen.next, v)
 					}
 				}
 			}
 		}
-		cur, next = next, cur[:0]
+		gen.cur, gen.next = gen.next, gen.cur[:0]
 		d++
 	}
 	r.SetState(s0, s1, s2, s3)
-	gen.rawEdges, gen.rawNodes = rawEdges, rawNodes
-	gen.cur, gen.next = cur, next
 	return kind, examined
 }
 
