@@ -73,17 +73,9 @@ func compare(baselinePath, currentPath, filter string, maxRegress, maxAllocRegre
 			regressions = append(regressions, fmt.Sprintf("%s: %.0f -> %.0f ns/op (%+.1f%%)",
 				name, b.NsPerOp, c.NsPerOp, (ratio-1)*100))
 		}
-		if maxAllocRegress >= 0 {
-			switch {
-			case b.AllocsPerOp == 0 && c.AllocsPerOp > 0:
-				status = "REGRESSION"
-				regressions = append(regressions, fmt.Sprintf("%s: 0 -> %.0f allocs/op (was alloc-free)",
-					name, c.AllocsPerOp))
-			case b.AllocsPerOp > 0 && c.AllocsPerOp/b.AllocsPerOp > 1+maxAllocRegress:
-				status = "REGRESSION"
-				regressions = append(regressions, fmt.Sprintf("%s: %.0f -> %.0f allocs/op (%+.1f%%)",
-					name, b.AllocsPerOp, c.AllocsPerOp, (c.AllocsPerOp/b.AllocsPerOp-1)*100))
-			}
+		if msg := allocRegression(name, b.AllocsPerOp, c.AllocsPerOp, maxAllocRegress); msg != "" {
+			status = "REGRESSION"
+			regressions = append(regressions, msg)
 		}
 		fmt.Fprintf(w, "benchjson: %-50s %12.0f -> %12.0f ns/op  %+7.1f%%  %4.0f -> %4.0f allocs/op  %s\n",
 			name, b.NsPerOp, c.NsPerOp, (ratio-1)*100, b.AllocsPerOp, c.AllocsPerOp, status)
@@ -97,6 +89,21 @@ func compare(baselinePath, currentPath, filter string, maxRegress, maxAllocRegre
 	}
 	fmt.Fprintf(w, "benchjson: %d benchmark(s) within the %.0f%% gate\n", compared, maxRegress*100)
 	return nil
+}
+
+// allocRegression describes an allocs/op regression from base to cur
+// beyond maxAllocRegress, or returns "" if there is none. An alloc-free
+// base must stay alloc-free; maxAllocRegress < 0 disables the check.
+func allocRegression(name string, base, cur, maxAllocRegress float64) string {
+	switch {
+	case maxAllocRegress < 0:
+		return ""
+	case base == 0 && cur > 0:
+		return fmt.Sprintf("%s: 0 -> %.0f allocs/op (was alloc-free)", name, cur)
+	case base > 0 && cur/base > 1+maxAllocRegress:
+		return fmt.Sprintf("%s: %.0f -> %.0f allocs/op (%+.1f%%)", name, base, cur, (cur/base-1)*100)
+	}
+	return ""
 }
 
 // loadResults reads a benchjson output file into a map keyed by the
@@ -223,16 +230,9 @@ func comparePaired(basePath, currentPath, filter string, maxRegress, maxAllocReg
 			regressions = append(regressions, fmt.Sprintf("%s: median paired ratio %.3f (%+.1f%%) over %d rounds",
 				name, ratio, (ratio-1)*100, len(ratios)))
 		}
-		if maxAllocRegress >= 0 {
-			switch {
-			case bAllocs == 0 && cAllocs > 0:
-				status = "REGRESSION"
-				regressions = append(regressions, fmt.Sprintf("%s: 0 -> %.0f allocs/op (was alloc-free)", name, cAllocs))
-			case bAllocs > 0 && cAllocs/bAllocs > 1+maxAllocRegress:
-				status = "REGRESSION"
-				regressions = append(regressions, fmt.Sprintf("%s: %.0f -> %.0f allocs/op (%+.1f%%)",
-					name, bAllocs, cAllocs, (cAllocs/bAllocs-1)*100))
-			}
+		if msg := allocRegression(name, bAllocs, cAllocs, maxAllocRegress); msg != "" {
+			status = "REGRESSION"
+			regressions = append(regressions, msg)
 		}
 		fmt.Fprintf(w, "benchjson: %-50s %12.0f -> %12.0f ns/op  median ratio %.3f (%+6.1f%%, %d rounds)  %4.0f -> %4.0f allocs/op  %s\n",
 			name, medianOf(b[:n], nsPerOp), medianOf(c[:n], nsPerOp), ratio, (ratio-1)*100, len(ratios), bAllocs, cAllocs, status)

@@ -42,25 +42,7 @@ func Fig4() (*graph.Graph, []int32) {
 // probabilities 1-(1-p)^2. Suitable for exact enumeration when m <=
 // exact.MaxEdges.
 func RandomGraph(r *rng.Source, n, m int, maxP float64) *graph.Graph {
-	b := graph.NewBuilder(n)
-	seen := make(map[[2]int32]bool)
-	attempts := 0
-	for b.NumEdges() < m && attempts < 50*m {
-		attempts++
-		u := int32(r.Intn(n))
-		v := int32(r.Intn(n))
-		if u == v || seen[[2]int32{u, v}] {
-			continue
-		}
-		seen[[2]int32{u, v}] = true
-		p := r.Float64() * maxP
-		if p == 0 {
-			p = maxP / 2
-		}
-		pb := 1 - (1-p)*(1-p)
-		b.MustAddEdge(u, v, p, pb)
-	}
-	return b.MustBuild()
+	return randomGraph(r, n, m, maxP, false)
 }
 
 // RandomSeedSet picks count distinct seeds from a graph with n nodes.
@@ -97,6 +79,10 @@ func NonSeeds(n int, seeds []int32) []int32 {
 // RandomGraph. Samplers skip the coin for a probability of exactly 0 or
 // 1, so a golden pin over this graph also pins which edges draw.
 func EdgeCaseGraph(r *rng.Source, n, m int, maxP float64) *graph.Graph {
+	return randomGraph(r, n, m, maxP, true)
+}
+
+func randomGraph(r *rng.Source, n, m int, maxP float64, edgeCases bool) *graph.Graph {
 	b := graph.NewBuilder(n)
 	seen := make(map[[2]int32]bool)
 	attempts := 0
@@ -113,15 +99,17 @@ func EdgeCaseGraph(r *rng.Source, n, m int, maxP float64) *graph.Graph {
 			p = maxP / 2
 		}
 		pb := 1 - (1-p)*(1-p)
-		switch b.NumEdges() % 6 {
-		case 0:
-			p, pb = 0, 0
-		case 1:
-			p = 0
-		case 2:
-			p, pb = 1, 1
-		case 3:
-			pb = 1
+		if edgeCases {
+			switch b.NumEdges() % 6 {
+			case 0:
+				p, pb = 0, 0
+			case 1:
+				p = 0
+			case 2:
+				p, pb = 1, 1
+			case 3:
+				pb = 1
+			}
 		}
 		b.MustAddEdge(u, v, p, pb)
 	}
