@@ -26,7 +26,7 @@ type Simulator struct {
 	g *graph.Graph
 
 	mark  []int32 // per-node visit stamp
-	live  []int32 // per out-edge: stamped when live in PairOnce's world (allocated on first use)
+	live  []uint8 // per out-edge: the epoch's low byte when live in PairOnce's world (allocated on first use)
 	epoch int32   // kboost:epoch
 
 	queue []int32
@@ -43,7 +43,11 @@ func NewSimulator(g *graph.Graph) *Simulator {
 // nextEpoch advances the stamp shared by mark and live, clearing both
 // when the int32 epoch would wrap, so a stamp from 2³¹ worlds ago can
 // never read as current. Epochs stay positive: PairOnce's base pass
-// stamps mark with the negated epoch.
+// stamps mark with the negated epoch. live holds only the epoch's low
+// byte, one byte per edge: an epoch whose low byte would be 0 (the
+// cleared value) clears live and is skipped, so live's stamps are
+// distinct within each run of 255 epochs and none outlives it. That
+// costs one clear of M bytes per 255 epochs.
 // kboost:epoch-helper
 func (s *Simulator) nextEpoch() int32 {
 	if s.epoch == math.MaxInt32 {
@@ -52,6 +56,10 @@ func (s *Simulator) nextEpoch() int32 {
 		s.epoch = 0
 	}
 	s.epoch++
+	if uint8(s.epoch) == 0 {
+		clear(s.live)
+		s.epoch++
+	}
 	return s.epoch
 }
 
@@ -136,12 +144,16 @@ func (s *Simulator) SpreadOnce(seeds []int32, boost []bool, r *rng.Source) int {
 // p <= u < p', blocked otherwise. The base pass draws nothing: it only
 // follows the live edges the boosted pass stamped, which cover it
 // because base activation is a subset of boosted activation.
+//
+// The first PairOnce on a Simulator allocates its live flags: one byte
+// per edge, g.M() bytes.
 func (s *Simulator) PairOnce(seeds []int32, boost []bool, r *rng.Source) (base, boosted int) {
 	g := s.g
 	if s.live == nil {
-		s.live = make([]int32, g.M())
+		s.live = make([]uint8, g.M())
 	}
 	epoch := s.nextEpoch()
+	stamp := uint8(epoch)
 	mark, live := s.mark, s.live
 
 	// Pass 1: boosted world, stamping live edges.
@@ -158,7 +170,7 @@ func (s *Simulator) PairOnce(seeds []int32, boost []bool, r *rng.Source) (base, 
 			x, s0, s1, s2, s3 = rng.Step(s0, s1, s2, s3)
 			f := rng.Unit(x)
 			if f < p[i] {
-				live[start+int32(i)] = epoch
+				live[start+int32(i)] = stamp
 			} else if f >= pb[i] || boost == nil || !boost[v] {
 				continue
 			}
@@ -177,7 +189,7 @@ func (s *Simulator) PairOnce(seeds []int32, boost []bool, r *rng.Source) (base, 
 		u := queue[qi]
 		start := g.OutOffset(u)
 		for i, v := range g.OutTo(u) {
-			if mark[v] != -epoch && live[start+int32(i)] == epoch {
+			if mark[v] != -epoch && live[start+int32(i)] == stamp {
 				mark[v] = -epoch
 				queue = append(queue, v)
 			}

@@ -8,13 +8,16 @@ import (
 	"github.com/kboost/kboost/internal/testutil"
 )
 
-// TestSimulatorEpochWrap forces the int32 epoch stamp to wrap and checks
-// that simulation stays correct across the wrap. The Simulator is first
-// run for a few worlds, so mark and live hold stamps 1..5 (and the base
-// pass's negated stamps); without the wrap guard the epoch would either
-// go negative, where the base pass's negated stamps collide, or restart
-// at 1 over those stale stamps, and worlds would silently come out
-// wrong. Every result must equal a fresh Simulator's on the same stream.
+// TestSimulatorEpochWrap forces the Simulator's epoch across both of
+// its wraps and checks that simulation stays correct across each: the
+// int32 wrap at math.MaxInt32, and the rollover of live's one-byte
+// stamps at every epoch whose low byte is 0. The Simulator is first run
+// for a few worlds, so mark and live hold stamps 1..15 (and the base
+// pass's negated stamps); without the wrap guards the epoch would
+// either go negative, where the base pass's negated stamps collide, or
+// restart its stamps at 1 over those stale ones, and worlds would
+// silently come out wrong. Every result must equal a fresh Simulator's
+// on the same stream.
 func TestSimulatorEpochWrap(t *testing.T) {
 	g := testutil.EdgeCaseGraph(rng.New(17), 40, 160, 0.3)
 	seeds := []int32{0, 9}
@@ -26,21 +29,32 @@ func TestSimulatorEpochWrap(t *testing.T) {
 		return world{base, boosted, sim.SpreadOnce(seeds, mask, r), sim.SpreadOnce(seeds, nil, r)}
 	}
 
-	primed := NewSimulator(g)
-	warm := rng.New(99)
-	for i := 0; i < 5; i++ {
-		run(primed, warm)
-	}
-	fresh := NewSimulator(g)
-	primed.epoch = math.MaxInt32 - 3 // the second world's PairOnce wraps
-	rp, rf := rng.New(3), rng.New(3)
-	for i := 0; i < 8; i++ {
-		got, want := run(primed, rp), run(fresh, rf)
-		if got != want {
-			t.Fatalf("world %d across the wrap: %+v, want %+v (epoch=%d)", i, got, want, primed.epoch)
-		}
-	}
-	if primed.epoch <= 0 || primed.epoch > 30 {
-		t.Fatalf("epoch did not wrap to a small positive stamp: %d", primed.epoch)
+	for _, tc := range []struct {
+		name               string
+		start              int32 // the first world ends at the wrap
+		minAfter, maxAfter int32 // bounds on the epoch after 8 worlds
+	}{
+		{"int32", math.MaxInt32 - 3, 1, 30},
+		{"live-byte", 0x300 - 4, 0x300, 0x330},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			primed := NewSimulator(g)
+			warm := rng.New(99)
+			for i := 0; i < 5; i++ {
+				run(primed, warm)
+			}
+			fresh := NewSimulator(g)
+			primed.epoch = tc.start
+			rp, rf := rng.New(3), rng.New(3)
+			for i := 0; i < 8; i++ {
+				got, want := run(primed, rp), run(fresh, rf)
+				if got != want {
+					t.Fatalf("world %d across the wrap: %+v, want %+v (epoch=%d)", i, got, want, primed.epoch)
+				}
+			}
+			if primed.epoch < tc.minAfter || primed.epoch > tc.maxAfter {
+				t.Fatalf("epoch did not wrap into [%d, %d]: %d", tc.minAfter, tc.maxAfter, primed.epoch)
+			}
+		})
 	}
 }

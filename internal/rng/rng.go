@@ -86,8 +86,8 @@ func (r *Source) State() (s0, s1, s2, s3 uint64) { return r.s0, r.s1, r.s2, r.s3
 // SetState stores a state advanced by Step back into the Source.
 func (r *Source) SetState(s0, s1, s2, s3 uint64) { r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3 }
 
-// Unit maps 64 random bits to a uniform float64 in [0, 1) exactly as
-// Float64 does.
+// Unit maps 64 random bits to a uniform float64 in [0, 1); Float64 is
+// Unit of one Uint64 draw.
 func Unit(x uint64) float64 { return float64(x>>11) * (1.0 / (1 << 53)) }
 
 // Split derives a new Source whose stream is statistically independent of
@@ -115,9 +115,7 @@ func (r *Source) ReseedStream(base, index uint64) {
 }
 
 // Float64 returns a uniform float64 in [0, 1).
-func (r *Source) Float64() float64 {
-	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
-}
+func (r *Source) Float64() float64 { return Unit(r.Uint64()) }
 
 // Bernoulli reports true with probability p. p outside [0,1] is clamped.
 func (r *Source) Bernoulli(p float64) bool {
