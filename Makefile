@@ -90,19 +90,20 @@ bench-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineWarmBoost|BenchmarkLTWarmBoost|BenchmarkLTPoolExtend|BenchmarkGraphPatch' -benchmem -benchtime 1x -short -count=1 .
 
 # bench-gate is the paired same-host gate: it exports BASE (default:
-# the merge-base with main) with git archive, compiles the gated
-# benchmarks in both trees, runs them alternately (A/B, B/A, ...) for 5
-# rounds on this host, each round keeping the fastest of three runs,
-# and fails when the median paired ns/op ratio or the median allocs/op
-# of any gated benchmark regresses by more than 25%
-# (scripts/bench-gate.sh, cmd/benchjson -paired). Pairing makes the
-# gate host-free: both trees run on the same machine at the same
-# GOMAXPROCS, so hardware and shard-count skew cancel. Gated set: the
-# warm selection/estimate paths (the *Short variants exist so every
-# gated benchmark completes >= 20 iterations), the graph-patch repair
-# path and the tiered estimate serves.
-BASE ?= $(shell git merge-base HEAD main 2>/dev/null || git merge-base HEAD origin/main 2>/dev/null || echo HEAD)
-GATE_FILTER := Warm|PatchRepair|EstimateTier
+# the merge-base with main, else with origin/main; it is an error when
+# neither resolves) with git archive, compiles the gated benchmarks in
+# both trees, runs them alternately (A/B, B/A, ...) for 5 rounds on
+# this host, each round keeping the fastest of three runs, and fails
+# when the median paired ns/op ratio or the median allocs/op of any
+# gated benchmark regresses by more than 25% (scripts/bench-gate.sh,
+# cmd/benchjson -paired). A BASE that is HEAD with a clean working
+# tree is refused unless spelled BASE=HEAD, the gate's self-test.
+# Pairing makes the gate host-free: both trees run on the same machine
+# at the same GOMAXPROCS, so hardware and shard-count skew cancel.
+# Gated set: the warm selection/estimate paths (the *Short variants
+# exist so every gated benchmark completes >= 20 iterations), the
+# graph-patch repair path and the tiered estimate serves.
+BASE ?= $(shell git merge-base HEAD main 2>/dev/null || git merge-base HEAD origin/main 2>/dev/null)
 GATED := \
 	./internal/prr='BenchmarkSelectDeltaWarm' \
 	./internal/lt='BenchmarkLTSelectWarmShort|BenchmarkLTEstimateWarmShort' \
@@ -112,7 +113,8 @@ GATED := \
 	.='BenchmarkEngineWarmBoost|BenchmarkLTWarmBoostShort|BenchmarkGraphPatchRepair'
 
 bench-gate:
-	GO='$(GO)' bash scripts/bench-gate.sh '$(BASE)' 5 '$(GATE_FILTER)' $(GATED)
+	@test -n '$(BASE)' || { echo 'bench-gate: no merge-base with main or origin/main; pass BASE=<rev>' >&2; exit 2; }
+	GO='$(GO)' bash scripts/bench-gate.sh '$(BASE)' $(GATED)
 
 # bench-gate-baseline is the earlier file-based gate: it re-runs the
 # gated set, emits BENCH_fresh.json, and compares it against the
@@ -125,10 +127,7 @@ bench-gate:
 # carries the skew of the host that recorded it, so this gate is only
 # meaningful on that host; the paired bench-gate is the one CI runs.
 bench-gate-baseline:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkSelectDeltaWarm' -benchmem -count=3 ./internal/prr && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkLTSelectWarmShort|BenchmarkLTEstimateWarmShort' -benchmem -count=3 ./internal/lt && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkSIRSelectWarm|BenchmarkSIREstimateWarm' -benchmem -count=3 ./internal/model/sir && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkKThreshSelectWarm|BenchmarkKThreshEstimateWarm' -benchmem -count=3 ./internal/model/kthresh && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkEstimateTier' -benchmem -count=3 ./internal/engine && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkEngineWarmBoost|BenchmarkLTWarmBoostShort|BenchmarkGraphPatchRepair' -benchmem -count=3 . ; } | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_fresh.json
-	$(GO) run ./cmd/benchjson -baseline BENCH_select.json -current BENCH_fresh.json -filter 'Warm|PatchRepair|EstimateTier' -max-regress 0.25 -max-alloc-regress 0.25
+	for spec in $(GATED); do \
+		$(GO) test -run '^$$' -bench "$${spec#*=}" -benchmem -count=3 "$${spec%%=*}" || exit 1; \
+	done | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_fresh.json
+	$(GO) run ./cmd/benchjson -baseline BENCH_select.json -current BENCH_fresh.json -max-regress 0.25 -max-alloc-regress 0.25

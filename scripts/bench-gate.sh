@@ -3,41 +3,46 @@
 # revision and on the working tree, alternately, and fails when the
 # working tree is slower or allocates more beyond the gate.
 #
-#   bash scripts/bench-gate.sh BASE ROUNDS FILTER PKG=REGEX [PKG=REGEX...]
+#   bash scripts/bench-gate.sh BASE PKG=REGEX [PKG=REGEX...]
 #
 # BASE is exported with `git archive` into .bench_build/gate/base, so it
 # must be a committed revision; the working tree is used as it is,
-# uncommitted changes included. Each PKG's test binary is compiled once
-# per tree. Every round then runs each package on both trees back to
-# back, the tree that goes first alternating from round to round (A/B,
-# B/A, ...); a round's result for a benchmark is the fastest of three
-# runs. `benchjson -paired` gates the median per-round ns/op ratio
-# and the median allocs/op of every benchmark whose name matches FILTER
-# at 25%; the others run but are not compared. Both trees run at the
-# host's GOMAXPROCS. Raw output stays in .bench_build/gate/. $GO names
-# the go command (default: go).
+# uncommitted changes included. A BASE that resolves to HEAD with no
+# tracked changes in the working tree compares a tree with itself, so
+# it is refused unless it is spelled HEAD: `BASE=HEAD` is the gate's
+# self-test. Each PKG's test binary is compiled once per tree. Every
+# one of 5 rounds then runs each package on both trees back to back,
+# the tree that goes first alternating from round to round (A/B, B/A,
+# ...); a round's result for a benchmark is the fastest of three runs.
+# `benchjson -paired` gates the median per-round ns/op ratio and the
+# median allocs/op of every benchmark that ran at 25%. Both trees run
+# at the host's GOMAXPROCS. Raw output stays in .bench_build/gate/.
+# $GO names the go command (default: go).
 set -euo pipefail
 GO=${GO:-go}
+rounds=5
 
-if [ "$#" -lt 4 ]; then
-	echo "usage: $0 BASE ROUNDS FILTER PKG=REGEX..." >&2
+if [ "$#" -lt 2 ]; then
+	echo "usage: $0 BASE PKG=REGEX..." >&2
 	exit 2
 fi
 base_rev=$1
-rounds=$2
-filter=$3
-shift 3
-if [ "$rounds" -lt 5 ]; then
-	echo "bench-gate: need at least 5 rounds, got $rounds" >&2
-	exit 2
-fi
+shift
 
 root="$(git rev-parse --show-toplevel)"
+base_commit=$(git -C "$root" rev-parse --verify "$base_rev^{commit}")
+if [ "$base_commit" = "$(git -C "$root" rev-parse HEAD)" ] && git -C "$root" diff --quiet HEAD; then
+	if [ "$base_rev" != HEAD ]; then
+		echo "bench-gate: BASE $base_rev is HEAD and the working tree has no changes: nothing to compare; pass BASE=<rev>, or BASE=HEAD for the self-test" >&2
+		exit 2
+	fi
+	echo "bench-gate: SELF-TEST: comparing HEAD with itself; this run cannot catch a regression" >&2
+fi
 out="$root/.bench_build/gate"
 rm -rf "$out"
 mkdir -p "$out/base"
-git -C "$root" archive "$(git -C "$root" rev-parse --verify "$base_rev^{commit}")" | tar -x -C "$out/base"
-echo "bench-gate: base $(git -C "$root" rev-parse --short "$base_rev") vs working tree, $rounds rounds" >&2
+git -C "$root" archive "$base_commit" | tar -x -C "$out/base"
+echo "bench-gate: base $(git -C "$root" rev-parse --short "$base_commit") vs working tree, $rounds rounds" >&2
 
 specs=("$@")
 for i in "${!specs[@]}"; do
@@ -84,4 +89,4 @@ cd "$root"
 "$GO" run ./cmd/benchjson <"$out/base.txt" >"$out/base.json"
 "$GO" run ./cmd/benchjson <"$out/cur.txt" >"$out/cur.json"
 "$GO" run ./cmd/benchjson -paired -baseline "$out/base.json" -current "$out/cur.json" \
-	-filter "$filter" -max-regress 0.25 -max-alloc-regress 0.25
+	-max-regress 0.25 -max-alloc-regress 0.25
