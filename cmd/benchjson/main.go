@@ -8,11 +8,12 @@
 //	go test -run '^$' -bench SelectDeltaWarm -benchmem ./internal/prr | benchjson
 //
 // With -baseline it instead compares a fresh JSON file against a
-// committed baseline and fails on ns/op or allocs/op regressions — the
-// CI gate:
+// committed baseline and fails on ns/op or allocs/op regressions of
+// the benchmarks matching -filter (default: all) — `make
+// bench-gate-baseline`:
 //
 //	benchjson -baseline BENCH_select.json -current BENCH_fresh.json \
-//	          -filter 'Warm|PatchRepair' -max-regress 0.25 -max-alloc-regress 0.25
+//	          -max-regress 0.25 -max-alloc-regress 0.25
 //
 // With -paired as well, -baseline names a base tree's results recorded
 // next to -current's on the same host, one entry per round, and the

@@ -100,7 +100,7 @@ func TestCompareGate(t *testing.T) {
 	}
 
 	// The filter is a regexp: an alternation covers disjoint benchmark
-	// families (the Makefile gates on 'Warm|PatchRepair'), and a bad
+	// families (e.g. 'Warm|PatchRepair'), and a bad
 	// pattern is an error rather than a match-nothing pass.
 	err = compare(base, bad, "Warm|ColdC", 0.25, 0.25, &strings.Builder{})
 	if err == nil || !strings.Contains(err.Error(), "ColdC") {

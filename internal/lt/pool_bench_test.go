@@ -107,8 +107,8 @@ func benchLTPoolShort(b *testing.B) *Pool {
 
 // BenchmarkLTSelectWarmShort is the gated counterpart of
 // BenchmarkLTSelectWarm: same incremental-vs-naive comparison, small
-// enough to gate on (`make bench-gate` re-runs every benchmark whose
-// name matches Warm|PatchRepair against BENCH_select.json).
+// enough to gate on (it is in the Makefile's GATED set, which `make
+// bench-gate` runs on both trees and compares).
 func BenchmarkLTSelectWarmShort(b *testing.B) {
 	const k = 4
 	pool := benchLTPoolShort(b)

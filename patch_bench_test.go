@@ -161,8 +161,8 @@ func BenchmarkGraphPatchRepair(b *testing.B) {
 // benchmarks: absorb the same 5% delta by rebuilding the pool from
 // scratch on the patched graph — the only option before the PATCH
 // endpoint existed. Cold build times vary too much across runners to
-// gate on, so this one stays informational (its name deliberately
-// misses the Warm|PatchRepair gate filter).
+// gate on, so this one stays informational (the Makefile's GATED
+// regexes deliberately do not select it).
 func BenchmarkGraphPatchRebuild(b *testing.B) {
 	run := func(b *testing.B, mode string) {
 		g := patchBenchGraph(b, mode)
