@@ -19,9 +19,10 @@ test:
 # graph (shared immutable CSR read from every worker) joined the race
 # matrix alongside the original four concurrent hot paths; the pluggable
 # model pools (lt, sir, kthresh) shard their sampling across workers
-# through the shared profile-pool kernel.
+# through the shared profile-pool kernel, and rrset shards ExtendContext
+# into per-worker flat buffers.
 race:
-	$(GO) test -race ./internal/prr ./internal/diffusion ./internal/engine ./internal/lt ./internal/maxcover ./internal/graph ./internal/model/profile ./internal/model/sir ./internal/model/kthresh
+	$(GO) test -race ./internal/prr ./internal/diffusion ./internal/engine ./internal/lt ./internal/maxcover ./internal/graph ./internal/model/profile ./internal/model/sir ./internal/model/kthresh ./internal/rrset
 
 # lint runs the project's own invariant analyzers (cmd/kboostvet: see
 # internal/analysis) plus staticcheck and govulncheck when they are on

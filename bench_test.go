@@ -7,6 +7,7 @@ package kboost
 // the exp.Config fields when reproducing EXPERIMENTS.md numbers.
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -240,7 +241,9 @@ func BenchmarkAblationCompression(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pool.Extend((i + 1) * 2000)
+		if err := pool.ExtendContext(context.Background(), (i+1)*2000); err != nil {
+			b.Fatal(err)
+		}
 	}
 	st := pool.Stats()
 	b.ReportMetric(st.AvgRawEdges, "rawEdges/graph")
@@ -333,7 +336,9 @@ func BenchmarkAblationWorkers(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				pool.Extend(5000)
+				if err := pool.ExtendContext(context.Background(), 5000); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

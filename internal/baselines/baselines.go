@@ -6,6 +6,7 @@
 package baselines
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -338,7 +339,7 @@ func PageRankBoost(g *graph.Graph, seeds []int32, k int, opt PageRankOptions) []
 // boost set. The paper uses it to demonstrate that good additional
 // seeds are poor boost targets.
 func MoreSeeds(g *graph.Graph, seeds []int32, k int, opt rrset.Options) ([]int32, error) {
-	res, err := rrset.SelectMarginalSeeds(g, seeds, k, opt)
+	res, err := rrset.SelectMarginalSeedsContext(context.Background(), g, seeds, k, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -75,7 +75,7 @@ func TestAdaptiveMatchesIMMQuality(t *testing.T) {
 func TestSelectSeedsAdaptive(t *testing.T) {
 	r := rng.New(9)
 	g := testutil.RandomGraph(r, 30, 80, 0.3)
-	res, err := rrset.SelectSeeds(g, 3, rrset.Options{Seed: 2, Adaptive: true, MaxSamples: 100000})
+	res, err := rrset.SelectSeedsContext(context.Background(), g, 3, rrset.Options{Seed: 2, Adaptive: true, MaxSamples: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}

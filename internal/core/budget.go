@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/kboost/kboost/internal/diffusion"
@@ -66,7 +67,7 @@ func BudgetAllocation(g *graph.Graph, opt BudgetAllocationOptions) ([]MixPoint, 
 			numBoost = g.N() - numSeeds
 		}
 
-		seedRes, err := rrset.SelectSeeds(g, numSeeds, rrset.Options{
+		seedRes, err := rrset.SelectSeedsContext(context.Background(), g, numSeeds, rrset.Options{
 			Epsilon: bo.Epsilon, Ell: bo.Ell, Seed: bo.Seed, Workers: bo.Workers,
 			MaxSamples: bo.MaxSamples,
 		})

@@ -331,7 +331,9 @@ func SandwichRatio(g *graph.Graph, seeds, boost []int32, samples int, opt Option
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	pool.Extend(samples)
+	if err := pool.ExtendContext(context.Background(), samples); err != nil {
+		return 0, 0, 0, err
+	}
 	mu = pool.EstimateMu(boost)
 	delta, err = pool.EstimateDelta(boost)
 	if err != nil {

@@ -142,8 +142,9 @@ func hashName(name string) uint64 {
 
 // InfluentialSeeds mirrors the paper's seed setup (i): the top-count
 // nodes by out-weight as a fast stand-in ordering when an IMM selection
-// is not required. The experiment harness uses rrset.SelectSeeds for the
-// real IMM selection; this helper exists for cheap tests and examples.
+// is not required. The experiment harness uses rrset.SelectSeedsContext
+// for the real IMM selection; this helper exists for cheap tests and
+// examples.
 func InfluentialSeeds(g *graph.Graph, count int) []int32 {
 	type nw struct {
 		node   int32

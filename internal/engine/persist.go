@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -29,7 +30,7 @@ const snapshotTmpTag = ".tmp-"
 // be validated as path-safe (the HTTP layer enforces its name charset
 // before calling this).
 func SaveSnapshot(dir, id string, g *graph.Graph) error {
-	if err := faults.Check(faults.PersistWrite); err != nil {
+	if err := faults.CheckContext(context.Background(), faults.PersistWrite); err != nil {
 		return fmt.Errorf("engine: persisting snapshot %q: %w", id, err)
 	}
 	tmp, err := os.CreateTemp(dir, "."+id+snapshotTmpTag+"*")
@@ -93,7 +94,7 @@ func (e *Engine) LoadSnapshotDir(dir string) (int, error) {
 		return 0, fmt.Errorf("engine: loading snapshot dir: %w", err)
 	}
 	loaded := 0
-	if err := faults.Check(faults.SnapshotLoad); err != nil {
+	if err := faults.CheckContext(context.Background(), faults.SnapshotLoad); err != nil {
 		return 0, fmt.Errorf("engine: loading snapshot dir: %w", err)
 	}
 	for _, entry := range entries {

@@ -10,6 +10,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -217,7 +218,7 @@ func buildInstance(name string, cfg Config) (*instance, error) {
 	}
 	inst := &instance{name: name, g: g}
 	nInf := clampSeeds(g.N(), cfg.InfSeedCount)
-	res, err := rrset.SelectSeeds(g, nInf, rrset.Options{
+	res, err := rrset.SelectSeedsContext(context.Background(), g, nInf, rrset.Options{
 		Epsilon: cfg.Epsilon, Ell: cfg.Ell, Seed: cfg.Seed,
 		Workers: cfg.Workers, MaxSamples: cfg.MaxSamples,
 	})

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -230,7 +231,9 @@ func sandwichRatios(cfg Config, title string, useRandomSeeds bool, betas []float
 				if samples < 2000 {
 					samples = 2000
 				}
-				pool.Extend(samples)
+				if err := pool.ExtendContext(context.Background(), samples); err != nil {
+					return nil, err
+				}
 				r := rng.New(cfg.Seed + 31)
 				sets := perturbSets(res.BoostSet, inst.g.N(), seeds, perturbations, r)
 				for _, b := range sets {

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -27,7 +28,7 @@ func makeTree(n int, numSeeds int, beta float64, seed uint64, cfg Config) (*tree
 	if numSeeds < 1 {
 		numSeeds = 1
 	}
-	res, err := rrset.SelectSeeds(g, numSeeds, rrset.Options{
+	res, err := rrset.SelectSeedsContext(context.Background(), g, numSeeds, rrset.Options{
 		Epsilon: cfg.Epsilon, Ell: cfg.Ell, Seed: seed,
 		Workers: cfg.Workers, MaxSamples: cfg.MaxSamples,
 	})

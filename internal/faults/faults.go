@@ -88,13 +88,10 @@ func Reset() {
 // Enabled reports whether any point is armed.
 func Enabled() bool { return gate.Load() }
 
-// Check applies the fault armed at point, if any. With the gate off it
-// is a single atomic load. See CheckContext for latency semantics.
-func Check(point string) error { return CheckContext(context.Background(), point) }
-
-// CheckContext is Check with cancellation: an injected latency sleep
-// returns early with ctx.Err() if ctx is canceled first, so a canceled
-// request does not serve out an injected stall.
+// CheckContext applies the fault armed at point, if any. With the gate
+// off it is a single atomic load. An injected latency sleep returns
+// early with ctx.Err() if ctx is canceled first, so a canceled request
+// does not serve out an injected stall.
 func CheckContext(ctx context.Context, point string) error {
 	if !gate.Load() {
 		return nil

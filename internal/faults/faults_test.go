@@ -12,7 +12,7 @@ func TestDisarmedIsNil(t *testing.T) {
 	if Enabled() {
 		t.Fatal("gate on with empty table")
 	}
-	if err := Check(PoolBuildShard); err != nil {
+	if err := CheckContext(context.Background(), PoolBuildShard); err != nil {
 		t.Fatalf("disarmed Check returned %v", err)
 	}
 }
@@ -22,11 +22,11 @@ func TestErrorModeAndCount(t *testing.T) {
 	t.Cleanup(Reset)
 	Enable(PersistWrite, Fault{Mode: "error", Count: 2})
 	for i := 0; i < 2; i++ {
-		if err := Check(PersistWrite); !errors.Is(err, ErrInjected) {
+		if err := CheckContext(context.Background(), PersistWrite); !errors.Is(err, ErrInjected) {
 			t.Fatalf("hit %d: got %v, want ErrInjected", i, err)
 		}
 	}
-	if err := Check(PersistWrite); err != nil {
+	if err := CheckContext(context.Background(), PersistWrite); err != nil {
 		t.Fatalf("after count exhausted: got %v", err)
 	}
 	if Enabled() {
@@ -39,7 +39,7 @@ func TestCustomError(t *testing.T) {
 	t.Cleanup(Reset)
 	sentinel := errors.New("boom")
 	Enable(Repair, Fault{Mode: "error", Err: sentinel})
-	if err := Check(Repair); !errors.Is(err, sentinel) {
+	if err := CheckContext(context.Background(), Repair); !errors.Is(err, sentinel) {
 		t.Fatalf("got %v, want sentinel", err)
 	}
 }
@@ -53,7 +53,7 @@ func TestPanicMode(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	_ = Check(SnapshotLoad)
+	_ = CheckContext(context.Background(), SnapshotLoad)
 }
 
 func TestLatencyHonorsContext(t *testing.T) {
@@ -81,13 +81,13 @@ func TestInitFromEnv(t *testing.T) {
 	if err := InitFromEnv("pool.build.shard=latency:1ms;persist.write=error#1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := Check(PoolBuildShard); err != nil {
+	if err := CheckContext(context.Background(), PoolBuildShard); err != nil {
 		t.Fatalf("latency point errored: %v", err)
 	}
-	if err := Check(PersistWrite); !errors.Is(err, ErrInjected) {
+	if err := CheckContext(context.Background(), PersistWrite); !errors.Is(err, ErrInjected) {
 		t.Fatalf("got %v, want ErrInjected", err)
 	}
-	if err := Check(PersistWrite); err != nil {
+	if err := CheckContext(context.Background(), PersistWrite); err != nil {
 		t.Fatalf("count=1 point fired twice: %v", err)
 	}
 	for _, bad := range []string{"nope", "p=frob", "p=latency:xx", "p=error#0"} {

@@ -26,6 +26,12 @@ package lt
 // frontier; and θ > 0, so a boosted node outside a profile's frontier
 // cannot activate there. Estimates therefore walk only the profiles on
 // the boosted nodes' frontier posting lists.
+//
+// Selection is the kernel's lazy greedy (profile.Pool.GreedyBoostContext).
+// LT's part is the gains half of Delta: from the boosted fixed point,
+// each frontier or newly pushed candidate's tentative cascade, rolled
+// back after it, with every push target reported as a touch — any
+// push's weight depends on whether its target is boosted.
 
 import (
 	"context"
@@ -122,6 +128,42 @@ func (p *Pool) EstimateSpread(boost []int32) (float64, error) { return p.kernel.
 // exactly zero for an empty or ineffective boost set, and bit-identical
 // to the estimate GreedyBoost reports for the same boost set.
 func (p *Pool) EstimateBoost(boost []int32) (float64, error) { return p.kernel.EstimateBoost(boost) }
+
+// GreedyBoost greedily selects up to k boost nodes maximizing the
+// pooled LT boost estimate over the candidate pool (see
+// profile.Candidates; candCap < k picks the 4k default). It returns the
+// chosen nodes in pick order and the pooled boost estimate Δ̂ of the
+// chosen set, stopping early when no candidate adds activations in any
+// profile. Like the underlying model it is a heuristic — no
+// approximation guarantee exists for boosted LT — but it returns
+// exactly what the full-resimulation reference greedy would, at a
+// fraction of the simulations (see profile.Pool.GreedyBoostContext).
+// Safe to run concurrently with other read-only pool methods (not with
+// Extend).
+func (p *Pool) GreedyBoost(k, candCap int) ([]int32, float64, error) {
+	return p.GreedyBoostContext(context.Background(), k, candCap)
+}
+
+// GreedyBoostContext is GreedyBoost with cooperative cancellation: ctx
+// is polled once per profile evaluation pass.
+func (p *Pool) GreedyBoostContext(ctx context.Context, k, candCap int) ([]int32, float64, error) {
+	return p.kernel.GreedyBoostContext(ctx, k, candCap)
+}
+
+// GreedyBoostAmong is GreedyBoost over an explicit candidate list
+// instead of the in-weight-ranked default pool: only listed non-seed
+// nodes may be picked. Callers (the engine's tier-0 pre-filter) supply
+// a shortlist from a cheap closed-form ranking; out-of-range ids and
+// seeds are ignored.
+func (p *Pool) GreedyBoostAmong(k int, cands []int32) ([]int32, float64, error) {
+	return p.GreedyBoostAmongContext(context.Background(), k, cands)
+}
+
+// GreedyBoostAmongContext is GreedyBoostAmong with cooperative
+// cancellation (see GreedyBoostContext).
+func (p *Pool) GreedyBoostAmongContext(ctx context.Context, k int, cands []int32) ([]int32, float64, error) {
+	return p.kernel.GreedyBoostAmongContext(ctx, k, cands)
+}
 
 // cascade is boosted-LT diffusion on one graph and seed set.
 type cascade struct {
@@ -234,13 +276,13 @@ func (s *evalScratch) loadState(active, front []int32, frontW []float64) {
 // runCascade drains s.queue, pushing each newly active node's out-edge
 // weights into inactive neighbors and activating those whose
 // accumulated in-weight reaches their threshold. Edges into node t use
-// the boosted probability when inB[t] or t == extra (inB may be nil; a
-// tentatively evaluated CELF candidate is already active when the
-// cascade starts, so pushes into it never occur and it needs no mask
-// entry). Every push and activation is logged so the caller can either
-// roll back (tentative evaluation) or commit and reset. Returns the
-// number of activations (excluding nodes queued by the caller).
-func (c *cascade) runCascade(ps uint64, inB []bool, extra int32, s *evalScratch) int {
+// the boosted probability when inB[t] (inB may be nil; a tentatively
+// evaluated greedy candidate is already active when the cascade starts,
+// so pushes into it never occur and it needs no mask entry). Every push
+// and activation is logged so the caller can either roll back
+// (tentative evaluation) or reset. Returns the number of activations
+// (excluding nodes queued by the caller).
+func (c *cascade) runCascade(ps uint64, inB []bool, s *evalScratch) int {
 	g, norm := c.m.g, c.m.norm
 	activated := 0
 	for qi := 0; qi < len(s.queue); qi++ {
@@ -253,7 +295,7 @@ func (c *cascade) runCascade(ps uint64, inB []bool, extra int32, s *evalScratch)
 				continue
 			}
 			w := pp[i]
-			if (inB != nil && inB[t]) || t == extra {
+			if inB != nil && inB[t] {
 				w = pb[i]
 			}
 			s.pushNode = append(s.pushNode, t)
@@ -295,7 +337,7 @@ func (c *cascade) simulate(ps uint64, inB []bool, s *evalScratch) int {
 		s.actNode = append(s.actNode, v)
 		s.queue = append(s.queue, v)
 	}
-	return len(c.seeds) + c.runCascade(ps, inB, -1, s)
+	return len(c.seeds) + c.runCascade(ps, inB, s)
 }
 
 func (c *cascade) Simulate(ps uint64, mask []bool, s *evalScratch) int {
@@ -337,9 +379,10 @@ func (c *cascade) boostedInWeight(v int32, s *evalScratch) float64 {
 	return w / c.m.norm[v]
 }
 
-// Delta computes the marginal activations of boosting bset ∪ {extra}
-// on one profile, starting from its cached base fixed point.
-func (c *cascade) Delta(pr profile.Profile[float64], bset []int32, mask []bool, extra int32, s *evalScratch) int {
+// Delta computes the marginal activations of boosting bset on one
+// profile, starting from its cached base fixed point, and with gc set
+// reports every candidate's gain over that boosted state.
+func (c *cascade) Delta(pr profile.Profile[float64], bset []int32, mask []bool, gc *profile.Gains, s *evalScratch) int {
 	s.loadState(pr.Active, pr.Front, pr.Pay)
 	// Phase 1: recompute every inactive boosted node's in-weight with
 	// the boosted probabilities, against the *base* active set only —
@@ -349,9 +392,6 @@ func (c *cascade) Delta(pr profile.Profile[float64], bset []int32, mask []bool, 
 		if !s.active[b] {
 			s.pend = append(s.pend, pending{b, c.boostedInWeight(b, s)})
 		}
-	}
-	if extra >= 0 && !s.active[extra] {
-		s.pend = append(s.pend, pending{extra, c.boostedInWeight(extra, s)})
 	}
 	// Phase 2: install the recomputed weights, activate those at
 	// threshold, then run the cascade under the boost mask.
@@ -367,7 +407,36 @@ func (c *cascade) Delta(pr profile.Profile[float64], bset []int32, mask []bool, 
 			delta++
 		}
 	}
-	delta += c.runCascade(pr.Seed, mask, extra, s)
+	delta += c.runCascade(pr.Seed, mask, s)
+	if gc != nil {
+		c.gains(pr.Seed, mask, gc, s)
+	}
 	s.reset()
 	return delta
+}
+
+// gains reports each candidate's marginal activations over the loaded
+// boosted state: its in-weight recomputed under the boosted
+// probabilities, and if that reaches its threshold, a tentative
+// cascade rolled back afterwards. Every push, the boost set's and the
+// candidates', is a touch: its weight depends on the target's boost
+// status.
+func (c *cascade) gains(ps uint64, mask []bool, gc *profile.Gains, s *evalScratch) {
+	for _, t := range s.pushNode {
+		gc.Touch(t)
+	}
+	for _, v := range gc.Candidates() {
+		if s.active[v] || c.boostedInWeight(v, s) < theta(ps, v) {
+			continue
+		}
+		pushMark, actMark := len(s.pushNode), len(s.actNode)
+		s.active[v] = true
+		s.actNode = append(s.actNode, v)
+		s.queue = append(s.queue, v)
+		gc.Add(v, 1+c.runCascade(ps, mask, s))
+		for _, t := range s.pushNode[pushMark:] {
+			gc.Touch(t)
+		}
+		s.rollback(pushMark, actMark)
+	}
 }

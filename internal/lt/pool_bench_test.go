@@ -35,10 +35,10 @@ func benchLTPool(b *testing.B) *Pool {
 }
 
 // BenchmarkLTSelectWarm measures repeat-query selection on an
-// already-built profile pool: the incremental CELF GreedyBoost against
-// the retained full-rescan naive reference (which re-simulates every
-// profile for every candidate each round — the O(cands·k·R) loop the
-// pooled greedy replaces).
+// already-built profile pool: the kernel's lazy-greedy GreedyBoost
+// against the retained full-rescan naive reference (which re-simulates
+// every profile for every candidate each round — the O(cands·k·R) loop
+// the pooled greedy replaces).
 func BenchmarkLTSelectWarm(b *testing.B) {
 	const k = 10
 	pool := benchLTPool(b)

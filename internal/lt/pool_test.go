@@ -1,11 +1,11 @@
 package lt
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
 	"github.com/kboost/kboost/internal/model/profile"
+	"github.com/kboost/kboost/internal/model/profile/profiletest"
 	"github.com/kboost/kboost/internal/rng"
 	"github.com/kboost/kboost/internal/testutil"
 )
@@ -29,8 +29,9 @@ func randomSeedSet(r *rng.Source, n int) []int32 {
 
 // TestPoolGreedyMatchesNaive is the equivalence property test for the
 // pooled selection subsystem: across random pools, k values and
-// interleaved growth, the incremental CELF GreedyBoost must return
-// exactly the picks and estimate of the retained full-rescan reference.
+// interleaved growth, the kernel's lazy-greedy GreedyBoost must
+// return exactly the picks and estimate of the retained full-rescan
+// reference.
 func TestPoolGreedyMatchesNaive(t *testing.T) {
 	r := rng.New(99)
 	for trial := 0; trial < 20; trial++ {
@@ -109,9 +110,9 @@ func TestGreedyBoostAmongMatchesDefault(t *testing.T) {
 // (normally reserved for large batches) and re-checks equivalence with
 // the naive reference.
 func TestPoolGreedyMatchesNaiveParallel(t *testing.T) {
-	oldEval, oldEst := ltReEvalParallelMin, profile.EstimateParallelMin
-	ltReEvalParallelMin, profile.EstimateParallelMin = 1, 1
-	defer func() { ltReEvalParallelMin, profile.EstimateParallelMin = oldEval, oldEst }()
+	oldSel, oldEst := profile.SelectParallelMin, profile.EstimateParallelMin
+	profile.SelectParallelMin, profile.EstimateParallelMin = 1, 1
+	defer func() { profile.SelectParallelMin, profile.EstimateParallelMin = oldSel, oldEst }()
 
 	r := rng.New(55)
 	for trial := 0; trial < 8; trial++ {
@@ -121,16 +122,18 @@ func TestPoolGreedyMatchesNaiveParallel(t *testing.T) {
 			t.Fatal(err)
 		}
 		pool.Extend(600)
-		fast, fastEst, err := pool.GreedyBoost(3, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		slow, slowEst, err := pool.greedyBoostNaive(3, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fastEst != slowEst || fmt.Sprint(fast) != fmt.Sprint(slow) {
-			t.Fatalf("trial %d: parallel %v/%v != naive %v/%v", trial, fast, fastEst, slow, slowEst)
+		for _, k := range []int{3, 5} {
+			fast, fastEst, err := pool.GreedyBoost(k, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slow, slowEst, err := pool.greedyBoostNaive(k, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fastEst != slowEst || fmt.Sprint(fast) != fmt.Sprint(slow) {
+				t.Fatalf("trial %d k=%d: parallel %v/%v != naive %v/%v", trial, k, fast, fastEst, slow, slowEst)
+			}
 		}
 	}
 }
@@ -392,31 +395,32 @@ func TestPoolExtendTinyIncrement(t *testing.T) {
 	}
 }
 
-// TestKernelGreedyMatchesNaive runs the kernel's exhaustive greedy on
-// the LT cascade — the path that evaluates a tentative candidate as
-// Delta's extra node — against the full-resimulation reference. LT
-// serves its own CELF greedy, but the cascade must honor the whole
-// profile.Cascade contract.
-func TestKernelGreedyMatchesNaive(t *testing.T) {
+// TestDeltaGainsContract holds Delta's greedy half to the shared
+// contract oracle (profiletest.CheckGains) on tiny random graphs, with
+// and without impossible, certain and boost-only edges, and random
+// boost sets.
+func TestDeltaGainsContract(t *testing.T) {
 	r := rng.New(61)
-	for trial := 0; trial < 6; trial++ {
-		n := 12 + r.Intn(20)
-		g := testutil.RandomGraph(r, n, n+r.Intn(4*n), 0.5)
-		pool, err := NewPool(g, testutil.RandomSeedSet(r, n, 1+r.Intn(2)), uint64(trial)+9, 1+trial%3)
+	for trial := 0; trial < 40; trial++ {
+		n := 6 + r.Intn(7)
+		graphOf := testutil.RandomGraph
+		if trial%2 == 1 {
+			graphOf = testutil.EdgeCaseGraph
+		}
+		g := graphOf(r, n, 3*n+r.Intn(2*n), 0.8)
+		seeds := testutil.RandomSeedSet(r, n, 1+r.Intn(3))
+		pool, err := NewPool(g, seeds, uint64(trial)+9, 1+trial%3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool.Extend(300)
-		fast, fastEst, err := pool.kernel.GreedyBoostContext(context.Background(), 3, 0)
-		if err != nil {
-			t.Fatal(err)
+		pool.Extend(60)
+		nonSeeds := testutil.NonSeeds(n, seeds)
+		var bset []int32
+		for _, i := range r.Sample(len(nonSeeds), r.Intn(4)) {
+			bset = append(bset, nonSeeds[i])
 		}
-		slow, slowEst, err := pool.greedyBoostNaive(3, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fastEst != slowEst || fmt.Sprint(fast) != fmt.Sprint(slow) {
-			t.Fatalf("trial %d: kernel greedy %v/%v != naive %v/%v", trial, fast, fastEst, slow, slowEst)
+		if err := profiletest.CheckGains(pool.kernel, bset); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
 }

@@ -33,7 +33,7 @@ func benchKTPool(b *testing.B) *Pool {
 }
 
 // BenchmarkKThreshSelectWarm measures repeat-query selection on an
-// already-built contagion pool: the frontier-indexed GreedyBoost
+// already-built contagion pool: the kernel's lazy-greedy GreedyBoost
 // against the retained full-resimulation naive reference.
 func BenchmarkKThreshSelectWarm(b *testing.B) {
 	const k = 4

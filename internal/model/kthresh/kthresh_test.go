@@ -7,6 +7,7 @@ import (
 
 	"github.com/kboost/kboost/internal/graph"
 	"github.com/kboost/kboost/internal/model/profile"
+	"github.com/kboost/kboost/internal/model/profile/profiletest"
 	"github.com/kboost/kboost/internal/rng"
 	"github.com/kboost/kboost/internal/testutil"
 )
@@ -111,9 +112,9 @@ func TestPoolEstimateMatchesNaive(t *testing.T) {
 
 // TestPoolGreedyMatchesNaive is the equivalence property test for the
 // pooled selection subsystem: across random pools, thresholds, k values
-// and interleaved growth, the frontier-indexed GreedyBoost must return
-// exactly the picks and estimate of the retained full-resimulation
-// reference.
+// and interleaved growth, the kernel's lazy-greedy GreedyBoost must
+// return exactly the picks and estimate of the retained
+// full-resimulation reference.
 func TestPoolGreedyMatchesNaive(t *testing.T) {
 	r := rng.New(199)
 	for trial := 0; trial < 12; trial++ {
@@ -383,6 +384,37 @@ func TestEstimateSamplesWorkerInvariance(t *testing.T) {
 	for i, d := range zeroD {
 		if d != 0 {
 			t.Fatalf("sim %d: empty boost produced delta %v", i, d)
+		}
+	}
+}
+
+// TestDeltaGainsContract holds Delta's greedy half to the shared
+// contract oracle (profiletest.CheckGains) on tiny random graphs, with
+// and without impossible, certain and boost-only edges, and random
+// boost sets.
+func TestDeltaGainsContract(t *testing.T) {
+	r := rng.New(261)
+	for trial := 0; trial < 40; trial++ {
+		n := 6 + r.Intn(7)
+		graphOf := testutil.RandomGraph
+		if trial%2 == 1 {
+			graphOf = testutil.EdgeCaseGraph
+		}
+		g := graphOf(r, n, 3*n+r.Intn(2*n), 0.8)
+		seeds := testutil.RandomSeedSet(r, n, 1+r.Intn(3))
+		m := New(thresholds[trial%len(thresholds)])
+		pool, err := m.NewPool(g, seeds, uint64(trial)+9, 1+trial%3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		extend(t, pool, 60)
+		nonSeeds := testutil.NonSeeds(n, seeds)
+		var bset []int32
+		for _, i := range r.Sample(len(nonSeeds), r.Intn(4)) {
+			bset = append(bset, nonSeeds[i])
+		}
+		if err := profiletest.CheckGains(pool.Pool, bset); err != nil {
+			t.Fatalf("trial %d τ=%d: %v", trial, m.Threshold(), err)
 		}
 	}
 }

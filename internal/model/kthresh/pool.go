@@ -12,7 +12,6 @@ package kthresh
 
 import (
 	"math"
-	"sort"
 
 	"github.com/kboost/kboost/internal/graph"
 	"github.com/kboost/kboost/internal/model/profile"
@@ -77,12 +76,14 @@ type cascade struct {
 type evalScratch struct {
 	active []bool
 	cnt    []int32 // usable exposures from active nodes, under evaluation
-	bcnt   []int32 // boost-only exposures (base-world capture only)
+	bcnt   []int32 // boost-only exposures not yet counted in cnt
 	queue  []int32
 
 	loadedAct []int32 // nodes whose active flag was set by Delta's load
 	actNode   []int32 // every activation since load, in order
 	cntNode   []int32 // unique nodes whose cnt/bcnt were written
+	cntLog    []int32 // every cnt increment's node, in order
+	bcntLog   []int32 // every bcnt increment's node, in order
 	front     []int32 // base-world capture: the frontier being collected
 
 	tstamp []int32 // cnt-touch dedup stamps
@@ -134,19 +135,39 @@ func (s *evalScratch) reset() {
 	s.loadedAct = s.loadedAct[:0]
 	s.actNode = s.actNode[:0]
 	s.cntNode = s.cntNode[:0]
+	s.cntLog = s.cntLog[:0]
+	s.bcntLog = s.bcntLog[:0]
 	s.queue = s.queue[:0]
+}
+
+// rollback undoes the count increments and activations past the given
+// log marks.
+func (s *evalScratch) rollback(cntMark, bcntMark, actMark int) {
+	for _, v := range s.cntLog[cntMark:] {
+		s.cnt[v]--
+	}
+	for _, v := range s.bcntLog[bcntMark:] {
+		s.bcnt[v]--
+	}
+	for _, v := range s.actNode[actMark:] {
+		s.active[v] = false
+	}
+	s.cntLog = s.cntLog[:cntMark]
+	s.bcntLog = s.bcntLog[:bcntMark]
+	s.actNode = s.actNode[:actMark]
 }
 
 // runCascade drains s.queue: each newly active node u pushes its
 // out-edges' exposures into inactive targets. An edge counts when its
 // uniform falls below the base probability, or — for targets in the
-// boost set (mask membership or the tentative candidate extra) — below
-// the boosted probability. A target activates when its usable exposure
-// count reaches the model threshold. With collect set (base-world
-// simulation), boost-only exposures of unboosted targets accumulate in
-// bcnt for frontier extraction instead. Returns the number of
-// activations (excluding nodes queued by the caller).
-func (c *cascade) runCascade(ps uint64, mask []bool, extra int32, collect bool, s *evalScratch) int {
+// boost set — below the boosted probability. A target activates when
+// its usable exposure count reaches the model threshold. With collect
+// set (the base world and the greedy's evaluations), a boost-only
+// exposure of an unboosted target goes to bcnt — the frontier's cached
+// boost count, and what boosting that target would add — and every
+// increment is logged for rollback. Returns the number of activations
+// (excluding nodes queued by the caller).
+func (c *cascade) runCascade(ps uint64, mask []bool, collect bool, s *evalScratch) int {
 	g := c.g
 	activated := 0
 	for qi := 0; qi < len(s.queue); qi++ {
@@ -161,21 +182,23 @@ func (c *cascade) runCascade(ps uint64, mask []bool, extra int32, collect bool, 
 			uu := edgeU(ps, u, t)
 			if uu >= pp[i] {
 				// Not live; usable only as a boost-only edge.
-				boosted := (mask != nil && mask[t]) || t == extra
-				if boosted {
-					if uu >= pb[i] {
-						continue
-					}
-				} else {
+				if mask == nil || !mask[t] {
 					if collect && uu < pb[i] {
 						s.markTouched(t)
 						s.bcnt[t]++
+						s.bcntLog = append(s.bcntLog, t)
 					}
+					continue
+				}
+				if uu >= pb[i] {
 					continue
 				}
 			}
 			s.markTouched(t)
 			s.cnt[t]++
+			if collect {
+				s.cntLog = append(s.cntLog, t)
+			}
 			if s.cnt[t] >= c.thresh {
 				s.active[t] = true
 				s.actNode = append(s.actNode, t)
@@ -199,7 +222,7 @@ func (c *cascade) simulate(ps uint64, mask []bool, collect bool, s *evalScratch)
 		s.actNode = append(s.actNode, v)
 		s.queue = append(s.queue, v)
 	}
-	return len(c.seeds) + c.runCascade(ps, mask, -1, collect, s)
+	return len(c.seeds) + c.runCascade(ps, mask, collect, s)
 }
 
 func (c *cascade) Simulate(ps uint64, mask []bool, s *evalScratch) int {
@@ -222,14 +245,16 @@ func (c *cascade) Base(ps uint64, st *profile.Store[exposure], s *evalScratch) {
 	s.reset()
 }
 
-// Delta computes the marginal activations of boosting bset ∪ {extra}
-// on one profile, starting from its cached base fixed point. It loads
-// the base active set and every frontier node's live exposure count,
-// then phase 1 folds each inactive boosted node's cached boost-only
-// exposures into its count (the contributions of base-active
-// in-neighbors, which the cascade will not replay) and activates those
-// at threshold; phase 2 cascades from the activated nodes.
-func (c *cascade) Delta(pr profile.Profile[exposure], bset []int32, mask []bool, extra int32, s *evalScratch) int {
+// Delta computes the marginal activations of boosting bset on one
+// profile, starting from its cached base fixed point. It loads the base
+// active set and every frontier node's exposure counts, then phase 1
+// folds each inactive boosted node's boost-only exposures into its
+// count (the contributions of base-active in-neighbors, which the
+// cascade will not replay) and activates those at threshold; phase 2
+// cascades from the activated nodes. With gc set it then reports each
+// candidate's gain over that state by a tentative cascade, rolled back
+// afterwards; the touch set is every boost-only exposure's target.
+func (c *cascade) Delta(pr profile.Profile[exposure], bset []int32, mask []bool, gc *profile.Gains, s *evalScratch) int {
 	s.bumpTouchEpoch()
 	for _, u := range pr.Active {
 		s.active[u] = true
@@ -237,32 +262,44 @@ func (c *cascade) Delta(pr profile.Profile[exposure], bset []int32, mask []bool,
 	s.loadedAct = append(s.loadedAct, pr.Active...)
 	for j, v := range pr.Front {
 		s.markTouched(v)
-		s.cnt[v] = pr.Pay[j].live
+		s.cnt[v], s.bcnt[v] = pr.Pay[j].live, pr.Pay[j].boost
 	}
 	delta := 0
-	install := func(b int32) {
-		if s.active[b] {
-			return
-		}
-		j := sort.Search(len(pr.Front), func(i int) bool { return pr.Front[i] >= b })
-		if j >= len(pr.Front) || pr.Front[j] != b {
-			return
-		}
-		s.cnt[b] += pr.Pay[j].boost
-		if s.cnt[b] >= c.thresh {
-			s.active[b] = true
-			s.actNode = append(s.actNode, b)
-			s.queue = append(s.queue, b)
+	for _, b := range bset {
+		s.cnt[b], s.bcnt[b] = s.cnt[b]+s.bcnt[b], 0
+		if c.activate(b, 0, s) {
 			delta++
 		}
 	}
-	for _, b := range bset {
-		install(b)
+	delta += c.runCascade(pr.Seed, mask, gc != nil, s)
+	if gc != nil {
+		for _, t := range s.bcntLog {
+			gc.Touch(t)
+		}
+		for _, v := range gc.Candidates() {
+			cntMark, bcntMark, actMark := len(s.cntLog), len(s.bcntLog), len(s.actNode)
+			if !c.activate(v, s.bcnt[v], s) {
+				continue
+			}
+			gc.Add(v, 1+c.runCascade(pr.Seed, mask, true, s))
+			for _, t := range s.bcntLog[bcntMark:] {
+				gc.Touch(t)
+			}
+			s.rollback(cntMark, bcntMark, actMark)
+		}
 	}
-	if extra >= 0 {
-		install(extra)
-	}
-	delta += c.runCascade(pr.Seed, mask, extra, false, s)
 	s.reset()
 	return delta
+}
+
+// activate activates inactive node v, queueing it for the cascade, if
+// its count plus boost more exposures reaches the threshold.
+func (c *cascade) activate(v, boost int32, s *evalScratch) bool {
+	if s.active[v] || s.cnt[v]+boost < c.thresh {
+		return false
+	}
+	s.active[v] = true
+	s.actNode = append(s.actNode, v)
+	s.queue = append(s.queue, v)
+	return true
 }

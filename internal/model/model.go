@@ -10,13 +10,14 @@
 // The engine's snapshot/LRU/result-cache/repair/tier plumbing is
 // written once against these interfaces, and the pools themselves are
 // written once too: the profile-pool kernel (model/profile) owns
-// sampling, storage, the frontier index, estimates, the exhaustive
-// greedy and the tier-1 sample driver. A new model is therefore one
+// sampling, storage, the frontier index, estimates, the lazy greedy
+// and the tier-1 sample driver. A new model is therefore one
 // profile.Cascade implementation — the dynamics of a single sampled
-// world: its base-world capture, its incremental delta and its full
-// simulation — plus a registry entry in New. Three ship here: the
-// boosted Linear Threshold model (internal/lt, which keeps its own CELF
-// selection and in-place repair), boosted SIR (model/sir) and
+// world: its base-world capture, its incremental delta (with each
+// candidate's gain for the greedy) and its full simulation — plus a
+// registry entry in New. Three ship here: the boosted Linear Threshold
+// model (internal/lt, which adds in-place repair), boosted SIR
+// (model/sir) and
 // k-threshold complex contagion (model/kthresh). The IC/PRR family
 // stays outside this contract — PRR pools are k-dependent and carry
 // approximation guarantees (internal/core) it cannot express — but the
@@ -81,7 +82,7 @@ type Pool interface {
 	// the model default); GreedyBoostAmongContext restricts the greedy
 	// to an explicit candidate list (out-of-range ids and seeds are
 	// ignored). Both return the chosen nodes in pick order and the
-	// pooled Δ̂ of the chosen set, and poll ctx once per greedy pick;
+	// pooled Δ̂ of the chosen set, and poll ctx once per evaluation pass;
 	// the pool is read-only during selection so cancellation cannot
 	// corrupt it.
 	GreedyBoostContext(ctx context.Context, k, candCap int) ([]int32, float64, error)

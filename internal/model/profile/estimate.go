@@ -1,9 +1,6 @@
 package profile
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // EstimateParallelMin is the minimum number of affected profiles before
 // an estimate fans out to the pool's workers; a variable so tests can
@@ -61,64 +58,29 @@ func (p *Pool[W, S]) estimateCount(boost []int32) (int64, error) {
 			bset = append(bset, v)
 		}
 	}
-	profs := p.mergeFrontierProfiles(nil, bset)
-	return p.BaseSum() + p.sumDeltas(profs, bset, mask, -1), nil
+	// The affected profiles, ascending: the union of bset's frontier
+	// posting lists, marked in a bitmap.
+	hit, total := make([]bool, len(p.profileSeed)), 0
+	for _, v := range bset {
+		total += len(p.FrontierProfiles(v))
+		for _, pi := range p.FrontierProfiles(v) {
+			hit[pi] = true
+		}
+	}
+	profs := make([]int32, 0, min(total, len(hit)))
+	for pi, h := range hit {
+		if h {
+			profs = append(profs, int32(pi))
+		}
+	}
+	return p.BaseSum() + p.sumDeltas(profs, bset, mask), nil
 }
 
-// mergeFrontierProfiles returns the sorted, deduplicated union of base
-// (already sorted ascending) and the posting lists of each node in
-// vs — the profiles a boost over base's owners plus vs could change.
-func (p *Pool[W, S]) mergeFrontierProfiles(base []int32, vs []int32) []int32 {
-	lists := make([][]int32, 0, len(vs)+1)
-	if len(base) > 0 {
-		lists = append(lists, base)
-	}
-	for _, v := range vs {
-		if pl := p.FrontierProfiles(v); len(pl) > 0 {
-			lists = append(lists, pl)
-		}
-	}
-	return mergeSorted(lists)
-}
-
-// mergeSorted merges sorted int32 lists into a sorted, deduplicated
-// union. The posting lists are short relative to R, so a simple k-way
-// min scan is enough.
-func mergeSorted(lists [][]int32) []int32 {
-	switch len(lists) {
-	case 0:
-		return nil
-	case 1:
-		return lists[0]
-	}
-	var out []int32
-	cur := make([]int, len(lists))
-	for {
-		best := int32(math.MaxInt32)
-		found := false
-		for li, l := range lists {
-			if cur[li] < len(l) && l[cur[li]] < best {
-				best = l[cur[li]]
-				found = true
-			}
-		}
-		if !found {
-			return out
-		}
-		out = append(out, best)
-		for li, l := range lists {
-			for cur[li] < len(l) && l[cur[li]] == best {
-				cur[li]++
-			}
-		}
-	}
-}
-
-// sumDeltas evaluates bset ∪ {extra} incrementally on each listed
-// profile and returns the summed activation deltas, fanning out to the
-// pool's workers for large batches. Deltas are integers summed in any
+// sumDeltas evaluates bset incrementally on each listed profile and
+// returns the summed activation deltas, fanning out to the pool's
+// workers for large batches. Deltas are integers summed in any
 // order, so the result does not depend on the sharding.
-func (p *Pool[W, S]) sumDeltas(profs []int32, bset []int32, mask []bool, extra int32) int64 {
+func (p *Pool[W, S]) sumDeltas(profs []int32, bset []int32, mask []bool) int64 {
 	workers := p.workers
 	if len(profs) < EstimateParallelMin {
 		workers = 1
@@ -129,7 +91,7 @@ func (p *Pool[W, S]) sumDeltas(profs []int32, bset []int32, mask []bool, extra i
 		defer p.PutScratch(s)
 		var sum int64
 		for _, pi := range profs[lo:hi] {
-			sum += int64(p.c.Delta(p.Profile(int(pi)), bset, mask, extra, s))
+			sum += int64(p.c.Delta(p.Profile(int(pi)), bset, mask, nil, s))
 		}
 		sums[w] = sum
 	})

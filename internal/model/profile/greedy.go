@@ -3,10 +3,13 @@ package profile
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 
 	"github.com/kboost/kboost/internal/graph"
+	"github.com/kboost/kboost/internal/maxcover"
 	"github.com/kboost/kboost/internal/rng"
 )
 
@@ -82,25 +85,19 @@ func (p *Pool[W, S]) Eligible(cands []int32) []int32 {
 	return ok
 }
 
-// SelectParallelMin is the minimum number of candidates per greedy
-// round before gain evaluation fans out to the pool's workers; a
-// variable so tests can force the parallel path on small pools.
-var SelectParallelMin = 16
+// SelectParallelMin is the minimum number of profiles in a greedy
+// evaluation pass before it fans out to the pool's workers; a variable
+// so tests can force the parallel path on small pools.
+var SelectParallelMin = 64
 
 // GreedyBoostContext greedily selects up to k boost nodes maximizing
 // the pooled boost estimate over the default candidate pool (see
 // Candidates; candCap < k picks the 4k default). It returns the chosen
 // nodes in pick order and the pooled Δ̂ of the chosen set, stopping
-// early when no candidate adds activations in any profile.
-//
-// The greedy is exhaustive, made cheap by the frontier index: a
-// candidate's delta is nonzero only in profiles where some member of
-// (chosen ∪ {candidate}) sits in the base frontier, so each round
-// evaluates every candidate over the merged posting lists — typically
-// a small fraction of R. Candidates are evaluated in parallel and the
-// argmax (ties toward the smaller id) is applied serially, so results
-// are bit-identical for every worker count and to a full
-// re-simulation greedy. ctx is polled once per round.
+// early when no candidate adds activations in any profile. The picks
+// and Δ̂ are exactly those of a full re-simulation greedy (ties toward
+// the smaller id), bit-identical for every worker count. ctx is polled
+// once per evaluation pass.
 func (p *Pool[W, S]) GreedyBoostContext(ctx context.Context, k, candCap int) ([]int32, float64, error) {
 	if err := p.CheckSelect(k); err != nil {
 		return nil, 0, err
@@ -120,72 +117,272 @@ func (p *Pool[W, S]) GreedyBoostAmongContext(ctx context.Context, k int, cands [
 	return p.greedyBoost(ctx, k, p.Eligible(cands))
 }
 
-// greedyBoost is the exhaustive greedy over a resolved candidate list.
+// gainPair is one candidate's positive marginal gain on one profile.
+type gainPair struct{ v, g int32 }
+
+// Gains is what the greedy asks of Cascade.Delta besides the boost
+// set's activations: on the profile being evaluated, every open
+// candidate's positive marginal gain over the boost set, and the touch
+// set. Boosting a node changes only the edges into it, so a profile's
+// answers can move when the greedy picks x only if x is in the base
+// frontier or the profile's cascades read an edge into x whose outcome
+// depends on x's boost status; the touch set is those nodes outside the
+// base frontier. One Gains serves one worker; its buffers are flat and
+// span every profile of an evaluation pass.
+type Gains struct {
+	open  []bool  // candidates not yet chosen, shared by all workers
+	stamp []int32 // per node: the epoch of the last profile that saw it
+	epoch int32   // kboost:epoch
+	front []int32 // the current profile's base frontier
+	t0    int     // start of the current profile's touch entries
+	pairs []gainPair
+	touch []int32
+	cands []int32
+}
+
+// begin starts a profile whose base frontier is front: frontier nodes
+// are already known to the greedy, so Touch skips them.
+// kboost:epoch-helper
+func (gc *Gains) begin(front []int32) {
+	if gc.epoch == math.MaxInt32 {
+		clear(gc.stamp)
+		gc.epoch = 0
+	}
+	gc.epoch++
+	gc.front, gc.t0 = front, len(gc.touch)
+	for _, v := range front {
+		gc.stamp[v] = gc.epoch
+	}
+}
+
+// Touch records that a cascade on the current profile read an edge into
+// t whose outcome depends on t's boost status.
+func (gc *Gains) Touch(t int32) {
+	if gc.stamp[t] != gc.epoch {
+		gc.stamp[t] = gc.epoch
+		gc.touch = append(gc.touch, t)
+	}
+}
+
+// Candidates returns the open candidates among the current profile's
+// base frontier and the nodes touched so far on it. Called right after
+// the boost set's cascade, these are all the nodes boosting could still
+// activate. The slice is reused by the next call.
+func (gc *Gains) Candidates() []int32 {
+	gc.cands = gc.cands[:0]
+	for _, list := range [2][]int32{gc.front, gc.touch[gc.t0:]} {
+		for _, v := range list {
+			if gc.open[v] {
+				gc.cands = append(gc.cands, v)
+			}
+		}
+	}
+	return gc.cands
+}
+
+// Add records candidate v's positive marginal gain g on the current
+// profile.
+func (gc *Gains) Add(v int32, g int) {
+	gc.pairs = append(gc.pairs, gainPair{v, int32(g)})
+}
+
+// evalProfile runs Delta on profile pi under bset with gc collecting.
+func (p *Pool[W, S]) evalProfile(pi int, bset []int32, mask []bool, gc *Gains, s S) int {
+	pr := p.Profile(pi)
+	gc.begin(pr.Front)
+	return p.c.Delta(pr, bset, mask, gc, s)
+}
+
+// ProfileGains evaluates profile pi under bset (mask marks its
+// members) the way the greedy does and returns bset's activations
+// there, each open candidate's positive marginal gain indexed by node,
+// and the touch set. It serves the contract oracle in profiletest.
+func (p *Pool[W, S]) ProfileGains(pi int, bset []int32, mask, open []bool) (delta int, gains []int, touch []int32) {
+	gc := &Gains{open: open, stamp: make([]int32, len(open))}
+	s := p.Scratch()
+	defer p.PutScratch(s)
+	delta = p.evalProfile(pi, bset, mask, gc, s)
+	gains = make([]int, len(open))
+	for _, e := range gc.pairs {
+		gains[e.v] += int(e.g)
+	}
+	return delta, gains, gc.touch
+}
+
+// greedy is one lazy-greedy selection's state. The boost objective is
+// not submodular, so the greedy keeps an authoritative gain per
+// candidate — the sum of its per-profile gains under the current boost
+// set — and after each pick re-evaluates every profile the pick can
+// change: those with the pick in their base frontier or touch set
+// (see Gains). Every other profile replays bit-identically under the
+// grown boost set. Gains are int32, as maxcover.Heap holds them, so a
+// candidate's pooled gain must stay below 2^31 activations; R·n < 2^31
+// guarantees it.
+type greedy[W, S any] struct {
+	p      *Pool[W, S]
+	bset   []int32 // picks so far
+	mask   []bool  // bset's members
+	open   []bool  // candidates not yet chosen
+	gain   []int32 // authoritative Σ_profiles gain per candidate
+	pushed []int32 // gain of the candidate's latest heap entry
+	h      maxcover.Heap
+
+	// Each profile's pairs from its latest evaluation, for retraction:
+	// pairs[pairOff[pi]:][:pairLen[pi]].
+	pairs            []gainPair
+	pairOff, pairLen []int32
+
+	// Touch postings as linked lists in flat arrays: node t's profiles
+	// are tprof[i] for i = thead[t], tnext[i], ... until -1. A profile
+	// whose touch set later lost t stays listed; that costs one
+	// needless re-evaluation, never a wrong answer.
+	thead, tnext, tprof []int32
+
+	gcs   []*Gains // one per busy worker, from the pool's free list
+	spans []span
+	stamp []int32 // per profile: the pass that last listed it
+	pass  int32
+	aff   []int32
+}
+
+// span locates one profile's evaluation output in its worker's Gains.
+type span struct{ w, p0, p1, t0, t1 int }
+
+// greedyBoost is the lazy greedy over a resolved candidate list.
 func (p *Pool[W, S]) greedyBoost(ctx context.Context, k int, cands []int32) ([]int32, float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
-	chosenMask := make([]bool, p.g.N())
-	var chosen []int32
-	var profsChosen []int32 // sorted union of chosen's posting lists
-	var curDelta int64      // Σ_profiles delta(chosen), integer-exact
-	gains := make([]int64, len(cands))
+	n, R := p.g.N(), len(p.profileSeed)
+	q := &greedy[W, S]{
+		p:       p,
+		mask:    make([]bool, n),
+		open:    make([]bool, n),
+		gain:    make([]int32, n),
+		pushed:  make([]int32, n),
+		pairOff: make([]int32, R),
+		pairLen: make([]int32, R),
+		thead:   make([]int32, n),
+		stamp:   make([]int32, R),
+		gcs:     make([]*Gains, p.workers),
+	}
+	for i := range q.thead {
+		q.thead[i] = -1
+	}
+	defer func() {
+		for _, gc := range q.gcs {
+			if gc != nil {
+				gc.open, gc.front = nil, nil // drop this query's views
+				p.gains.Put(gc)
+			}
+		}
+	}()
+	// Under B = ∅ a candidate can gain only where it is in the base
+	// frontier, so the first pass covers just those profiles.
+	q.pass++
+	for _, v := range cands {
+		q.open[v] = true
+		q.list(p.FrontierProfiles(v))
+	}
+	q.eval()
 
-	for len(chosen) < k {
-		// One poll per round: evalGains dominates a round, so this
-		// bounds cancellation latency to one sweep while costing
-		// nothing measurable on the warm path.
+	var delta int64 // Σ_profiles activations of bset, integer-exact
+	for len(q.bset) < k && q.h.Len() > 0 {
+		top := q.h.PopMax()
+		v := top.Item
+		if !q.open[v] {
+			continue
+		}
+		if top.Gain != q.gain[v] {
+			q.push(v)
+			continue
+		}
 		if err := ctx.Err(); err != nil {
 			return nil, 0, err
 		}
-		p.evalGains(cands, chosen, chosenMask, profsChosen, curDelta, gains)
-		best := int32(-1)
-		var bestGain int64
-		for ci, c := range cands {
-			if chosenMask[c] {
-				continue
-			}
-			if g := gains[ci]; g > 0 && (g > bestGain || (g == bestGain && c < best)) {
-				best, bestGain = c, g
-			}
+		q.bset = append(q.bset, v)
+		q.mask[v], q.open[v] = true, false
+		delta += int64(top.Gain)
+		q.pass++
+		q.list(p.FrontierProfiles(v))
+		for i := q.thead[v]; i >= 0; i = q.tnext[i] {
+			q.list(q.tprof[i : i+1])
 		}
-		if best < 0 {
-			break
-		}
-		chosen = append(chosen, best)
-		chosenMask[best] = true
-		curDelta += bestGain
-		profsChosen = p.mergeFrontierProfiles(profsChosen, []int32{best})
+		q.eval()
 	}
-	return chosen, float64(curDelta) / float64(len(p.profileSeed)), nil
+	return q.bset, float64(delta) / float64(R), nil
 }
 
-// evalGains fills gains[ci] with candidate cands[ci]'s marginal delta
-// over the current chosen set: Σ delta(chosen ∪ {c}) over the merged
-// posting lists, minus the chosen set's own delta. Each candidate is a
-// pure function of (pool, chosen, candidate), so the parallel fan-out
-// cannot change results.
-func (p *Pool[W, S]) evalGains(cands, chosen []int32, chosenMask []bool, profsChosen []int32, curDelta int64, gains []int64) {
+// list adds the given profiles to the current pass, once each.
+func (q *greedy[W, S]) list(pis []int32) {
+	for _, pi := range pis {
+		if q.stamp[pi] != q.pass {
+			q.stamp[pi] = q.pass
+			q.aff = append(q.aff, pi)
+		}
+	}
+}
+
+// push gives candidate v a heap entry at its current gain, if positive.
+func (q *greedy[W, S]) push(v int32) {
+	q.pushed[v] = q.gain[v]
+	if q.gain[v] > 0 {
+		q.h.PushEntry(maxcover.Entry{Item: v, Gain: q.gain[v]})
+	}
+}
+
+// eval re-evaluates the listed profiles under the current boost set,
+// sharded across the pool's workers, then serially swaps each profile's
+// old gains for its new ones and records its touch postings. Each
+// profile's result is a pure function of (profile, boost set), so the
+// sharding cannot change the outcome. A candidate whose gain rose gets
+// a fresh heap entry, which keeps the heap top an upper bound on every
+// open candidate's gain.
+func (q *greedy[W, S]) eval() {
+	p, pis := q.p, q.aff
+	slices.Sort(pis)
 	workers := p.workers
-	if len(cands) < SelectParallelMin {
+	if len(pis) < SelectParallelMin {
 		workers = 1
 	}
-	ForChunks(len(cands), workers, func(_, lo, hi int) {
+	q.spans = slices.Grow(q.spans[:0], len(pis))[:len(pis)]
+	ForChunks(len(pis), workers, func(w, lo, hi int) {
+		if q.gcs[w] == nil {
+			q.gcs[w] = p.gains.Get().(*Gains)
+		}
+		gc := q.gcs[w]
+		gc.open, gc.pairs, gc.touch = q.open, gc.pairs[:0], gc.touch[:0]
 		s := p.Scratch()
 		defer p.PutScratch(s)
-		for ci := lo; ci < hi; ci++ {
-			c := cands[ci]
-			if chosenMask[c] {
-				gains[ci] = 0
-				continue
-			}
-			var sum int64
-			for _, pi := range p.mergeFrontierProfiles(profsChosen, cands[ci:ci+1]) {
-				sum += int64(p.c.Delta(p.Profile(int(pi)), chosen, chosenMask, c, s))
-			}
-			gains[ci] = sum - curDelta
+		for j := lo; j < hi; j++ {
+			p0 := len(gc.pairs)
+			p.evalProfile(int(pis[j]), q.bset, q.mask, gc, s)
+			q.spans[j] = span{w, p0, len(gc.pairs), gc.t0, len(gc.touch)}
 		}
 	})
+	mark := len(q.pairs)
+	for j, pi := range pis {
+		for _, e := range q.pairs[q.pairOff[pi]:][:q.pairLen[pi]] {
+			q.gain[e.v] -= e.g
+		}
+		sp, gc := q.spans[j], q.gcs[q.spans[j].w]
+		q.pairOff[pi], q.pairLen[pi] = int32(len(q.pairs)), int32(sp.p1-sp.p0)
+		q.pairs = append(q.pairs, gc.pairs[sp.p0:sp.p1]...)
+		for _, t := range gc.touch[sp.t0:sp.t1] {
+			q.tprof = append(q.tprof, pi)
+			q.tnext = append(q.tnext, q.thead[t])
+			q.thead[t] = int32(len(q.tprof) - 1)
+		}
+	}
+	for _, e := range q.pairs[mark:] {
+		q.gain[e.v] += e.g
+	}
+	for _, e := range q.pairs[mark:] {
+		if q.gain[e.v] > q.pushed[e.v] {
+			q.push(e.v)
+		}
+	}
+	q.aff = q.aff[:0]
 }
 
 // EstimateSamples is the tier-1 estimator of a pooled model: sims

@@ -10,11 +10,11 @@
 // The kernel owns everything that is layout or scheduling rather than
 // dynamics: drawing profile seeds, the sharded Extend with rollback,
 // the flat CSR storage and its in-order shard merge, the frontier
-// inverted index, the estimates over merged posting lists, the
-// exhaustive greedy selection, the tier-1 sample driver and the layout
-// half of an in-place repair. A model supplies only its Cascade — the
-// dynamics of one profile — which the kernel calls once per profile,
-// never per edge.
+// inverted index, the estimates over merged posting lists, the lazy
+// greedy selection, the tier-1 sample driver and the layout half of an
+// in-place repair. A model supplies only its Cascade — the dynamics of
+// one profile — which the kernel calls once per profile, never per
+// edge.
 //
 // Every pool keeps the repo's hardening contract: contents are a pure
 // function of (seed, graph, seed set) independent of worker count, and
@@ -51,11 +51,15 @@ type Cascade[W, S any] interface {
 	// and the frontier — every inactive node a boost could activate —
 	// with one payload entry per frontier node.
 	Base(ps uint64, st *Store[W], s S)
-	// Delta returns the activations that boosting bset ∪ {extra} adds
-	// to profile pr, evaluated incrementally from its cached base
-	// state (extra < 0 means none). mask marks bset's members but not
-	// extra; bset holds no duplicates and never contains extra.
-	Delta(pr Profile[W], bset []int32, mask []bool, extra int32, s S) int
+	// Delta returns the activations that boosting bset adds to profile
+	// pr, evaluated incrementally from its cached base state; mask
+	// marks bset's members and bset holds no duplicates. With a
+	// non-nil gc (the greedy) it then reports, from the same boosted
+	// state, every gc.Candidates() node's positive marginal gain — a
+	// tentative cascade rolled back after each — and calls gc.Touch for
+	// every push target, in the bset cascade and in each candidate's,
+	// whose edge outcome depends on the target's boost status.
+	Delta(pr Profile[W], bset []int32, mask []bool, gc *Gains, s S) int
 	// Simulate runs the profile seeded by ps from scratch under the
 	// boost mask (nil for none) and returns its active count.
 	Simulate(ps uint64, mask []bool, s S) int
@@ -178,6 +182,7 @@ type Pool[W, S any] struct {
 	generation uint64
 
 	scratch sync.Pool // of S
+	gains   sync.Pool // of *Gains, for the greedy's workers
 }
 
 // New creates an empty pool for (g, seeds) named after its model. seed
@@ -204,6 +209,7 @@ func New[W, S any](name string, g *graph.Graph, seeds []int32, seed uint64, work
 	p.seeds, p.seedMask = dedupSeeds(g.N(), seeds)
 	p.c = mk(p.seeds)
 	p.scratch.New = func() any { return p.c.NewScratch() }
+	p.gains.New = func() any { return &Gains{stamp: make([]int32, g.N())} }
 	return p, nil
 }
 

@@ -34,7 +34,7 @@ func benchSIRPool(b *testing.B) *Pool {
 }
 
 // BenchmarkSIRSelectWarm measures repeat-query selection on an
-// already-built percolation pool: the frontier-indexed GreedyBoost
+// already-built percolation pool: the kernel's lazy-greedy GreedyBoost
 // against the retained full-resimulation naive reference.
 func BenchmarkSIRSelectWarm(b *testing.B) {
 	const k = 4

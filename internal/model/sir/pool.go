@@ -71,7 +71,7 @@ type evalScratch struct {
 
 	loadedAct []int32 // nodes whose active flag was set by Delta's load
 	actNode   []int32 // every activation since load, in order
-	touched   []int32 // boost-only push targets (base-world capture)
+	touched   []int32 // boost-only push targets (frontier, touch set)
 
 	tstamp []int32 // touch-collection / dedup stamps
 	tepoch int32   // kboost:epoch
@@ -112,13 +112,12 @@ func (s *evalScratch) reset() {
 // runCascade drains s.queue: each newly infected node u attempts its
 // out-edges under the profile's percolation draws. An edge transmits
 // when its uniform falls below the base transmissibility q, or — for
-// targets in the boost set (mask membership or the tentative candidate
-// extra) — below the boosted transmissibility q'. With collect set
-// (base-world simulation), boost-only targets that did not activate are
-// logged into s.touched (epoch-deduplicated) for frontier extraction.
-// Returns the number of activations (excluding nodes queued by the
-// caller).
-func (c *cascade) runCascade(ps uint64, mask []bool, extra int32, collect bool, s *evalScratch) int {
+// targets in the boost set — below the boosted transmissibility q'.
+// With collect set, the unboosted targets of boost-only edges (q ≤ U <
+// q') are logged into s.touched, epoch-deduplicated: the base world's
+// frontier candidates, and the greedy's touch set. Returns the number
+// of activations (excluding nodes queued by the caller).
+func (c *cascade) runCascade(ps uint64, mask []bool, collect bool, s *evalScratch) int {
 	g := c.g
 	activated := 0
 	for qi := 0; qi < len(s.queue); qi++ {
@@ -139,7 +138,7 @@ func (c *cascade) runCascade(ps uint64, mask []bool, extra int32, collect bool, 
 				activated++
 				continue
 			}
-			boosted := (mask != nil && mask[t]) || t == extra
+			boosted := mask != nil && mask[t]
 			if (boosted || collect) && uu < transQ(pb[i], d) {
 				if boosted {
 					s.active[t] = true
@@ -167,7 +166,7 @@ func (c *cascade) simulate(ps uint64, mask []bool, collect bool, s *evalScratch)
 		s.actNode = append(s.actNode, v)
 		s.queue = append(s.queue, v)
 	}
-	return len(c.seeds) + c.runCascade(ps, mask, -1, collect, s)
+	return len(c.seeds) + c.runCascade(ps, mask, collect, s)
 }
 
 func (c *cascade) Simulate(ps uint64, mask []bool, s *evalScratch) int {
@@ -192,51 +191,68 @@ func (c *cascade) Base(ps uint64, st *profile.Store[struct{}], s *evalScratch) {
 	s.reset()
 }
 
-// boostActivates reports whether boosting node b activates it against
-// the currently active set: some active in-neighbor's edge transmits at
-// the boosted probability. (A base-active in-neighbor with a *live*
-// edge into inactive b cannot exist — b would be base-active — so the
-// boosted-transmissibility test alone is exact here.)
-func (c *cascade) boostActivates(ps uint64, b int32, s *evalScratch) bool {
-	in := c.g.InFrom(b)
+// activate infects inactive node b, queueing it for the cascade, if
+// boosting it makes some active in-neighbor's edge transmit. (An active
+// in-neighbor with a *live* edge into inactive b cannot exist — the
+// cascade would have infected b — so the boosted-transmissibility test
+// alone is exact here.)
+func (c *cascade) activate(ps uint64, b int32, s *evalScratch) bool {
+	if s.active[b] {
+		return false
+	}
 	pb := c.g.InPBoost(b)
-	for j, u := range in {
-		if !s.active[u] {
-			continue
-		}
-		if edgeU(ps, u, b) < transQ(pb[j], c.m.duration(ps, u)) {
+	for j, u := range c.g.InFrom(b) {
+		if s.active[u] && edgeU(ps, u, b) < transQ(pb[j], c.m.duration(ps, u)) {
+			s.active[b] = true
+			s.actNode = append(s.actNode, b)
+			s.queue = append(s.queue, b)
 			return true
 		}
 	}
 	return false
 }
 
-// Delta computes the marginal infections of boosting bset ∪ {extra} on
-// one profile, starting from its cached base reachability. Phase 1
-// scans each inactive boosted node's in-edges against the base active
-// set (the only sources whose out-attempts the cascade will not
-// replay); phase 2 cascades from the nodes that activated.
-func (c *cascade) Delta(pr profile.Profile[struct{}], bset []int32, mask []bool, extra int32, s *evalScratch) int {
+// Delta computes the marginal infections of boosting bset on one
+// profile, starting from its cached base reachability. Phase 1 scans
+// each inactive boosted node's in-edges against the base active set
+// (the only sources whose out-attempts the cascade will not replay);
+// phase 2 cascades from the nodes that activated. With gc set it then
+// reports each candidate's gain over that state by a tentative cascade,
+// rolled back afterwards; the touch set is every boost-only edge's
+// target.
+func (c *cascade) Delta(pr profile.Profile[struct{}], bset []int32, mask []bool, gc *profile.Gains, s *evalScratch) int {
+	s.bumpTouchEpoch()
 	for _, u := range pr.Active {
 		s.active[u] = true
 	}
 	s.loadedAct = append(s.loadedAct, pr.Active...)
 	delta := 0
-	activate := func(b int32) {
-		if !s.active[b] && c.boostActivates(pr.Seed, b, s) {
-			s.active[b] = true
-			s.actNode = append(s.actNode, b)
-			s.queue = append(s.queue, b)
+	for _, b := range bset {
+		if c.activate(pr.Seed, b, s) {
 			delta++
 		}
 	}
-	for _, b := range bset {
-		activate(b)
+	delta += c.runCascade(pr.Seed, mask, gc != nil, s)
+	if gc != nil {
+		bsetTouched := len(s.touched)
+		for _, t := range s.touched {
+			gc.Touch(t)
+		}
+		for _, v := range gc.Candidates() {
+			mark := len(s.actNode)
+			if !c.activate(pr.Seed, v, s) {
+				continue
+			}
+			gc.Add(v, 1+c.runCascade(pr.Seed, mask, true, s))
+			for _, u := range s.actNode[mark:] {
+				s.active[u] = false
+			}
+			s.actNode = s.actNode[:mark]
+		}
+		for _, t := range s.touched[bsetTouched:] {
+			gc.Touch(t)
+		}
 	}
-	if extra >= 0 {
-		activate(extra)
-	}
-	delta += c.runCascade(pr.Seed, mask, extra, false, s)
 	s.reset()
 	return delta
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/kboost/kboost/internal/model/profile"
+	"github.com/kboost/kboost/internal/model/profile/profiletest"
 	"github.com/kboost/kboost/internal/rng"
 	"github.com/kboost/kboost/internal/testutil"
 )
@@ -82,8 +83,8 @@ func TestPoolEstimateMatchesNaive(t *testing.T) {
 
 // TestPoolGreedyMatchesNaive is the equivalence property test for the
 // pooled selection subsystem: across random pools, recovery values, k
-// values and interleaved growth, the frontier-indexed GreedyBoost must
-// return exactly the picks and estimate of the retained
+// values and interleaved growth, the kernel's lazy-greedy GreedyBoost
+// must return exactly the picks and estimate of the retained
 // full-resimulation reference.
 func TestPoolGreedyMatchesNaive(t *testing.T) {
 	r := rng.New(99)
@@ -380,5 +381,36 @@ func TestRecoveryOneMatchesSingleRound(t *testing.T) {
 	}
 	if q := transQ(0.5, 2); q != 0.75 {
 		t.Fatalf("transQ(0.5,2)=%v, want 0.75", q)
+	}
+}
+
+// TestDeltaGainsContract holds Delta's greedy half to the shared
+// contract oracle (profiletest.CheckGains) on tiny random graphs, with
+// and without impossible, certain and boost-only edges, and random
+// boost sets.
+func TestDeltaGainsContract(t *testing.T) {
+	r := rng.New(161)
+	for trial := 0; trial < 40; trial++ {
+		n := 6 + r.Intn(7)
+		graphOf := testutil.RandomGraph
+		if trial%2 == 1 {
+			graphOf = testutil.EdgeCaseGraph
+		}
+		g := graphOf(r, n, 3*n+r.Intn(2*n), 0.8)
+		seeds := testutil.RandomSeedSet(r, n, 1+r.Intn(3))
+		m := New(recoveries[trial%len(recoveries)])
+		pool, err := m.NewPool(g, seeds, uint64(trial)+9, 1+trial%3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		extend(t, pool, 60)
+		nonSeeds := testutil.NonSeeds(n, seeds)
+		var bset []int32
+		for _, i := range r.Sample(len(nonSeeds), r.Intn(4)) {
+			bset = append(bset, nonSeeds[i])
+		}
+		if err := profiletest.CheckGains(pool.Pool, bset); err != nil {
+			t.Fatalf("trial %d γ=%v: %v", trial, m.Recovery(), err)
+		}
 	}
 }

@@ -162,7 +162,7 @@ func TestArenaPoolMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, target := range targets {
-					pool.Extend(target)
+					extend(t, pool, target)
 				}
 				if uint64(len(targets)) != pool.Generation() {
 					t.Fatalf("trial %d workers %d stage-set %d: generation %d, want %d",
@@ -259,7 +259,7 @@ func TestArenaPoolMatchesReferenceLB(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pool.Extend(800)
+			extend(t, pool, 800)
 			if pool.arena.numGraphs() != len(ref.crits) {
 				t.Fatalf("trial %d workers %d: %d critical sets, reference has %d",
 					trial, workers, pool.arena.numGraphs(), len(ref.crits))

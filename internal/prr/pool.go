@@ -184,7 +184,7 @@ func splitCounts(need, workers int) (counts, offs []int) {
 	return counts, offs
 }
 
-// Extend grows the pool to at least target total PRR-graphs.
+// ExtendContext grows the pool to at least target total PRR-graphs.
 //
 // Sketch i — globally indexed across the pool's lifetime — is always
 // generated from the stateless stream rng.StreamSeed(seed, i), and
@@ -198,18 +198,13 @@ func splitCounts(need, workers int) (counts, offs []int) {
 // Workers generate concurrently into per-shard arenas — including each
 // boostable graph's initial candidate set, computed while the graph is
 // cache-hot — and the shards are merged in deterministic worker order.
-func (p *Pool) Extend(target int) {
-	// Ctx-less compat form; without a cancelable ctx or armed faults the
-	// context variant cannot fail.
-	_ = p.ExtendContext(context.Background(), target)
-}
-
-// ExtendContext is Extend with cooperative cancellation and shard-worker
-// panic containment. On any error — ctx canceled, injected fault, or a
-// worker panic (returned as *panicsafe.Error) — NO shard is merged and
-// the pool is left exactly as it was, so a retried call regenerates the
-// same sketches from the same stateless per-index streams and the final
-// pool is bit-identical to one built without interruption.
+//
+// ExtendContext cancels cooperatively and contains shard-worker panics.
+// On any error — ctx canceled, injected fault, or a worker panic
+// (returned as *panicsafe.Error) — NO shard is merged and the pool is
+// left exactly as it was, so a retried call regenerates the same
+// sketches from the same stateless per-index streams and the final pool
+// is bit-identical to one built without interruption.
 func (p *Pool) ExtendContext(ctx context.Context, target int) error {
 	if err := ctx.Err(); err != nil {
 		return err

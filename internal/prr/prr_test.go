@@ -1,6 +1,7 @@
 package prr
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
@@ -219,7 +220,7 @@ func TestEstimatorUnbiased(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool.Extend(200000)
+		extend(t, pool, 200000)
 		got, err := pool.EstimateDelta(boost)
 		if err != nil {
 			t.Fatal(err)
@@ -289,7 +290,7 @@ func TestMuEstimateLowerBoundsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.Extend(150000)
+	extend(t, pool, 150000)
 	mu := pool.EstimateMu(boost)
 	if mu > want+0.05+0.05*want {
 		t.Fatalf("μ̂=%v exceeds exact Δ=%v", mu, want)
@@ -309,12 +310,12 @@ func TestLBModeMatchesFullModeMu(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full.Extend(120000)
+	extend(t, full, 120000)
 	lb, err := NewPool(g, seeds, 3, ModeLB, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb.Extend(120000)
+	extend(t, lb, 120000)
 
 	muFull := full.EstimateMu(boost)
 	muLB := lb.EstimateMu(boost)
@@ -410,7 +411,7 @@ func TestCompressionPreservesEstimates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.Extend(200000)
+	extend(t, pool, 200000)
 	// Try every subset of size <= k from the first few non-seeds.
 	sets := [][]int32{
 		{nonSeeds[0]},
@@ -442,7 +443,7 @@ func TestPoolStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.Extend(2000)
+	extend(t, pool, 2000)
 	st := pool.Stats()
 	if st.Total != 2000 {
 		t.Fatalf("total %d, want 2000", st.Total)
@@ -463,7 +464,7 @@ func TestSelectDeltaImprovesCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.Extend(5000)
+	extend(t, pool, 5000)
 	chosen, covered, err := pool.SelectDelta(3)
 	if err != nil {
 		t.Fatal(err)
@@ -504,7 +505,7 @@ func TestSelectDeltaRequiresFullMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.Extend(100)
+	extend(t, pool, 100)
 	if _, _, err := pool.SelectDelta(2); err == nil {
 		t.Fatal("SelectDelta worked in LB mode")
 	}
@@ -522,7 +523,7 @@ func TestPoolDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool.Extend(3000)
+		extend(t, pool, 3000)
 		return pool.SelectDelta2(t)
 	}
 	a, ca := run()
@@ -545,4 +546,12 @@ func (p *Pool) SelectDelta2(t *testing.T) ([]int32, int) {
 		t.Fatal(err)
 	}
 	return chosen, covered
+}
+
+// extend grows p to target samples, failing the test on error.
+func extend(tb testing.TB, p *Pool, target int) {
+	tb.Helper()
+	if err := p.ExtendContext(context.Background(), target); err != nil {
+		tb.Fatal(err)
+	}
 }

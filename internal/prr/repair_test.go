@@ -135,7 +135,7 @@ func TestRepairMatchesColdRebuild(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pool.Extend(600)
+				extend(t, pool, 600)
 
 				batches := 1 + tr.Intn(3)
 				for b := 0; b < batches; b++ {
@@ -167,7 +167,7 @@ func TestRepairMatchesColdRebuild(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					cold.Extend(600)
+					extend(t, cold, 600)
 					label := fmt.Sprintf("trial %d mode %d workers %d batch %d (touched %d)",
 						trial, mode, workers, b, touched)
 					samePoolBits(t, label, pool, cold)
@@ -175,8 +175,8 @@ func TestRepairMatchesColdRebuild(t *testing.T) {
 					// Growing a repaired pool must also match growing the
 					// cold one: streams and indices survived the repair.
 					if b == batches-1 {
-						pool.Extend(700)
-						cold.Extend(700)
+						extend(t, pool, 700)
+						extend(t, cold, 700)
 						samePoolBits(t, label+" post-grow", pool, cold)
 					}
 				}
@@ -197,7 +197,7 @@ func TestRepairNoDirtyNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.Extend(300)
+	extend(t, pool, 300)
 	before := pool.Stats()
 	g2, _, err := g.ApplyDelta(&graph.EdgeDelta{})
 	if err != nil {
@@ -228,7 +228,7 @@ func TestRepairFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.Extend(400)
+	extend(t, pool, 400)
 	before := pool.Stats()
 	gen := pool.Generation()
 
@@ -271,7 +271,7 @@ func TestRepairRejectsNodeCountChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.Extend(50)
+	extend(t, pool, 50)
 	if _, _, err := pool.Repair(g2, make([]bool, g2.N()), 1.0); err == nil {
 		t.Fatal("Repair accepted a node-count change")
 	}

@@ -17,7 +17,7 @@ import (
 
 // deltaIndex is the persistent selection state for a ModeFull pool. It
 // is owned by the Pool and mutated only by extendIndex (called from
-// Pool.Extend); SelectDelta treats it as read-only, so concurrent
+// Pool.ExtendContext); SelectDelta treats it as read-only, so concurrent
 // selections may share it.
 //
 // Both mappings are stored flat (CSR-style) rather than as [][]int32:

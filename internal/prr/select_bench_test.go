@@ -31,7 +31,7 @@ func benchPool(b *testing.B, k int) *Pool {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool.Extend(samples)
+	extend(b, pool, samples)
 	return pool
 }
 
@@ -89,7 +89,7 @@ func BenchmarkExtendIncremental(b *testing.B) {
 				b.Fatal(err)
 			}
 			for s := 1; s <= steps; s++ {
-				pool.Extend(total * s / steps)
+				extend(b, pool, total*s/steps)
 			}
 		}
 	}
@@ -122,7 +122,7 @@ func BenchmarkPoolBuildCold(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pool.Extend(samples)
+		extend(b, pool, samples)
 	}
 }
 

@@ -42,7 +42,7 @@ func TestSelectDeltaMatchesNaive(t *testing.T) {
 		target := 0
 		for stage := 0; stage < 3; stage++ {
 			target += 300 + r.Intn(1200)
-			pool.Extend(target)
+			extend(t, pool, target)
 			for k := 1; k <= kGen; k++ {
 				fast, fastCov, err := pool.SelectDelta(k)
 				if err != nil {
@@ -76,7 +76,7 @@ func TestSelectDeltaMatchesNaiveParallelReEval(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool.Extend(2000)
+		extend(t, pool, 2000)
 		fast, fastCov, err := pool.SelectDelta(3)
 		if err != nil {
 			t.Fatal(err)
@@ -103,7 +103,7 @@ func TestSelectDeltaAmongFullSetMatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool.Extend(1500)
+		extend(t, pool, 1500)
 		want, wantCov, err := pool.SelectDelta(3)
 		if err != nil {
 			t.Fatal(err)
@@ -146,7 +146,7 @@ func TestSelectDeltaRepeatable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.Extend(4000)
+	extend(t, pool, 4000)
 	first, firstCov, err := pool.SelectDelta(3)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestDeltaIndexMatchesRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, target := range []int{500, 1300, 2600} {
-		pool.Extend(target)
+		extend(t, pool, target)
 		// From-scratch rebuild over the full arena. Independently verify
 		// the candidate contract first: each graph's indexed candidate set
 		// must equal its Candidates(∅) output (sorted — the critical set).
@@ -215,7 +215,7 @@ func TestGenerationAdvances(t *testing.T) {
 	if pool.Generation() != 0 {
 		t.Fatalf("fresh pool generation %d, want 0", pool.Generation())
 	}
-	pool.Extend(200)
+	extend(t, pool, 200)
 	gen := pool.Generation()
 	if gen == 0 {
 		t.Fatal("Extend did not bump generation")
@@ -226,7 +226,7 @@ func TestGenerationAdvances(t *testing.T) {
 	if pool.Generation() != gen {
 		t.Fatal("selection changed the generation")
 	}
-	pool.Extend(100) // no-op: target below current size
+	extend(t, pool, 100) // no-op: target below current size
 	if pool.Generation() != gen {
 		t.Fatal("no-op Extend bumped the generation")
 	}

@@ -44,12 +44,12 @@ func goldenRRTranscript(t *testing.T, workers int) string {
 	fmt.Fprintf(&b, "select %v %v coverage %d\n", set, cov, pool.CoverageOf([]int32{1, 2, 3}))
 
 	opt := Options{Seed: 19, Workers: workers, MaxSamples: 3000}
-	res, err := SelectSeeds(g, 4, opt)
+	res, err := SelectSeedsContext(context.Background(), g, 4, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fmt.Fprintf(&b, "seeds %+v\n", res)
-	res, err = SelectMarginalSeeds(g, []int32{0, 9}, 3, opt)
+	res, err = SelectMarginalSeedsContext(context.Background(), g, []int32{0, 9}, 3, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

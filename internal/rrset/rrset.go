@@ -105,16 +105,9 @@ func (p *Pool) PreCover(nodes []int32) {
 // Size returns the number of RR-sets generated.
 func (p *Pool) Size() int { return p.cov.NumSets() }
 
-// Extend grows the pool to at least target RR-sets.
-func (p *Pool) Extend(target int) {
-	// Ctx-less compat form; without a cancelable ctx or armed faults the
-	// context variant cannot fail.
-	_ = p.ExtendContext(context.Background(), target)
-}
-
-// ExtendContext is Extend with cooperative cancellation and shard-worker
-// panic containment: on any error no batch is merged and the error is
-// returned. Unlike the cached pool families, an aborted rrset Extend
+// ExtendContext grows the pool to at least target RR-sets, with
+// cooperative cancellation and shard-worker panic containment: on any
+// error no batch is merged and the error is returned. Unlike the cached pool families, an aborted rrset Extend
 // does not roll back its worker streams — rrset pools are per-request
 // and are discarded wholesale on failure, so a retry reconstructs the
 // pool from its seed and remains bit-identical.
@@ -289,14 +282,10 @@ type Result struct {
 	Samples      int
 }
 
-// SelectSeeds runs IMM influence maximization and returns k seeds with a
-// (1-1/e-ε) approximation guarantee (with probability 1-1/n^ℓ).
-func SelectSeeds(g *graph.Graph, k int, opt Options) (Result, error) {
-	return SelectSeedsContext(context.Background(), g, k, opt)
-}
-
-// SelectSeedsContext is SelectSeeds with cooperative cancellation
-// threaded through the sampling loop, IMM and adaptive alike.
+// SelectSeedsContext runs IMM influence maximization and returns k
+// seeds with a (1-1/e-ε) approximation guarantee (with probability
+// 1-1/n^ℓ). ctx is threaded through the sampling loop, IMM and adaptive
+// alike.
 func SelectSeedsContext(ctx context.Context, g *graph.Graph, k int, opt Options) (Result, error) {
 	opt = opt.withDefaults()
 	if k < 1 || k > g.N() {
@@ -331,16 +320,10 @@ func SelectSeedsContext(ctx context.Context, g *graph.Graph, k int, opt Options)
 	}, nil
 }
 
-// SelectMarginalSeeds greedily selects k additional seeds maximizing the
-// marginal influence over the fixed set have. This is the paper's
-// MoreSeeds baseline: the IMM machinery re-targeted at marginal
-// coverage.
-func SelectMarginalSeeds(g *graph.Graph, have []int32, k int, opt Options) (Result, error) {
-	return SelectMarginalSeedsContext(context.Background(), g, have, k, opt)
-}
-
-// SelectMarginalSeedsContext is SelectMarginalSeeds with cooperative
-// cancellation threaded through the IMM sampling loop.
+// SelectMarginalSeedsContext greedily selects k additional seeds
+// maximizing the marginal influence over the fixed set have. This is
+// the paper's MoreSeeds baseline: the IMM machinery re-targeted at
+// marginal coverage. ctx is threaded through the IMM sampling loop.
 func SelectMarginalSeedsContext(ctx context.Context, g *graph.Graph, have []int32, k int, opt Options) (Result, error) {
 	opt = opt.withDefaults()
 	if k < 1 || k > g.N() {

@@ -1,6 +1,7 @@
 package rrset
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -71,7 +72,7 @@ func TestSelectSeedsStar(t *testing.T) {
 		b.MustAddEdge(0, leaf, 1, 1)
 	}
 	g := b.MustBuild()
-	res, err := SelectSeeds(g, 1, Options{Seed: 3})
+	res, err := SelectSeedsContext(context.Background(), g, 1, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestSelectSeedsStar(t *testing.T) {
 func TestSelectSeedsReturnsExactlyK(t *testing.T) {
 	r := rng.New(11)
 	g := testutil.RandomGraph(r, 30, 40, 0.1)
-	res, err := SelectSeeds(g, 5, Options{Seed: 3, MaxSamples: 20000})
+	res, err := SelectSeedsContext(context.Background(), g, 5, Options{Seed: 3, MaxSamples: 20000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +106,10 @@ func TestSelectSeedsReturnsExactlyK(t *testing.T) {
 func TestSelectSeedsValidation(t *testing.T) {
 	r := rng.New(12)
 	g := testutil.RandomGraph(r, 10, 15, 0.3)
-	if _, err := SelectSeeds(g, 0, Options{}); err == nil {
+	if _, err := SelectSeedsContext(context.Background(), g, 0, Options{}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := SelectSeeds(g, 11, Options{}); err == nil {
+	if _, err := SelectSeedsContext(context.Background(), g, 11, Options{}); err == nil {
 		t.Fatal("k>n accepted")
 	}
 }
@@ -127,7 +128,7 @@ func TestSelectMarginalSeeds(t *testing.T) {
 		b.MustAddEdge(6, leaf, 1, 1)
 	}
 	g := b.MustBuild()
-	res, err := SelectMarginalSeeds(g, []int32{0}, 1, Options{Seed: 5})
+	res, err := SelectMarginalSeedsContext(context.Background(), g, []int32{0}, 1, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestSelectMarginalSeedsBansExisting(t *testing.T) {
 	r := rng.New(13)
 	g := testutil.RandomGraph(r, 15, 30, 0.5)
 	have := []int32{0, 1, 2}
-	res, err := SelectMarginalSeeds(g, have, 4, Options{Seed: 5, MaxSamples: 20000})
+	res, err := SelectMarginalSeedsContext(context.Background(), g, have, 4, Options{Seed: 5, MaxSamples: 20000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestPoolDeterminism(t *testing.T) {
 	r := rng.New(14)
 	g := testutil.RandomGraph(r, 20, 40, 0.4)
 	run := func() []int32 {
-		res, err := SelectSeeds(g, 3, Options{Seed: 77, Workers: 2, MaxSamples: 10000})
+		res, err := SelectSeedsContext(context.Background(), g, 3, Options{Seed: 77, Workers: 2, MaxSamples: 10000})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -108,6 +108,7 @@
 package kboost
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -393,7 +394,7 @@ type SeedResult = rrset.Result
 // SelectSeeds runs RR-set/IMM influence maximization: k seeds with a
 // (1-1/e-ε) guarantee with probability 1-1/n^ℓ.
 func SelectSeeds(g *Graph, k int, opt SeedOptions) (SeedResult, error) {
-	return rrset.SelectSeeds(g, k, opt)
+	return rrset.SelectSeedsContext(context.Background(), g, k, opt)
 }
 
 // --- baselines ---
