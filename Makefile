@@ -89,6 +89,8 @@ bench-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkKThreshSelectWarm|BenchmarkKThreshEstimateWarm' -benchmem -benchtime 1x -short -count=1 ./internal/model/kthresh
 	$(GO) test -run '^$$' -bench 'BenchmarkEstimateTier' -benchmem -benchtime 1x -short -count=1 ./internal/engine
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineWarmBoost|BenchmarkLTWarmBoost|BenchmarkLTPoolExtend|BenchmarkGraphPatch' -benchmem -benchtime 1x -short -count=1 .
+	$(GO) test -run '^$$' -bench 'BenchmarkCandidates' -benchmem -benchtime 1x -short -count=1 ./internal/model/profile
+	$(GO) test -run '^$$' -bench 'BenchmarkApplyDelta' -benchmem -benchtime 1x -short -count=1 ./internal/graph
 
 # bench-gate is the paired same-host gate: it exports BASE (default:
 # the merge-base with main, else with origin/main; it is an error when
@@ -103,7 +105,9 @@ bench-short:
 # at the same GOMAXPROCS, so hardware and shard-count skew cancel.
 # Gated set: the warm selection/estimate paths (the *Short variants
 # exist so every gated benchmark completes >= 20 iterations), the
-# graph-patch repair path and the tiered estimate serves.
+# graph-patch repair path, the tiered estimate serves, and the two
+# kernels of a PATCH-then-boost cycle: the greedy candidate pool and
+# ApplyDelta.
 BASE ?= $(shell git merge-base HEAD main 2>/dev/null || git merge-base HEAD origin/main 2>/dev/null)
 GATED := \
 	./internal/prr='BenchmarkSelectDeltaWarm' \
@@ -111,7 +115,9 @@ GATED := \
 	./internal/model/sir='BenchmarkSIRSelectWarm|BenchmarkSIREstimateWarm' \
 	./internal/model/kthresh='BenchmarkKThreshSelectWarm|BenchmarkKThreshEstimateWarm' \
 	./internal/engine='BenchmarkEstimateTier' \
-	.='BenchmarkEngineWarmBoost|BenchmarkLTWarmBoostShort|BenchmarkGraphPatchRepair'
+	.='BenchmarkEngineWarmBoost|BenchmarkLTWarmBoostShort|BenchmarkGraphPatchRepair' \
+	./internal/model/profile='BenchmarkCandidates' \
+	./internal/graph='BenchmarkApplyDelta'
 
 bench-gate:
 	@test -n '$(BASE)' || { echo 'bench-gate: no merge-base with main or origin/main; pass BASE=<rev>' >&2; exit 2; }
