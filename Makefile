@@ -52,13 +52,14 @@ chaos-short:
 	$(GO) test -race -run 'TestChaos|TestHealthAndReady|TestColdOverflow|TestEstimateDegrades|TestEstimateSheds|TestShardPanic|TestClientDisconnect' -v ./internal/engine
 
 # fuzz-short smoke-fuzzes the graph codecs (the untrusted-input surface
-# of the upload and PATCH endpoints); go only accepts one fuzz target
-# per run.
+# of the upload and PATCH endpoints) and the application of a decoded
+# delta to a graph; go only accepts one fuzz target per run.
 FUZZTIME ?= 20s
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadEdgeList$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzReadEdgeDelta$$' -fuzztime $(FUZZTIME) ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzApplyDelta$$' -fuzztime $(FUZZTIME) ./internal/graph
 
 # bench runs the selection- and cold-path benchmarks (warm SelectDelta
 # vs the naive reference, incremental Extend, cold pool builds, Eval

@@ -1,8 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // EdgeDelta is a batch mutation of a graph's edge set: edges to add,
@@ -65,7 +66,11 @@ type deltaOp struct {
 // the canonical Builder layout — every adjacency run sorted by neighbor
 // id — and is bit-identical to rebuilding from the post-delta edge
 // list, which is what lets pool repair compare against cold rebuilds.
-// g is not modified.
+// g is not modified. Only the runs of the nodes an op names are merged
+// edge by edge; the untouched runs between two such nodes are copied
+// with one append per array, and their starts shifted by the edge-count
+// change so far. For d ops the cost is O(d log d) to sort them plus
+// O(n + m) of block copies, with no per-node appends.
 func (g *Graph) ApplyDelta(d *EdgeDelta) (*Graph, *DeltaEffect, error) {
 	n := g.n
 	ops := make([]deltaOp, 0, d.Ops())
@@ -95,11 +100,11 @@ func (g *Graph) ApplyDelta(d *EdgeDelta) (*Graph, *DeltaEffect, error) {
 	}
 
 	// Out-major order for the out-CSR pass; one op per edge.
-	sort.Slice(ops, func(i, j int) bool {
-		if ops[i].from != ops[j].from {
-			return ops[i].from < ops[j].from
+	slices.SortFunc(ops, func(a, b deltaOp) int {
+		if c := cmp.Compare(a.from, b.from); c != 0 {
+			return c
 		}
-		return ops[i].to < ops[j].to
+		return cmp.Compare(a.to, b.to)
 	})
 	for i := 1; i < len(ops); i++ {
 		if ops[i].from == ops[i-1].from && ops[i].to == ops[i-1].to {
@@ -138,26 +143,32 @@ func (g *Graph) ApplyDelta(d *EdgeDelta) (*Graph, *DeltaEffect, error) {
 		inPB:     make([]float64, 0, m2),
 	}
 
-	patch := func(dirty []bool, start []int32, ids []int32, p, pb []float64,
+	// patch builds one direction of the new CSR. ops are sorted by
+	// (node, neighbor) for that direction, so they visit the dirty nodes
+	// in id order. The untouched nodes between two dirty ones form one
+	// block: it is copied with one append per array, and its starts
+	// move by the edge-count change so far. Each dirty node's run is
+	// merged with its ops.
+	patch := func(start []int32, ids []int32, p, pb []float64,
 		opNode func(deltaOp) int32, opNbr func(deltaOp) int32,
-		nStart *[]int32, nIDs *[]int32, nP, nPB *[]float64) error {
-		oi := 0 // cursor into ops (sorted by (node, neighbor))
-		for u := 0; u < n; u++ {
-			lo, hi := start[u], start[u+1]
-			if !dirty[u] {
-				// Untouched run: copied verbatim, preserving the canonical
-				// sorted order it already has.
-				*nIDs = append(*nIDs, ids[lo:hi]...)
-				*nP = append(*nP, p[lo:hi]...)
-				*nPB = append(*nPB, pb[lo:hi]...)
-				(*nStart)[u+1] = int32(len(*nIDs))
-				for oi < len(ops) && int(opNode(ops[oi])) == u {
-					oi++ // cannot happen: dirty[u] would be set
-				}
-				continue
+		nStart []int32, nIDs *[]int32, nP, nPB *[]float64) error {
+		// copyBlock appends the untouched nodes [from, to).
+		copyBlock := func(from, to int) {
+			lo, hi := start[from], start[to]
+			shift := int32(len(*nIDs)) - lo
+			for w := from + 1; w <= to; w++ {
+				nStart[w] = start[w] + shift
 			}
+			*nIDs = append(*nIDs, ids[lo:hi]...)
+			*nP = append(*nP, p[lo:hi]...)
+			*nPB = append(*nPB, pb[lo:hi]...)
+		}
+		next := 0 // first node not yet written
+		for oi := 0; oi < len(ops); {
+			u := int(opNode(ops[oi]))
+			copyBlock(next, u)
 			// Merge the old sorted run with this node's sorted ops.
-			ei := lo
+			ei, hi := start[u], start[u+1]
 			for ei < hi || (oi < len(ops) && int(opNode(ops[oi])) == u) {
 				hasOp := oi < len(ops) && int(opNode(ops[oi])) == u
 				switch {
@@ -192,27 +203,29 @@ func (g *Graph) ApplyDelta(d *EdgeDelta) (*Graph, *DeltaEffect, error) {
 					*nPB = append(*nPB, op.pb)
 				}
 			}
-			(*nStart)[u+1] = int32(len(*nIDs))
+			nStart[u+1] = int32(len(*nIDs))
+			next = u + 1
 		}
+		copyBlock(next, n)
 		return nil
 	}
 
-	if err := patch(eff.DirtyOut, g.outStart, g.outTo, g.outP, g.outPB,
+	if err := patch(g.outStart, g.outTo, g.outP, g.outPB,
 		func(o deltaOp) int32 { return o.from }, func(o deltaOp) int32 { return o.to },
-		&ng.outStart, &ng.outTo, &ng.outP, &ng.outPB); err != nil {
+		ng.outStart, &ng.outTo, &ng.outP, &ng.outPB); err != nil {
 		return nil, nil, err
 	}
 
 	// In-major order for the in-CSR pass.
-	sort.Slice(ops, func(i, j int) bool {
-		if ops[i].to != ops[j].to {
-			return ops[i].to < ops[j].to
+	slices.SortFunc(ops, func(a, b deltaOp) int {
+		if c := cmp.Compare(a.to, b.to); c != 0 {
+			return c
 		}
-		return ops[i].from < ops[j].from
+		return cmp.Compare(a.from, b.from)
 	})
-	if err := patch(eff.DirtyIn, g.inStart, g.inFrom, g.inP, g.inPB,
+	if err := patch(g.inStart, g.inFrom, g.inP, g.inPB,
 		func(o deltaOp) int32 { return o.to }, func(o deltaOp) int32 { return o.from },
-		&ng.inStart, &ng.inFrom, &ng.inP, &ng.inPB); err != nil {
+		ng.inStart, &ng.inFrom, &ng.inP, &ng.inPB); err != nil {
 		return nil, nil, err
 	}
 

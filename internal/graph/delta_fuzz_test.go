@@ -60,3 +60,49 @@ func FuzzReadEdgeDelta(f *testing.F) {
 		}
 	})
 }
+
+// FuzzApplyDelta fuzzes applying a decoded delta, not just decoding
+// it: on a fixed small graph, ApplyDelta must either fail and leave the
+// graph unchanged, or return exactly the FromEdges rebuild of the
+// post-delta edge list with the dirty masks the delta names.
+func FuzzApplyDelta(f *testing.F) {
+	g := edgeCaseGraph(f, 2)
+	before, err := FromEdges(g.N(), g.Edges())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, d := range []*EdgeDelta{
+		{},
+		{Add: []Edge{{From: 4, To: 1, P: 0.25, PBoost: 0.5}}, Remove: []EdgeKey{{From: 0, To: 3}}},
+		{Reweight: []Edge{{From: 5, To: 2, P: 0.125, PBoost: 0.625}}, Add: []Edge{{From: 7, To: 6, P: 0, PBoost: 1}}},
+		{Remove: []EdgeKey{{From: 5, To: 1}}},                                  // missing edge
+		{Add: []Edge{{From: 2, To: 0, P: 0.5, PBoost: 0.5}}},                   // existing edge
+		{Add: []Edge{{From: 1, To: 4, P: 0.5, PBoost: 0.5}, {From: 1, To: 4}}}, // duplicate op
+	} {
+		var buf bytes.Buffer
+		if err := d.WriteEdgeDelta(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := ReadEdgeDeltaLimited(bytes.NewReader(data), fuzzLimits)
+		if err != nil {
+			return
+		}
+		ng, eff, err := g.ApplyDelta(d)
+		if err != nil {
+			if ng != nil || eff != nil {
+				t.Fatalf("error %v came with non-nil results", err)
+			}
+			graphsIdentical(t, g, before)
+			return
+		}
+		want, err := FromEdges(g.N(), applyDeltaToEdgeList(g.Edges(), d))
+		if err != nil {
+			t.Fatalf("ApplyDelta accepted %+v, but FromEdges rejects the result: %v", d, err)
+		}
+		graphsIdentical(t, ng, want)
+		checkDeltaEffect(t, g, ng, d, eff)
+	})
+}

@@ -1,12 +1,12 @@
 package profile
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 
 	"github.com/kboost/kboost/internal/graph"
 	"github.com/kboost/kboost/internal/maxcover"
@@ -25,15 +25,21 @@ func CandidateCap(k, candCap int) int {
 
 // Candidates returns the default greedy candidate pool: non-seed nodes
 // ordered by raw incoming boost uplift Σ (p'−p) descending (ties toward
-// the smaller id), capped at CandidateCap(k, candCap). The uplift is
+// the smaller id), capped at c = CandidateCap(k, candCap). The uplift is
 // each model's natural first-order proxy for what boosting a node adds.
+// One O(m) pass computes every uplift and keeps the best c nodes in a
+// bounded heap; only those survivors are sorted, so the cost is
+// O(m + n log c) time and O(c) space. The order is a strict total
+// order (ids are unique and checkProbPair keeps NaN out of the graph),
+// so the result is exactly a full sort of all non-seed nodes cut to c.
 func Candidates(g *graph.Graph, seedMask []bool, k, candCap int) []int32 {
-	candCap = CandidateCap(k, candCap)
-	type nw struct {
-		v int32
-		w float64
+	c := CandidateCap(k, candCap)
+	if c <= 0 {
+		return []int32{}
 	}
-	pool := make([]nw, 0, g.N())
+	// h holds the best nodes seen so far, as a heap with the worst one
+	// at the root: every parent ranks after its children.
+	h := make([]candidate, 0, min(c, g.N()))
 	for v := int32(0); int(v) < g.N(); v++ {
 		if seedMask[v] {
 			continue
@@ -44,22 +50,59 @@ func Candidates(g *graph.Graph, seedMask []bool, k, candCap int) []int32 {
 		for i := range p {
 			wsum += pb[i] - p[i]
 		}
-		pool = append(pool, nw{v, wsum})
-	}
-	sort.Slice(pool, func(i, j int) bool {
-		if pool[i].w != pool[j].w {
-			return pool[i].w > pool[j].w
+		x := candidate{v, wsum}
+		switch {
+		case len(h) < c:
+			h = append(h, x)
+			for i := len(h) - 1; i > 0; {
+				up := (i - 1) / 2
+				if x.before(h[up]) {
+					break
+				}
+				h[up], h[i] = h[i], h[up]
+				i = up
+			}
+		case x.before(h[0]):
+			h[0] = x
+			for i := 0; 2*i+1 < len(h); {
+				j := 2*i + 1
+				if j+1 < len(h) && h[j].before(h[j+1]) {
+					j++ // the worse child
+				}
+				if h[j].before(x) {
+					break
+				}
+				h[i], h[j] = h[j], h[i]
+				i = j
+			}
 		}
-		return pool[i].v < pool[j].v
-	})
-	if len(pool) > candCap {
-		pool = pool[:candCap]
 	}
-	out := make([]int32, len(pool))
-	for i, c := range pool {
-		out[i] = c.v
+	slices.SortFunc(h, func(a, b candidate) int {
+		if c := cmp.Compare(b.w, a.w); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.v, b.v)
+	})
+	out := make([]int32, len(h))
+	for i, x := range h {
+		out[i] = x.v
 	}
 	return out
+}
+
+// candidate is a node with its incoming boost uplift.
+type candidate struct {
+	v int32
+	w float64
+}
+
+// before reports whether a ranks before b in Candidates' order: larger
+// uplift first, ties toward the smaller id.
+func (a candidate) before(b candidate) bool {
+	if a.w != b.w {
+		return a.w > b.w
+	}
+	return a.v < b.v
 }
 
 // CheckSelect validates a selection request against the pool.

@@ -1,6 +1,7 @@
 package prr
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -224,7 +225,7 @@ func TestArenaPoolMatchesReference(t *testing.T) {
 					t.Fatalf("trial %d workers %d: EstimateMu %v, reference %v", trial, workers, gotMu, wantMu)
 				}
 				// Selections: incremental == naive == independent reference.
-				fast, fastCov, err := pool.SelectDelta(c.k)
+				fast, fastCov, err := pool.selectDelta(context.Background(), c.k, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -234,11 +235,11 @@ func TestArenaPoolMatchesReference(t *testing.T) {
 				}
 				refChosen, refCov := refSelectDelta(c, ref.graphs, ref.total, c.k)
 				if fmt.Sprint(fast) != fmt.Sprint(slow) || fastCov != slowCov {
-					t.Fatalf("trial %d workers %d: SelectDelta %v/%d != naive %v/%d",
+					t.Fatalf("trial %d workers %d: selectDelta %v/%d != naive %v/%d",
 						trial, workers, fast, fastCov, slow, slowCov)
 				}
 				if fmt.Sprint(fast) != fmt.Sprint(refChosen) || fastCov != refCov {
-					t.Fatalf("trial %d workers %d stage-set %d: SelectDelta %v/%d != reference %v/%d",
+					t.Fatalf("trial %d workers %d stage-set %d: selectDelta %v/%d != reference %v/%d",
 						trial, workers, si, fast, fastCov, refChosen, refCov)
 				}
 			}

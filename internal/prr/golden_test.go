@@ -60,7 +60,7 @@ func goldenPRRTranscript(t *testing.T, mode Mode, workers int) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		set, cov, err := pool.SelectDelta(3)
+		set, cov, err := pool.selectDelta(context.Background(), 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

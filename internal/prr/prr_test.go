@@ -465,7 +465,7 @@ func TestSelectDeltaImprovesCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	extend(t, pool, 5000)
-	chosen, covered, err := pool.SelectDelta(3)
+	chosen, covered, err := pool.selectDelta(context.Background(), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,8 +506,8 @@ func TestSelectDeltaRequiresFullMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	extend(t, pool, 100)
-	if _, _, err := pool.SelectDelta(2); err == nil {
-		t.Fatal("SelectDelta worked in LB mode")
+	if _, _, err := pool.selectDelta(context.Background(), 2, nil); err == nil {
+		t.Fatal("selectDelta worked in LB mode")
 	}
 	if _, err := pool.EstimateDelta([]int32{1}); err == nil {
 		t.Fatal("EstimateDelta worked in LB mode")
@@ -541,7 +541,7 @@ func TestPoolDeterminism(t *testing.T) {
 // SelectDelta2 is a tiny test helper binding errors to t.
 func (p *Pool) SelectDelta2(t *testing.T) ([]int32, int) {
 	t.Helper()
-	chosen, covered, err := p.SelectDelta(2)
+	chosen, covered, err := p.selectDelta(context.Background(), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

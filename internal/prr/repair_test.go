@@ -1,6 +1,7 @@
 package prr
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -99,16 +100,16 @@ func samePoolBits(t *testing.T, label string, got, want *Pool) {
 			t.Fatalf("%s: EstimateDelta (cold): %v", label, err)
 		}
 		eq("EstimateDelta", gd, wd)
-		gs, gc, err := got.SelectDelta(got.k)
+		gs, gc, err := got.selectDelta(context.Background(), got.k, nil)
 		if err != nil {
-			t.Fatalf("%s: SelectDelta: %v", label, err)
+			t.Fatalf("%s: selectDelta: %v", label, err)
 		}
-		ws, wc, err := want.SelectDelta(want.k)
+		ws, wc, err := want.selectDelta(context.Background(), want.k, nil)
 		if err != nil {
-			t.Fatalf("%s: SelectDelta (cold): %v", label, err)
+			t.Fatalf("%s: selectDelta (cold): %v", label, err)
 		}
-		eq("SelectDelta", gs, ws)
-		eq("SelectDelta coverage", gc, wc)
+		eq("selectDelta", gs, ws)
+		eq("selectDelta coverage", gc, wc)
 	} else {
 		gs, gc := got.SelectAndCover(got.k)
 		ws, wc := want.SelectAndCover(want.k)

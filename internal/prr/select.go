@@ -10,14 +10,14 @@ import (
 
 // This file is the Δ̂ selection subsystem: a persistent inverted index
 // over the pool's boostable PRR-graphs, maintained incrementally as the
-// pool grows, plus the CELF-style lazy-greedy SelectDelta that runs on
-// it. The naive from-scratch implementation it replaced is retained at
+// pool grows, plus the CELF-style lazy greedy (selectDelta) that runs
+// on it. The naive from-scratch implementation it replaced is retained at
 // the bottom as selectDeltaNaive, the reference for equivalence tests
 // and the warm-selection benchmark.
 
 // deltaIndex is the persistent selection state for a ModeFull pool. It
 // is owned by the Pool and mutated only by extendIndex (called from
-// Pool.ExtendContext); SelectDelta treats it as read-only, so concurrent
+// Pool.ExtendContext); selectDelta treats it as read-only, so concurrent
 // selections may share it.
 //
 // Both mappings are stored flat (CSR-style) rather than as [][]int32:
@@ -140,31 +140,17 @@ type reEval struct {
 	cands   []int32
 }
 
-// SelectDelta greedily selects up to k nodes maximizing Δ̂ over the pool
-// (the non-submodular objective; no worst-case guarantee, per Section
-// V-B this is the B_Δ of Algorithm 2 line 4). It returns the chosen
-// nodes and the number of covered PRR-graphs.
-//
-// The implementation is incremental: the inverted index and the initial
-// candidate sets are read from the pool's deltaIndex (maintained by
-// Extend) instead of being rebuilt, the per-pick argmax is a lazy
-// max-heap instead of an O(n) scan, and the post-pick re-evaluation of
-// affected graphs is sharded across the pool's workers. It is safe to
-// run concurrently with other read-only pool methods (not with Extend)
-// and returns exactly what selectDeltaNaive would.
-func (p *Pool) SelectDelta(k int) ([]int32, int, error) {
-	return p.selectDelta(context.Background(), k, nil)
-}
-
-// SelectDeltaAmongContext is SelectDelta restricted to the given
-// candidate set, with cooperative cancellation: only listed nodes may
-// be picked, and the CELF pick loop polls ctx once per chosen node, so
-// a canceled request stops within one re-evaluation round. Coverage
-// accounting and gain maintenance still run over the whole pool, so the
-// returned covered count means the same thing — only the argmax is
-// narrowed. Callers (the engine's tier-0 pre-filter) trade the exact
-// greedy for a cheaper one over a shortlist; cands == nil behaves like
-// SelectDelta.
+// SelectDeltaAmongContext greedily selects up to k nodes maximizing Δ̂
+// over the pool (the non-submodular objective; no worst-case guarantee,
+// per Section V-B this is the B_Δ of Algorithm 2 line 4). It returns
+// the chosen nodes and the number of covered PRR-graphs. cands == nil
+// lets every node be picked; otherwise only listed nodes may be, while
+// coverage accounting and gain maintenance still run over the whole
+// pool, so the returned covered count means the same thing — only the
+// argmax is narrowed. Callers (the engine's tier-0 pre-filter) trade
+// the exact greedy for a cheaper one over a shortlist. The CELF pick
+// loop polls ctx once per chosen node, so a canceled request stops
+// within one re-evaluation round.
 func (p *Pool) SelectDeltaAmongContext(ctx context.Context, k int, cands []int32) ([]int32, int, error) {
 	if cands == nil {
 		return p.selectDelta(ctx, k, nil)
@@ -181,9 +167,17 @@ func (p *Pool) SelectDeltaAmongContext(ctx context.Context, k int, cands []int32
 // selectDelta is the shared implementation; a non-nil candMask
 // restricts which nodes may enter the heap (initially and on gain
 // rises), leaving the rest of the incremental machinery untouched.
+//
+// It is incremental: the inverted index and the initial candidate sets
+// are read from the pool's deltaIndex (maintained by Extend) instead of
+// being rebuilt, the per-pick argmax is a lazy max-heap instead of an
+// O(n) scan, and the post-pick re-evaluation of affected graphs is
+// sharded across the pool's workers. It is safe to run concurrently
+// with other read-only pool methods (not with Extend) and returns
+// exactly what selectDeltaNaive would.
 func (p *Pool) selectDelta(ctx context.Context, k int, candMask []bool) ([]int32, int, error) {
 	if p.mode != ModeFull {
-		return nil, 0, fmt.Errorf("prr: SelectDelta requires ModeFull")
+		return nil, 0, fmt.Errorf("prr: Δ̂ selection requires ModeFull")
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
@@ -360,10 +354,10 @@ func (p *Pool) reEvalParallel(affected []int32, mask, covered []bool, evals []re
 // rebuilds the inverted index and every candidate set per call and does
 // an O(n) scan per pick. Kept unexported as the behavioral reference —
 // the equivalence property test and BenchmarkSelectDeltaWarm run it
-// against SelectDelta.
+// against selectDelta.
 func (p *Pool) selectDeltaNaive(k int) ([]int32, int, error) {
 	if p.mode != ModeFull {
-		return nil, 0, fmt.Errorf("prr: SelectDelta requires ModeFull")
+		return nil, 0, fmt.Errorf("prr: Δ̂ selection requires ModeFull")
 	}
 	n := p.g.N()
 	numGraphs := p.arena.numGraphs()

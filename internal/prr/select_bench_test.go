@@ -1,6 +1,7 @@
 package prr
 
 import (
+	"context"
 	"testing"
 
 	"github.com/kboost/kboost/internal/dataset"
@@ -36,7 +37,7 @@ func benchPool(b *testing.B, k int) *Pool {
 }
 
 // BenchmarkSelectDeltaWarm measures repeat-query selection on an
-// already-built pool: the incremental index + lazy-heap SelectDelta
+// already-built pool: the incremental index + lazy-heap selectDelta
 // against the retained from-scratch naive reference. This is the
 // warm-path cost a cached Engine pool pays per boost query (absent a
 // result-cache hit).
@@ -45,7 +46,7 @@ func BenchmarkSelectDeltaWarm(b *testing.B) {
 	pool := benchPool(b, k)
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := pool.SelectDelta(k); err != nil {
+			if _, _, err := pool.selectDelta(context.Background(), k, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -133,7 +134,7 @@ func BenchmarkPoolBuildCold(b *testing.B) {
 // with graphs/op recording the sweep width.
 func BenchmarkPRREval(b *testing.B) {
 	pool := benchPool(b, 20)
-	chosen, _, err := pool.SelectDelta(20)
+	chosen, _, err := pool.selectDelta(context.Background(), 20, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

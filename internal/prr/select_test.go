@@ -12,7 +12,7 @@ import (
 
 // TestSelectDeltaMatchesNaive is the equivalence property test for the
 // incremental selection subsystem: across random pools, k values and
-// interleaved growth, SelectDelta must return exactly the chosen set
+// interleaved growth, selectDelta must return exactly the chosen set
 // and coverage of the retained from-scratch reference.
 func TestSelectDeltaMatchesNaive(t *testing.T) {
 	r := rng.New(99)
@@ -44,7 +44,7 @@ func TestSelectDeltaMatchesNaive(t *testing.T) {
 			target += 300 + r.Intn(1200)
 			extend(t, pool, target)
 			for k := 1; k <= kGen; k++ {
-				fast, fastCov, err := pool.SelectDelta(k)
+				fast, fastCov, err := pool.selectDelta(context.Background(), k, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -77,7 +77,7 @@ func TestSelectDeltaMatchesNaiveParallelReEval(t *testing.T) {
 			t.Fatal(err)
 		}
 		extend(t, pool, 2000)
-		fast, fastCov, err := pool.SelectDelta(3)
+		fast, fastCov, err := pool.selectDelta(context.Background(), 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestSelectDeltaMatchesNaiveParallelReEval(t *testing.T) {
 
 // TestSelectDeltaAmongFullSetMatches pins the restricted variant's
 // contract: with every non-seed node listed (or nil) it is exactly
-// SelectDelta, and with a shortlist it only ever picks listed nodes.
+// the unrestricted selectDelta, and with a shortlist it only ever picks listed nodes.
 func TestSelectDeltaAmongFullSetMatches(t *testing.T) {
 	r := rng.New(77)
 	for trial := 0; trial < 8; trial++ {
@@ -104,7 +104,7 @@ func TestSelectDeltaAmongFullSetMatches(t *testing.T) {
 			t.Fatal(err)
 		}
 		extend(t, pool, 1500)
-		want, wantCov, err := pool.SelectDelta(3)
+		want, wantCov, err := pool.selectDelta(context.Background(), 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,12 +147,12 @@ func TestSelectDeltaRepeatable(t *testing.T) {
 		t.Fatal(err)
 	}
 	extend(t, pool, 4000)
-	first, firstCov, err := pool.SelectDelta(3)
+	first, firstCov, err := pool.selectDelta(context.Background(), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		again, againCov, err := pool.SelectDelta(3)
+		again, againCov, err := pool.selectDelta(context.Background(), 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +220,7 @@ func TestGenerationAdvances(t *testing.T) {
 	if gen == 0 {
 		t.Fatal("Extend did not bump generation")
 	}
-	if _, _, err := pool.SelectDelta(2); err != nil {
+	if _, _, err := pool.selectDelta(context.Background(), 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if pool.Generation() != gen {
