@@ -323,7 +323,7 @@ func TestApplyDeltaRemoveAll(t *testing.T) {
 }
 
 // edgeCaseGraph is a 6-node graph in which node 4 has no edges at all,
-// followed by tail-1 more isolated nodes.
+// followed by tail more isolated nodes.
 func edgeCaseGraph(t testing.TB, tail int) *Graph {
 	t.Helper()
 	g, err := FromEdges(6+tail, []Edge{

@@ -1,7 +1,6 @@
 package profile
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -78,10 +77,13 @@ func Candidates(g *graph.Graph, seedMask []bool, k, candCap int) []int32 {
 		}
 	}
 	slices.SortFunc(h, func(a, b candidate) int {
-		if c := cmp.Compare(b.w, a.w); c != 0 {
-			return c
+		if a.before(b) {
+			return -1
 		}
-		return cmp.Compare(a.v, b.v)
+		if b.before(a) {
+			return 1
+		}
+		return 0
 	})
 	out := make([]int32, len(h))
 	for i, x := range h {
