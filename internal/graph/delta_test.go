@@ -342,7 +342,10 @@ func edgeCaseGraph(t testing.TB, tail int) *Graph {
 // starts, ends or is empty: dirty nodes at either end of the id range,
 // adjacent dirty nodes, no untouched node at all, a long untouched
 // tail, and adds into empty runs. Each result must equal the FromEdges
-// rebuild of the post-delta edge list.
+// rebuild of the post-delta edge list. The last cases put one invalid
+// op after valid ops on earlier nodes, so their runs and the blocks
+// between them are already written when it fails: the error text must
+// be the one ApplyDelta has always given, and g must be unchanged.
 func TestApplyDeltaEdgeCases(t *testing.T) {
 	e := func(u, v int32) Edge { return Edge{From: u, To: v, P: 0.0625, PBoost: 0.5} }
 	k := func(u, v int32) EdgeKey { return EdgeKey{From: u, To: v} }
@@ -350,24 +353,45 @@ func TestApplyDeltaEdgeCases(t *testing.T) {
 		name string
 		tail int // isolated nodes after node 5
 		d    EdgeDelta
+		err  string // the exact error, when the delta is invalid
 	}{
-		{"out of node 0 only", 0, EdgeDelta{Add: []Edge{e(0, 5)}, Remove: []EdgeKey{k(0, 3)}, Reweight: []Edge{e(0, 1)}}},
-		{"into node 0 only", 0, EdgeDelta{Add: []Edge{e(3, 0)}, Remove: []EdgeKey{k(5, 0)}, Reweight: []Edge{e(2, 0)}}},
-		{"out of node n-1 only", 0, EdgeDelta{Add: []Edge{e(5, 1)}, Remove: []EdgeKey{k(5, 0)}, Reweight: []Edge{e(5, 2)}}},
-		{"into node n-1 only", 0, EdgeDelta{Add: []Edge{e(1, 5), e(0, 5)}, Remove: []EdgeKey{k(3, 5)}}},
-		{"adjacent dirty nodes", 0, EdgeDelta{Add: []Edge{e(3, 4)}, Remove: []EdgeKey{k(1, 2)}, Reweight: []Edge{e(2, 3)}}},
+		{"out of node 0 only", 0, EdgeDelta{Add: []Edge{e(0, 5)}, Remove: []EdgeKey{k(0, 3)}, Reweight: []Edge{e(0, 1)}}, ""},
+		{"into node 0 only", 0, EdgeDelta{Add: []Edge{e(3, 0)}, Remove: []EdgeKey{k(5, 0)}, Reweight: []Edge{e(2, 0)}}, ""},
+		{"out of node n-1 only", 0, EdgeDelta{Add: []Edge{e(5, 1)}, Remove: []EdgeKey{k(5, 0)}, Reweight: []Edge{e(5, 2)}}, ""},
+		{"into node n-1 only", 0, EdgeDelta{Add: []Edge{e(1, 5), e(0, 5)}, Remove: []EdgeKey{k(3, 5)}}, ""},
+		{"adjacent dirty nodes", 0, EdgeDelta{Add: []Edge{e(3, 4)}, Remove: []EdgeKey{k(1, 2)}, Reweight: []Edge{e(2, 3)}}, ""},
 		{"every node dirty", 0, EdgeDelta{
 			Add:      []Edge{e(3, 4), e(4, 5)},
 			Remove:   []EdgeKey{k(0, 1), k(2, 3)},
 			Reweight: []Edge{e(1, 2), e(5, 0)},
-		}},
-		{"one op, isolated tail", 20, EdgeDelta{Add: []Edge{e(1, 3)}}},
-		{"add into empty runs", 0, EdgeDelta{Add: []Edge{e(4, 1), e(2, 4)}}},
+		}, ""},
+		{"one op, isolated tail", 20, EdgeDelta{Add: []Edge{e(1, 3)}}, ""},
+		{"add into empty runs", 0, EdgeDelta{Add: []Edge{e(4, 1), e(2, 4)}}, ""},
+		{"remove of a missing edge on node n-1", 0, EdgeDelta{Reweight: []Edge{e(0, 1), e(3, 5)}, Remove: []EdgeKey{k(5, 1)}},
+			"graph: delta remove of missing edge (5,1)"},
+		{"add of an existing edge on node n-1", 0, EdgeDelta{Reweight: []Edge{e(0, 1), e(3, 5)}, Add: []Edge{e(5, 2)}},
+			"graph: delta adds existing edge (5,2)"},
+		{"reweight of a missing edge on an empty run", 0, EdgeDelta{Add: []Edge{e(0, 4)}, Reweight: []Edge{e(4, 5)}},
+			"graph: delta reweight of missing edge (4,5)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			g := edgeCaseGraph(t, tc.tail)
+			before, err := FromEdges(g.N(), g.Edges())
+			if err != nil {
+				t.Fatal(err)
+			}
 			ng, eff, err := g.ApplyDelta(&tc.d)
+			if tc.err != "" {
+				if err == nil || err.Error() != tc.err {
+					t.Fatalf("error %v, want %q", err, tc.err)
+				}
+				if ng != nil || eff != nil {
+					t.Fatal("error return carried non-nil results")
+				}
+				graphsIdentical(t, g, before)
+				return
+			}
 			if err != nil {
 				t.Fatalf("ApplyDelta: %v", err)
 			}
@@ -378,39 +402,6 @@ func TestApplyDeltaEdgeCases(t *testing.T) {
 			graphsIdentical(t, ng, want)
 			checkDeltaEffect(t, g, ng, &tc.d, eff)
 		})
-	}
-}
-
-// TestApplyDeltaErrorAfterCopiedBlocks puts the one invalid op after
-// valid ops on earlier nodes, so their runs and the blocks between them
-// are already written when it fails: on the last node, and on a node
-// with an empty run. The error text must be the one ApplyDelta has
-// always given, and g must be unchanged.
-func TestApplyDeltaErrorAfterCopiedBlocks(t *testing.T) {
-	valid := []Edge{{From: 0, To: 1, P: 0.0625, PBoost: 0.5}, {From: 3, To: 5, P: 0, PBoost: 0}}
-	cases := []struct {
-		d    EdgeDelta
-		want string
-	}{
-		{EdgeDelta{Reweight: valid, Remove: []EdgeKey{{From: 5, To: 1}}}, "graph: delta remove of missing edge (5,1)"},
-		{EdgeDelta{Reweight: valid, Add: []Edge{{From: 5, To: 2, P: 0.5, PBoost: 0.5}}}, "graph: delta adds existing edge (5,2)"},
-		{EdgeDelta{Add: []Edge{{From: 0, To: 4, P: 0.5, PBoost: 0.5}}, Reweight: []Edge{{From: 4, To: 5, P: 0.5, PBoost: 0.5}}},
-			"graph: delta reweight of missing edge (4,5)"},
-	}
-	for _, tc := range cases {
-		g := edgeCaseGraph(t, 0)
-		before, err := FromEdges(g.N(), g.Edges())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ng, eff, err := g.ApplyDelta(&tc.d)
-		if err == nil || err.Error() != tc.want {
-			t.Fatalf("ApplyDelta(%+v) error %v, want %q", tc.d, err, tc.want)
-		}
-		if ng != nil || eff != nil {
-			t.Fatal("error return carried non-nil results")
-		}
-		graphsIdentical(t, g, before)
 	}
 }
 
