@@ -92,6 +92,7 @@ bench-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineWarmBoost|BenchmarkLTWarmBoost|BenchmarkLTPoolExtend|BenchmarkGraphPatch' -benchmem -benchtime 1x -short -count=1 .
 	$(GO) test -run '^$$' -bench 'BenchmarkCandidates' -benchmem -benchtime 1x -short -count=1 ./internal/model/profile
 	$(GO) test -run '^$$' -bench 'BenchmarkApplyDelta' -benchmem -benchtime 1x -short -count=1 ./internal/graph
+	$(GO) test -run '^$$' -bench 'BenchmarkPairOnce' -benchmem -benchtime 1x -short -count=1 ./internal/diffusion
 
 # bench-gate is the paired same-host gate: it exports BASE (default:
 # the merge-base with main, else with origin/main; it is an error when
@@ -108,7 +109,8 @@ bench-short:
 # exist so every gated benchmark completes >= 20 iterations), the
 # graph-patch repair path, the tiered estimate serves, and the two
 # kernels of a PATCH-then-boost cycle: the greedy candidate pool and
-# ApplyDelta.
+# ApplyDelta; and PairOnce, the coupled IC world behind every ic
+# estimate.
 BASE ?= $(shell git merge-base HEAD main 2>/dev/null || git merge-base HEAD origin/main 2>/dev/null)
 GATED := \
 	./internal/prr='BenchmarkSelectDeltaWarm' \
@@ -118,7 +120,8 @@ GATED := \
 	./internal/engine='BenchmarkEstimateTier' \
 	.='BenchmarkEngineWarmBoost|BenchmarkLTWarmBoostShort|BenchmarkGraphPatchRepair' \
 	./internal/model/profile='BenchmarkCandidates' \
-	./internal/graph='BenchmarkApplyDelta'
+	./internal/graph='BenchmarkApplyDelta' \
+	./internal/diffusion='BenchmarkPairOnce'
 
 bench-gate:
 	@test -n '$(BASE)' || { echo 'bench-gate: no merge-base with main or origin/main; pass BASE=<rev>' >&2; exit 2; }
