@@ -20,16 +20,28 @@ import (
 )
 
 // Simulator runs boosted-IC diffusions on one graph. It owns scratch
-// buffers sized to the graph, so repeated simulations allocate nothing.
-// A Simulator is not safe for concurrent use; create one per goroutine.
+// buffers sized to the graph, so repeated simulations allocate nothing
+// once the largest world has been seen. A Simulator is not safe for
+// concurrent use; create one per goroutine.
+//
+// PairOnce keeps the live edges of its current world as per-node runs:
+// liveTo holds the targets of the live out-edges of every node its
+// boosted pass expanded, node u's run being liveTo[liveLo[u]:liveHi[u]].
+// That is 2n int32 of run bounds plus one world's live targets; the
+// runs of nodes the current world did not expand are stale and never
+// read. There are no per-edge bytes.
 type Simulator struct {
 	g *graph.Graph
 
 	mark  []int32 // per-node visit stamp
-	live  []uint8 // per out-edge: the epoch's low byte when live in PairOnce's world (allocated on first use)
 	epoch int32   // kboost:epoch
 
 	queue []int32
+
+	liveTo         []int32 // PairOnce: live targets of the expanded nodes, one run per node
+	liveLo, liveHi []int32 // PairOnce: per-node run bounds in liveTo
+	cand           []int32 // PairOnce: one node's targets with u < p', bit 31 set when not live
+	noBoost        []bool  // PairOnce: the all-false mask a nil boost reads
 }
 
 // NewSimulator returns a Simulator for g.
@@ -40,27 +52,28 @@ func NewSimulator(g *graph.Graph) *Simulator {
 	}
 }
 
-// nextEpoch advances the stamp shared by mark and live, clearing both
-// when the int32 epoch would wrap, so a stamp from 2³¹ worlds ago can
-// never read as current. Epochs stay positive: PairOnce's base pass
-// stamps mark with the negated epoch. live holds only the epoch's low
-// byte, one byte per edge: an epoch whose low byte would be 0 (the
-// cleared value) clears live and is skipped, so live's stamps are
-// distinct within each run of 255 epochs and none outlives it. That
-// costs one clear of M bytes per 255 epochs.
+// nextEpoch advances the visit stamp, clearing mark when the int32
+// epoch would wrap, so a stamp from 2³¹ worlds ago can never read as
+// current. Epochs stay positive: PairOnce's base pass stamps mark with
+// the negated epoch.
 // kboost:epoch-helper
 func (s *Simulator) nextEpoch() int32 {
 	if s.epoch == math.MaxInt32 {
 		clear(s.mark)
-		clear(s.live)
 		s.epoch = 0
 	}
 	s.epoch++
-	if uint8(s.epoch) == 0 {
-		clear(s.live)
-		s.epoch++
-	}
 	return s.epoch
+}
+
+// b2i returns 1 for true and 0 for false; the compiler turns it into a
+// flag set, not a branch.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
 }
 
 // MaskFromSet returns an n-length boolean mask with mask[v]=true for
@@ -142,61 +155,99 @@ func (s *Simulator) SpreadOnce(seeds []int32, boost []bool, r *rng.Source) int {
 // r.Float64 u — before, and regardless of, whether its target is
 // already active — and is live if u < p, live-upon-boost if
 // p <= u < p', blocked otherwise. The base pass draws nothing: it only
-// follows the live edges the boosted pass stamped, which cover it
+// follows the live edges the boosted pass recorded, which cover it
 // because base activation is a subset of boosted activation.
 //
-// The first PairOnce on a Simulator allocates its live flags: one byte
-// per edge, g.M() bytes.
+// The boosted pass has no data-dependent branch per edge. For each
+// expanded node it writes every target into the live run and into a
+// candidate list, advancing the run by u < p and the list by u < p';
+// then it walks only the candidates, where a target is hit when it is
+// live or boosted, writes it into the queue slot after the last and
+// advances the queue by hit-and-new, so the queue needs n+1 slots. The
+// base pass walks only the live runs. The first PairOnce on a Simulator
+// allocates 2n int32 run bounds and an n-node all-false mask for a nil
+// boost; the live runs grow to the largest world's live-target count
+// and the candidate list to the largest expanded out-degree.
 func (s *Simulator) PairOnce(seeds []int32, boost []bool, r *rng.Source) (base, boosted int) {
 	g := s.g
-	if s.live == nil {
-		s.live = make([]uint8, g.M())
+	n := g.N()
+	if s.liveLo == nil {
+		s.liveLo = make([]int32, n)
+		s.liveHi = make([]int32, n)
+		s.noBoost = make([]bool, n)
+	}
+	if boost == nil {
+		boost = s.noBoost
+	}
+	if cap(s.queue) <= n {
+		s.queue = make([]int32, 0, n+1)
 	}
 	epoch := s.nextEpoch()
-	stamp := uint8(epoch)
-	mark, live := s.mark, s.live
+	mark, liveLo, liveHi, liveTo, cand := s.mark, s.liveLo, s.liveHi, s.liveTo, s.cand
 
-	// Pass 1: boosted world, stamping live edges.
+	// Pass 1: boosted world, recording each expanded node's live run.
 	queue := seedQueue(s.queue, mark, seeds, epoch)
+	tail := len(queue)
+	queue = queue[:n+1]
+	nl := 0
 	s0, s1, s2, s3 := r.State()
-	for qi := 0; qi < len(queue); qi++ {
+	for qi := 0; qi < tail; qi++ {
 		u := queue[qi]
-		start := g.OutOffset(u)
 		to := g.OutTo(u)
-		p := g.OutP(u)
-		pb := g.OutPBoost(u)
+		p := g.OutP(u)[:len(to)]
+		pb := g.OutPBoost(u)[:len(to)]
+		if need := nl + len(to); need > len(liveTo) {
+			grown := make([]int32, max(need, 2*len(liveTo)))
+			copy(grown, liveTo[:nl])
+			liveTo = grown
+		}
+		if len(to) > len(cand) {
+			cand = make([]int32, max(len(to), 2*len(cand)))
+		}
+		liveLo[u] = int32(nl)
+		nc := 0 // candidates: targets with u < p'
 		for i, v := range to {
 			var x uint64
 			x, s0, s1, s2, s3 = rng.Step(s0, s1, s2, s3)
 			f := rng.Unit(x)
-			if f < p[i] {
-				live[start+int32(i)] = stamp
-			} else if f >= pb[i] || boost == nil || !boost[v] {
-				continue
+			live := b2i(f < p[i])
+			liveTo[nl] = v
+			nl += live
+			cand[nc] = v | int32(1-live)<<31
+			nc += b2i(f < pb[i])
+		}
+		liveHi[u] = int32(nl)
+		// A candidate is hit when it is live or boosted.
+		for _, c := range cand[:nc] {
+			v := c & math.MaxInt32
+			m := mark[v]
+			fresh := (b2i(c >= 0) | b2i(boost[v])) & b2i(m != epoch)
+			queue[tail] = v
+			tail += fresh
+			if fresh != 0 {
+				m = epoch
 			}
-			if mark[v] != epoch {
-				mark[v] = epoch
-				queue = append(queue, v)
-			}
+			mark[v] = m
 		}
 	}
 	r.SetState(s0, s1, s2, s3)
-	boosted = len(queue)
+	boosted = tail
 
-	// Pass 2: base world over the stamped live edges.
-	queue = seedQueue(queue, mark, seeds, -epoch)
-	for qi := 0; qi < len(queue); qi++ {
+	// Pass 2: base world over the recorded live runs.
+	queue = seedQueue(queue[:0], mark, seeds, -epoch)
+	tail = len(queue)
+	queue = queue[:n+1]
+	for qi := 0; qi < tail; qi++ {
 		u := queue[qi]
-		start := g.OutOffset(u)
-		for i, v := range g.OutTo(u) {
-			if mark[v] != -epoch && live[start+int32(i)] == stamp {
-				mark[v] = -epoch
-				queue = append(queue, v)
-			}
+		for _, v := range liveTo[liveLo[u]:liveHi[u]] {
+			fresh := b2i(mark[v] != -epoch)
+			mark[v] = -epoch
+			queue[tail] = v
+			tail += fresh
 		}
 	}
-	s.queue = queue
-	return len(queue), boosted
+	s.queue, s.liveTo, s.cand = queue[:tail], liveTo, cand
+	return tail, boosted
 }
 
 // Options configures a Monte-Carlo estimation.
