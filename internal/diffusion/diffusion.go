@@ -40,7 +40,6 @@ type Simulator struct {
 
 	liveTo         []int32 // PairOnce: live targets of the expanded nodes, one run per node
 	liveLo, liveHi []int32 // PairOnce: per-node run bounds in liveTo
-	cand           []int32 // PairOnce: one node's targets with u < p', bit 31 set when not live
 	noBoost        []bool  // PairOnce: the all-false mask a nil boost reads
 }
 
@@ -159,31 +158,33 @@ func (s *Simulator) SpreadOnce(seeds []int32, boost []bool, r *rng.Source) int {
 // because base activation is a subset of boosted activation.
 //
 // The boosted pass has no data-dependent branch per edge. For each
-// expanded node it writes every target into the live run and into a
-// candidate list, advancing the run by u < p and the list by u < p';
-// then it walks only the candidates, where a target is hit when it is
-// live or boosted, writes it into the queue slot after the last and
-// advances the queue by hit-and-new, so the queue needs n+1 slots. The
-// base pass walks only the live runs. The first PairOnce on a Simulator
-// allocates 2n int32 run bounds and an n-node all-false mask for a nil
-// boost; the live runs grow to the largest world's live-target count
-// and the candidate list to the largest expanded out-degree.
+// expanded node it writes every target into the node's live run and
+// into a candidate list just past the run's room, advancing the run by
+// u < p and the list by u < p'; then it walks only the candidates,
+// where a target is hit when it is live or boosted, writes it into the
+// queue slot after the last and advances the queue by hit-and-new, so
+// the queue needs n+1 slots. The base pass walks only the live runs.
+// The first PairOnce on a Simulator allocates 2n int32 run bounds and,
+// for a nil boost, an n-node all-false mask; liveTo grows to the
+// largest world's live-target count plus twice one out-degree.
 func (s *Simulator) PairOnce(seeds []int32, boost []bool, r *rng.Source) (base, boosted int) {
 	g := s.g
 	n := g.N()
 	if s.liveLo == nil {
-		s.liveLo = make([]int32, n)
-		s.liveHi = make([]int32, n)
-		s.noBoost = make([]bool, n)
+		bounds := make([]int32, 2*n)
+		s.liveLo, s.liveHi = bounds[:n:n], bounds[n:]
 	}
 	if boost == nil {
+		if s.noBoost == nil {
+			s.noBoost = make([]bool, n)
+		}
 		boost = s.noBoost
 	}
 	if cap(s.queue) <= n {
 		s.queue = make([]int32, 0, n+1)
 	}
 	epoch := s.nextEpoch()
-	mark, liveLo, liveHi, liveTo, cand := s.mark, s.liveLo, s.liveHi, s.liveTo, s.cand
+	mark, liveLo, liveHi, liveTo := s.mark, s.liveLo, s.liveHi, s.liveTo
 
 	// Pass 1: boosted world, recording each expanded node's live run.
 	queue := seedQueue(s.queue, mark, seeds, epoch)
@@ -196,16 +197,14 @@ func (s *Simulator) PairOnce(seeds []int32, boost []bool, r *rng.Source) (base, 
 		to := g.OutTo(u)
 		p := g.OutP(u)[:len(to)]
 		pb := g.OutPBoost(u)[:len(to)]
-		if need := nl + len(to); need > len(liveTo) {
+		if need := nl + 2*len(to); need > len(liveTo) {
 			grown := make([]int32, max(need, 2*len(liveTo)))
 			copy(grown, liveTo[:nl])
 			liveTo = grown
 		}
-		if len(to) > len(cand) {
-			cand = make([]int32, max(len(to), 2*len(cand)))
-		}
+		cand := liveTo[nl+len(to) : nl+2*len(to)]
 		liveLo[u] = int32(nl)
-		nc := 0 // candidates: targets with u < p'
+		nc := 0 // candidates: targets with u < p', bit 31 set when not live
 		for i, v := range to {
 			var x uint64
 			x, s0, s1, s2, s3 = rng.Step(s0, s1, s2, s3)
@@ -224,7 +223,7 @@ func (s *Simulator) PairOnce(seeds []int32, boost []bool, r *rng.Source) (base, 
 			fresh := (b2i(c >= 0) | b2i(boost[v])) & b2i(m != epoch)
 			queue[tail] = v
 			tail += fresh
-			if fresh != 0 {
+			if fresh != 0 { // a conditional move, not a branch
 				m = epoch
 			}
 			mark[v] = m
@@ -246,7 +245,7 @@ func (s *Simulator) PairOnce(seeds []int32, boost []bool, r *rng.Source) (base, 
 			tail += fresh
 		}
 	}
-	s.queue, s.liveTo, s.cand = queue[:tail], liveTo, cand
+	s.queue, s.liveTo = queue[:tail], liveTo
 	return tail, boosted
 }
 
