@@ -29,7 +29,7 @@ import (
 // boosted pass expanded, node u's run being liveTo[liveLo[u]:liveHi[u]].
 // That is 2n int32 of run bounds plus one world's live targets; the
 // runs of nodes the current world did not expand are stale and never
-// read. There are no per-edge bytes.
+// read.
 type Simulator struct {
 	g *graph.Graph
 
