@@ -33,11 +33,11 @@ func BenchmarkPairOnce(b *testing.B) {
 				b.Fatal(err)
 			}
 			seeds := dataset.InfluentialSeeds(g, 5)
-			mask := diffusion.MaskFromSet(g.N(), seeds)
+			isSeed := diffusion.MaskFromSet(g.N(), seeds)
 			boost := make([]bool, g.N())
 			pick := rng.New(2)
 			for chosen := 0; chosen < 8; {
-				if v := pick.Intn(g.N()); !mask[v] && !boost[v] {
+				if v := pick.Intn(g.N()); !isSeed[v] && !boost[v] {
 					boost[v] = true
 					chosen++
 				}
