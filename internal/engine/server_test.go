@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -284,5 +287,89 @@ func TestStatsEndpoint(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST /v1/stats: status %d, want 405", resp2.StatusCode)
+	}
+}
+
+// TestStatsJSONKeys pins the exact /v1/stats key set — top level plus
+// every sim_modes.<mode>.* key — after an ic boost, an lt boost and a
+// tiered estimate, and checks that the body decodes into Stats and
+// re-encodes to the same bytes: no counter is lost or renamed on the
+// way through the exported struct.
+func TestStatsJSONKeys(t *testing.T) {
+	srv := newTestServer(t)
+	for _, req := range []struct{ path, body string }{
+		{"/v1/boost", `{"graph":"g","seeds":[0,20,40],"k":2,"max_samples":2000}`},
+		{"/v1/boost", `{"graph":"g","seeds":[0,20,40],"k":2,"mode":"lt","sims":300}`},
+		{"/v1/estimate", `{"graph":"g","seeds":[0,20,40],"boost":[7],"max_latency_ms":50}`},
+	} {
+		if resp, decoded := postJSON(t, srv.URL+req.path, req.body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: status %d, body %v", req.path, req.body, resp.StatusCode, decoded)
+		}
+	}
+	resp, err := http.Get(srv.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k, v := range raw {
+		if k != "sim_modes" {
+			keys = append(keys, k)
+			continue
+		}
+		var modes map[string]map[string]json.RawMessage
+		if err := json.Unmarshal(v, &modes); err != nil {
+			t.Fatal(err)
+		}
+		for mode, fields := range modes {
+			for f := range fields {
+				keys = append(keys, "sim_modes."+mode+"."+f)
+			}
+		}
+	}
+	sort.Strings(keys)
+	want := []string{
+		"boost_queries", "degraded_estimates", "estimate_queries",
+		"estimate_tier0", "estimate_tier1", "estimate_tier2", "evictions",
+		"graph_deletes", "graph_ids", "graph_patches", "graph_versions",
+		"graphs", "invalidated_pools", "panics_recovered", "pool_bytes",
+		"pool_extensions", "pool_hits", "pool_misses", "pool_rebuilds",
+		"pools", "prr_generated", "repair_fallback_rebuilds",
+		"repair_skipped_rebuilds", "repaired_profiles", "repaired_sketches",
+		"requests_canceled", "requests_shed", "result_hits",
+		"retired_pool_bytes", "seed_queries",
+		"sim_modes.lt.boost_queries", "sim_modes.lt.estimate_queries",
+		"sim_modes.lt.pool_extensions", "sim_modes.lt.pool_hits",
+		"sim_modes.lt.pool_misses", "sim_modes.lt.profiles",
+		"sim_modes.lt.result_hits", "tier_calibrations", "uploads_total",
+		"uptime_seconds",
+	}
+	if strings.Join(keys, " ") != strings.Join(want, " ") {
+		t.Errorf("/v1/stats keys:\n got %v\nwant %v", keys, want)
+	}
+
+	var st statsResponse
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&st); err != nil {
+		t.Fatalf("decoding /v1/stats into Stats: %v", err)
+	}
+	var again bytes.Buffer
+	enc := json.NewEncoder(&again)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(st); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), body) {
+		t.Errorf("re-encoded stats differ from the body:\n got %s\nwant %s", again.Bytes(), body)
 	}
 }
