@@ -1210,16 +1210,18 @@ func (e *Engine) EstimateContext(ctx context.Context, req EstimateRequest) (Esti
 	if spec.sim == nil && spec.prrMode == prr.ModeLB {
 		return EstimateResult{}, fmt.Errorf("engine: mode \"lb\" is selection-only — estimate under mode \"ic\" (both diffuse identically)")
 	}
+	var out EstimateResult
 	if req.MaxLatencyMS > 0 || req.MaxError > 0 {
-		return e.estimateTiered(ctx, spec, req)
+		out, err = e.estimateTiered(ctx, spec, req)
+	} else {
+		out, err = e.estimateTier2(ctx, spec, req)
+		out.Tier = 2
+		out.ErrorTargetMet = true
 	}
-	out, err := e.estimateTier2(ctx, spec, req)
 	if err != nil {
-		return out, err
+		return EstimateResult{}, err
 	}
-	out.Tier = 2
-	out.ErrorTargetMet = true
-	e.ctr.estimateTier2.Add(1)
+	e.countEstimate(out.Tier, spec)
 	return out, nil
 }
 
@@ -1249,6 +1251,7 @@ func (e *Engine) EstimateDegraded(ctx context.Context, req EstimateRequest) (Est
 	// Degraded answers only meet an explicit error target by luck; report
 	// the honest default (no target ⇒ trivially met, like tier dispatch).
 	out.ErrorTargetMet = req.MaxError <= 0
+	e.countEstimate(out.Tier, spec)
 	e.ctr.degradedEstimates.Add(1)
 	return out, nil
 }
@@ -1269,7 +1272,6 @@ func (e *Engine) estimateTier2(ctx context.Context, spec *modeSpec, req Estimate
 	if g, err = spec.content.Apply(g); err != nil {
 		return EstimateResult{}, err
 	}
-	e.ctr.estimateQueries.Add(1)
 	opt := diffusion.Options{
 		Sims:    req.Sims,
 		Seed:    req.Seed,
@@ -1320,12 +1322,9 @@ func (e *Engine) estimateSim(ctx context.Context, spec *modeSpec, req EstimateRe
 			return EstimateResult{}, fmt.Errorf("engine: boost node %d out of range [0,%d)", v, g.N())
 		}
 	}
-	sc := e.simCtr(spec.name)
-	e.ctr.estimateQueries.Add(1)
-	sc.estimateQueries.Add(1)
 	ent, a, err := e.acquire(ctx, &poolReq{
 		graphID: req.GraphID, version: version, seeds: seeds, spec: spec,
-		rg: &reqGraph{base: g, content: spec.content}, sc: sc,
+		rg: &reqGraph{base: g, content: spec.content}, sc: e.simCtr(spec.name),
 		size: sizing{opt: core.Options{Seed: req.Seed, Workers: e.workersFor(req.Workers)}.WithDefaults(), sims: req.Sims},
 	})
 	if err != nil {

@@ -161,12 +161,10 @@ func (e *Engine) estimateTiered(ctx context.Context, spec *modeSpec, req Estimat
 					return EstimateResult{}, err
 				}
 				out.ErrorTargetMet = true
-				e.countTier(1, spec)
 				return out, nil
 			}
 			out := estimateTier0(g2, req, norm)
 			out.ErrorTargetMet = true
-			e.countTier(0, spec)
 			return out, nil
 		}
 		return e.calibrate(ctx, spec, req, rg, version)
@@ -181,7 +179,6 @@ func (e *Engine) estimateTiered(ctx context.Context, spec *modeSpec, req Estimat
 		}
 		out := estimateTier0(g2, req, cal.norm)
 		out.ErrorTargetMet = errMet
-		e.countTier(0, spec)
 		return out, nil
 	case 1:
 		g2, err := rg.get()
@@ -193,7 +190,6 @@ func (e *Engine) estimateTiered(ctx context.Context, spec *modeSpec, req Estimat
 			return EstimateResult{}, err
 		}
 		out.ErrorTargetMet = errMet
-		e.countTier(1, spec)
 		return out, nil
 	default:
 		out, err := e.estimateTier2(ctx, spec, req)
@@ -202,7 +198,6 @@ func (e *Engine) estimateTiered(ctx context.Context, spec *modeSpec, req Estimat
 		}
 		out.Tier = 2
 		out.ErrorTargetMet = true
-		e.ctr.estimateTier2.Add(1)
 		return out, nil
 	}
 }
@@ -211,9 +206,8 @@ func (e *Engine) estimateTiered(ctx context.Context, spec *modeSpec, req Estimat
 // tier 0 when the mode has a closed-form normalizer form, tier 1
 // otherwise. It is the degrade-mode workhorse (EstimateDegraded):
 // pool-free in both cases, so it stays cheap even on a cold engine
-// under load. Its query and tier counters are recorded through
-// countTier, like every tier-0/1 serve; the caller owns the Degraded
-// and ErrorTargetMet marks.
+// under load. The caller owns the Degraded and ErrorTargetMet marks
+// and the query counters.
 func (e *Engine) estimateFloor(ctx context.Context, spec *modeSpec, req EstimateRequest) (EstimateResult, error) {
 	g, _, err := e.snapshotFor(req.GraphID)
 	if err != nil {
@@ -231,16 +225,9 @@ func (e *Engine) estimateFloor(ctx context.Context, spec *modeSpec, req Estimate
 		return EstimateResult{}, err
 	}
 	if norm, ok := spec.tier0Norms(g2); ok {
-		out := estimateTier0(g2, req, norm)
-		e.countTier(0, spec)
-		return out, nil
+		return estimateTier0(g2, req, norm), nil
 	}
-	out, err := e.estimateTier1(req, g2, spec)
-	if err != nil {
-		return EstimateResult{}, err
-	}
-	e.countTier(1, spec)
-	return out, nil
+	return e.estimateTier1(req, g2, spec)
 }
 
 // pickTier chooses the cheapest tier consistent with the knobs, and
@@ -278,17 +265,23 @@ func pickTier(cal *calibration, req EstimateRequest) (tier int, errMet bool) {
 	return tier, tier >= errTier
 }
 
-// countTier bumps the query counters for a tier-0/1 serve (the tier-2
-// path counts itself inside the full estimators).
-func (e *Engine) countTier(tier int, spec *modeSpec) {
+// countEstimate bumps the query counters for one served estimate, in
+// the tier that served it. The two public entry points (EstimateContext,
+// EstimateDegraded) call it once on success and nothing below them
+// counts, so estimate_queries is always the sum of the tier counters
+// and a request rejected by validation counts nowhere.
+func (e *Engine) countEstimate(tier int, spec *modeSpec) {
 	e.ctr.estimateQueries.Add(1)
 	if spec.sim != nil {
 		e.simCtr(spec.name).estimateQueries.Add(1)
 	}
-	if tier == 0 {
+	switch tier {
+	case 0:
 		e.ctr.estimateTier0.Add(1)
-	} else {
+	case 1:
 		e.ctr.estimateTier1.Add(1)
+	default:
+		e.ctr.estimateTier2.Add(1)
 	}
 }
 
@@ -403,7 +396,6 @@ func (e *Engine) calibrate(ctx context.Context, spec *modeSpec, req EstimateRequ
 
 	out.Tier = 2
 	out.ErrorTargetMet = true
-	e.ctr.estimateTier2.Add(1)
 	return out, nil
 }
 

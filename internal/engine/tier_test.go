@@ -309,3 +309,66 @@ func TestBoostPrefilter(t *testing.T) {
 		}
 	}
 }
+
+// Every served estimate counts once, in its serving tier: estimate_queries
+// equals the sum of the estimate_tier* counters, the per-mode
+// estimate_queries moves with it, and a request rejected by validation
+// counts nowhere — whichever mode and tiering knobs it arrived with.
+func TestEstimateCountedOncePerServe(t *testing.T) {
+	knobs := []struct {
+		name     string
+		degraded bool
+		set      func(*EstimateRequest)
+	}{
+		{"knobless", false, func(*EstimateRequest) {}},
+		{"latency", false, func(r *EstimateRequest) { r.MaxLatencyMS = 50 }},
+		{"error", false, func(r *EstimateRequest) { r.MaxError = 0.5 }},
+		{"degraded", true, func(*EstimateRequest) {}},
+	}
+	operands := []struct {
+		name  string
+		valid bool
+		set   func(*EstimateRequest)
+	}{
+		{"bad-seed", false, func(r *EstimateRequest) { r.Seeds = []int32{0, 999} }},
+		{"bad-boost", false, func(r *EstimateRequest) { r.Boost = []int32{5, 999} }},
+		{"valid", true, func(*EstimateRequest) {}},
+	}
+	for _, mode := range []string{"ic", "lt"} {
+		for _, kn := range knobs {
+			for _, op := range operands {
+				t.Run(mode+"/"+kn.name+"/"+op.name, func(t *testing.T) {
+					e := newTestEngine(t, Options{})
+					req := tierRequest(mode)
+					req.Sims = 300
+					kn.set(&req)
+					op.set(&req)
+					var err error
+					if kn.degraded {
+						_, err = e.EstimateDegraded(context.Background(), req)
+					} else {
+						_, err = e.Estimate(req)
+					}
+					if (err == nil) != op.valid {
+						t.Fatalf("err = %v, want valid=%v", err, op.valid)
+					}
+					st := e.Stats()
+					var want int64
+					if op.valid {
+						want = 1
+					}
+					if st.EstimateQueries != want {
+						t.Errorf("estimate_queries = %d, want %d", st.EstimateQueries, want)
+					}
+					if sum := st.EstimateTier0 + st.EstimateTier1 + st.EstimateTier2; sum != st.EstimateQueries {
+						t.Errorf("estimate_tier0+1+2 = %d, estimate_queries = %d", sum, st.EstimateQueries)
+					}
+					if mode == "lt" && st.SimModes["lt"].EstimateQueries != st.EstimateQueries {
+						t.Errorf("sim_modes.lt.estimate_queries = %d, estimate_queries = %d",
+							st.SimModes["lt"].EstimateQueries, st.EstimateQueries)
+					}
+				})
+			}
+		}
+	}
+}
