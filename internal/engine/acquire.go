@@ -11,6 +11,7 @@ package engine
 
 import (
 	"context"
+	"sync/atomic"
 	"time"
 
 	"github.com/kboost/kboost/internal/core"
@@ -198,7 +199,7 @@ type poolReq struct {
 	rg      *reqGraph
 	size    sizing
 	// sc is the simulation mode's counter block; nil for the PRR modes.
-	sc *simCounters
+	sc *SimModeStats
 }
 
 // acquired reports how acquire served a request.
@@ -292,34 +293,34 @@ func (e *Engine) acquire(ctx context.Context, r *poolReq) (*poolEntry, acquired,
 // countPool records one acquire outcome. Added samples count into
 // prr_generated for the PRR modes and into the mode's profiles for the
 // simulation modes; only growth that added samples is an extension.
-func (e *Engine) countPool(sc *simCounters, a acquired) {
+func (e *Engine) countPool(sc *SimModeStats, a acquired) {
 	switch {
 	case a.rebuilt:
-		e.ctr.poolRebuilds.Add(1)
+		atomic.AddInt64(&e.ctr.PoolRebuilds, 1)
 	case !a.hit:
-		e.ctr.poolMisses.Add(1)
+		atomic.AddInt64(&e.ctr.PoolMisses, 1)
 	default:
-		e.ctr.poolHits.Add(1)
+		atomic.AddInt64(&e.ctr.PoolHits, 1)
 		if a.added > 0 {
-			e.ctr.poolExtensions.Add(1)
+			atomic.AddInt64(&e.ctr.PoolExtensions, 1)
 		}
 	}
 	if sc == nil {
 		if a.added > 0 {
-			e.ctr.prrGenerated.Add(int64(a.added))
+			atomic.AddInt64(&e.ctr.PRRGenerated, int64(a.added))
 		}
 		return
 	}
 	if !a.hit {
-		sc.poolMisses.Add(1)
+		atomic.AddInt64(&sc.PoolMisses, 1)
 	} else {
-		sc.poolHits.Add(1)
+		atomic.AddInt64(&sc.PoolHits, 1)
 		if a.added > 0 {
-			sc.poolExtensions.Add(1)
+			atomic.AddInt64(&sc.PoolExtensions, 1)
 		}
 	}
 	if a.added > 0 {
-		sc.profiles.Add(int64(a.added))
+		atomic.AddInt64(&sc.Profiles, int64(a.added))
 	}
 }
 
@@ -327,7 +328,7 @@ func (e *Engine) countPool(sc *simCounters, a acquired) {
 // the generation-keyed result cache. Callers hold ent.mu.RLock;
 // ent.pool is immutable for the duration.
 // kboost:holds mu
-func (e *Engine) selectCached(ctx context.Context, ent *poolEntry, sc *simCounters, out *BoostResult, key resultKey, cands []int32) (*BoostResult, error) {
+func (e *Engine) selectCached(ctx context.Context, ent *poolEntry, sc *SimModeStats, out *BoostResult, key resultKey, cands []int32) (*BoostResult, error) {
 	key.gen = ent.pool.Generation()
 	ent.resMu.Lock()
 	if ent.resultsGen != key.gen {
@@ -338,9 +339,9 @@ func (e *Engine) selectCached(ctx context.Context, ent *poolEntry, sc *simCounte
 	if cached != nil {
 		out.Result = copyResult(cached)
 		out.ResultCached = true
-		e.ctr.resultHits.Add(1)
+		atomic.AddInt64(&e.ctr.ResultHits, 1)
 		if sc != nil {
-			sc.resultHits.Add(1)
+			atomic.AddInt64(&sc.ResultHits, 1)
 		}
 		return out, nil
 	}

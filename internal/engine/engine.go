@@ -47,6 +47,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sort"
 	"strconv"
@@ -137,6 +138,25 @@ type Stats struct {
 	// replacement. Versions are per-process; a restarted engine starts
 	// over at 1.
 	GraphVersions map[string]uint64 `json:"graph_versions,omitempty"`
+
+	// Counters is embedded, so its fields are promoted (st.PoolHits)
+	// and encoding/json flattens them into the top-level object.
+	Counters
+
+	// SimModes breaks the pooled simulation traffic down per mode
+	// ("lt", "sir", "kthresh"): queries, their share of the pool cache
+	// traffic, and the cumulative number of Monte-Carlo profiles
+	// generated. A mode appears once it has served at least one query.
+	SimModes map[string]SimModeStats `json:"sim_modes,omitempty"`
+}
+
+// Counters is the engine's block of cumulative counters. The same
+// struct is both the engine's live block, where every field is only
+// ever touched through sync/atomic so the hot path (warm queries
+// bumping hit counters) neither contends on nor races with Engine.mu,
+// and the plain copy Stats reports, loaded field by field with
+// loadCounters.
+type Counters struct {
 	// UploadsTotal counts accepted graph snapshots — startup
 	// registrations and live uploads alike. GraphDeletes counts
 	// successful DeleteGraph calls.
@@ -170,9 +190,10 @@ type Stats struct {
 	// EstimateTier0/1/2 break the estimate queries down by the tier that
 	// served them: 0 = closed-form two-hop approximation, 1 =
 	// small-sample Monte-Carlo with a CI, 2 = full evaluation (knobless
-	// requests always count here). TierCalibrations counts per-snapshot
-	// calibration passes, each of which ran all three tiers once to
-	// measure the cheap tiers' error against the exact answer.
+	// requests always count here). EstimateQueries is their sum: a
+	// request that fails counts in neither. TierCalibrations counts
+	// per-snapshot calibration passes, each of which ran all three tiers
+	// once to measure the cheap tiers' error against the exact answer.
 	EstimateTier0    int64 `json:"estimate_tier0"`
 	EstimateTier1    int64 `json:"estimate_tier1"`
 	EstimateTier2    int64 `json:"estimate_tier2"`
@@ -199,12 +220,6 @@ type Stats struct {
 	// query leaves it unchanged.
 	PRRGenerated int64 `json:"prr_generated"`
 
-	// SimModes breaks the pooled simulation traffic down per mode
-	// ("lt", "sir", "kthresh"): queries, their share of the pool cache
-	// traffic, and the cumulative number of Monte-Carlo profiles
-	// generated. A mode appears once it has served at least one query.
-	SimModes map[string]SimModeStats `json:"sim_modes,omitempty"`
-
 	// The request-lifecycle counters. RequestsShed counts requests the
 	// server's admission control rejected with 429 (never admitted, so
 	// they appear in no per-query counter); RequestsCanceled counts
@@ -220,43 +235,16 @@ type Stats struct {
 	DegradedEstimates int64 `json:"degraded_estimates"`
 }
 
-// counters is the engine's live counter set. Every field is atomic so
-// the hot path (warm queries bumping hit counters) neither contends on
-// nor races with Engine.mu; Stats() assembles a consistent-enough
-// snapshot from atomic loads.
-type counters struct {
-	uploads          atomic.Int64
-	deletes          atomic.Int64
-	invalidatedPools atomic.Int64
-	retiredPoolBytes atomic.Int64
-
-	graphPatches     atomic.Int64
-	repairedSketches atomic.Int64
-	repairedProfiles atomic.Int64
-	repairSkipped    atomic.Int64
-	repairFallback   atomic.Int64
-
-	boostQueries    atomic.Int64
-	seedQueries     atomic.Int64
-	estimateQueries atomic.Int64
-
-	estimateTier0    atomic.Int64
-	estimateTier1    atomic.Int64
-	estimateTier2    atomic.Int64
-	tierCalibrations atomic.Int64
-
-	poolHits       atomic.Int64
-	poolMisses     atomic.Int64
-	poolRebuilds   atomic.Int64
-	poolExtensions atomic.Int64
-	resultHits     atomic.Int64
-	evictions      atomic.Int64
-	prrGenerated   atomic.Int64
-
-	requestsShed      atomic.Int64
-	requestsCanceled  atomic.Int64
-	panicsRecovered   atomic.Int64
-	degradedEstimates atomic.Int64
+// loadCounters returns a plain copy of a live counter block — a struct
+// whose fields are all int64 and only touched through sync/atomic —
+// loading each field atomically.
+func loadCounters[T any](live *T) T {
+	var out T
+	src, dst := reflect.ValueOf(live).Elem(), reflect.ValueOf(&out).Elem()
+	for i := 0; i < src.NumField(); i++ {
+		dst.Field(i).SetInt(atomic.LoadInt64(src.Field(i).Addr().Interface().(*int64)))
+	}
+	return out
 }
 
 // snapshot is one immutable registered graph plus its version.
@@ -269,6 +257,12 @@ type snapshot struct {
 // of registered graph snapshots. The zero value is not usable; create
 // one with New.
 type Engine struct {
+	// ctr is the live counter block. It stays the first field: the
+	// 64-bit atomics on its plain int64 fields need 8-byte alignment,
+	// which 32-bit platforms only guarantee at the start of an
+	// allocation.
+	ctr Counters
+
 	opt Options
 
 	mu     sync.Mutex
@@ -290,13 +284,13 @@ type Engine struct {
 	calMu sync.Mutex
 	cals  map[string]*calibration // kboost:guarded-by calMu
 
-	ctr counters
-
-	// simCtrs holds the per-mode counter blocks for the pooled
-	// simulation family, created on first use. simCtrMu is a leaf lock
-	// guarding only map access; the blocks themselves are atomic.
+	// simCtrs holds the per-mode live counter blocks for the pooled
+	// simulation family, created on first use (each its own allocation,
+	// so 8-byte aligned). simCtrMu is a leaf lock guarding only map
+	// access; the blocks themselves are touched only through
+	// sync/atomic.
 	simCtrMu sync.Mutex
-	simCtrs  map[string]*simCounters // kboost:guarded-by simCtrMu
+	simCtrs  map[string]*SimModeStats // kboost:guarded-by simCtrMu
 }
 
 // poolEntry is one cached pool. entry.mu serializes pool *mutation*
@@ -373,7 +367,7 @@ func New(opt Options) *Engine {
 		pools:    make(map[string]*poolEntry),
 		lru:      list.New(),
 		cals:     make(map[string]*calibration),
-		simCtrs:  make(map[string]*simCounters),
+		simCtrs:  make(map[string]*SimModeStats),
 	}
 }
 
@@ -390,7 +384,7 @@ func (e *Engine) RegisterGraph(id string, g *graph.Graph) error {
 		return fmt.Errorf("engine: graph id %q already registered", id)
 	}
 	e.graphs[id] = &snapshot{g: g, version: e.nextVersionLocked(id)}
-	e.ctr.uploads.Add(1)
+	atomic.AddInt64(&e.ctr.UploadsTotal, 1)
 	return nil
 }
 
@@ -436,7 +430,7 @@ func (e *Engine) UploadGraph(id string, g *graph.Graph) (UploadResult, error) {
 	}
 	res.Version = e.nextVersionLocked(id)
 	e.graphs[id] = &snapshot{g: g, version: res.Version}
-	e.ctr.uploads.Add(1)
+	atomic.AddInt64(&e.ctr.UploadsTotal, 1)
 	return res, nil
 }
 
@@ -451,7 +445,7 @@ func (e *Engine) DeleteGraph(id string) (int, error) {
 	delete(e.graphs, id)
 	invalidated, _ := e.invalidateGraphLocked(id)
 	e.dropCalibrations(id)
-	e.ctr.deletes.Add(1)
+	atomic.AddInt64(&e.ctr.GraphDeletes, 1)
 	return invalidated, nil
 }
 
@@ -481,8 +475,8 @@ func (e *Engine) invalidateGraphLocked(id string) (pools int, bytes int64) {
 		pools++
 		ent.clearResults()
 	}
-	e.ctr.invalidatedPools.Add(int64(pools))
-	e.ctr.retiredPoolBytes.Add(bytes)
+	atomic.AddInt64(&e.ctr.InvalidatedPools, int64(pools))
+	atomic.AddInt64(&e.ctr.RetiredPoolBytes, bytes)
 	return pools, bytes
 }
 
@@ -554,53 +548,12 @@ func (e *Engine) GraphInfos() []GraphInfo {
 
 // Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() Stats {
-	st := Stats{
-		UploadsTotal:     e.ctr.uploads.Load(),
-		GraphDeletes:     e.ctr.deletes.Load(),
-		InvalidatedPools: e.ctr.invalidatedPools.Load(),
-		RetiredPoolBytes: e.ctr.retiredPoolBytes.Load(),
-
-		GraphPatches:           e.ctr.graphPatches.Load(),
-		RepairedSketches:       e.ctr.repairedSketches.Load(),
-		RepairedProfiles:       e.ctr.repairedProfiles.Load(),
-		RepairSkippedRebuilds:  e.ctr.repairSkipped.Load(),
-		RepairFallbackRebuilds: e.ctr.repairFallback.Load(),
-
-		BoostQueries:    e.ctr.boostQueries.Load(),
-		SeedQueries:     e.ctr.seedQueries.Load(),
-		EstimateQueries: e.ctr.estimateQueries.Load(),
-
-		EstimateTier0:    e.ctr.estimateTier0.Load(),
-		EstimateTier1:    e.ctr.estimateTier1.Load(),
-		EstimateTier2:    e.ctr.estimateTier2.Load(),
-		TierCalibrations: e.ctr.tierCalibrations.Load(),
-
-		PoolHits:       e.ctr.poolHits.Load(),
-		PoolMisses:     e.ctr.poolMisses.Load(),
-		PoolRebuilds:   e.ctr.poolRebuilds.Load(),
-		PoolExtensions: e.ctr.poolExtensions.Load(),
-		ResultHits:     e.ctr.resultHits.Load(),
-		Evictions:      e.ctr.evictions.Load(),
-		PRRGenerated:   e.ctr.prrGenerated.Load(),
-
-		RequestsShed:      e.ctr.requestsShed.Load(),
-		RequestsCanceled:  e.ctr.requestsCanceled.Load(),
-		PanicsRecovered:   e.ctr.panicsRecovered.Load(),
-		DegradedEstimates: e.ctr.degradedEstimates.Load(),
-	}
+	st := Stats{Counters: loadCounters(&e.ctr)}
 	e.simCtrMu.Lock()
 	if len(e.simCtrs) > 0 {
 		st.SimModes = make(map[string]SimModeStats, len(e.simCtrs))
 		for name, sc := range e.simCtrs {
-			st.SimModes[name] = SimModeStats{
-				BoostQueries:    sc.boostQueries.Load(),
-				EstimateQueries: sc.estimateQueries.Load(),
-				PoolHits:        sc.poolHits.Load(),
-				PoolMisses:      sc.poolMisses.Load(),
-				PoolExtensions:  sc.poolExtensions.Load(),
-				ResultHits:      sc.resultHits.Load(),
-				Profiles:        sc.profiles.Load(),
-			}
+			st.SimModes[name] = loadCounters(sc)
 		}
 	}
 	e.simCtrMu.Unlock()
@@ -854,13 +807,13 @@ func (e *Engine) BoostContext(ctx context.Context, req BoostRequest) (*BoostResu
 		return nil, err
 	}
 	key := resultKey{k: req.K}
-	e.ctr.boostQueries.Add(1)
+	atomic.AddInt64(&e.ctr.BoostQueries, 1)
 	if spec.sim == nil {
 		o := r.size.opt
 		r.size.memo = fmt.Sprintf("%d|%g|%g|%d", o.K, o.Epsilon, o.Ell, o.MaxSamples)
 	} else {
 		r.sc = e.simCtr(spec.name)
-		r.sc.boostQueries.Add(1)
+		atomic.AddInt64(&r.sc.BoostQueries, 1)
 		// A boost query's simulation budget is a quality floor, so an
 		// omitted Sims means the full default — unlike estimates, which
 		// reuse a cached pool lazily at whatever size it has.
@@ -934,12 +887,12 @@ func (e *Engine) noteRequestErr(err error) error {
 		return nil
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		e.ctr.requestsCanceled.Add(1)
+		atomic.AddInt64(&e.ctr.RequestsCanceled, 1)
 		return err
 	}
 	var pe *panicsafe.Error
 	if errors.As(err, &pe) {
-		e.ctr.panicsRecovered.Add(1)
+		atomic.AddInt64(&e.ctr.PanicsRecovered, 1)
 		return fmt.Errorf("engine: internal error: %w", err)
 	}
 	return err
@@ -1042,7 +995,7 @@ func (e *Engine) evictLocked() {
 		e.lru.Remove(back)
 		delete(e.pools, ent.key)
 		e.poolBytes -= ent.bytes
-		e.ctr.evictions.Add(1)
+		atomic.AddInt64(&e.ctr.Evictions, 1)
 	}
 }
 
@@ -1087,7 +1040,7 @@ func (e *Engine) SelectSeedsContext(ctx context.Context, req SeedsRequest) (rrse
 	if err != nil {
 		return rrset.Result{}, err
 	}
-	e.ctr.seedQueries.Add(1)
+	atomic.AddInt64(&e.ctr.SeedQueries, 1)
 	res, err := rrset.SelectSeedsContext(ctx, g, req.K, rrset.Options{
 		Epsilon:    req.Epsilon,
 		Ell:        req.Ell,
@@ -1252,7 +1205,7 @@ func (e *Engine) EstimateDegraded(ctx context.Context, req EstimateRequest) (Est
 	// the honest default (no target ⇒ trivially met, like tier dispatch).
 	out.ErrorTargetMet = req.MaxError <= 0
 	e.countEstimate(out.Tier, spec)
-	e.ctr.degradedEstimates.Add(1)
+	atomic.AddInt64(&e.ctr.DegradedEstimates, 1)
 	return out, nil
 }
 

@@ -24,7 +24,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"github.com/kboost/kboost/internal/graph"
 	"github.com/kboost/kboost/internal/model"
@@ -166,21 +165,11 @@ func (r *reqGraph) get() (*graph.Graph, error) {
 	return r.derived, r.err
 }
 
-// simCounters is one simulation mode's query/cache counter block —
-// the per-mode breakdown behind Stats.SimModes. All fields are atomic:
-// the warm path bumps them without any lock.
-type simCounters struct {
-	boostQueries    atomic.Int64
-	estimateQueries atomic.Int64
-	poolHits        atomic.Int64
-	poolMisses      atomic.Int64
-	poolExtensions  atomic.Int64
-	resultHits      atomic.Int64
-	profiles        atomic.Int64
-}
-
-// SimModeStats is the exported snapshot of one simulation mode's
-// counters, keyed by canonical mode name in Stats.SimModes.
+// SimModeStats is one simulation mode's query/cache counter block,
+// keyed by canonical mode name in Stats.SimModes. Like Counters, the
+// same struct is the engine's live per-mode block (bumped through
+// sync/atomic, without any lock, on the warm path) and the plain copy
+// Stats reports.
 type SimModeStats struct {
 	BoostQueries    int64 `json:"boost_queries"`
 	EstimateQueries int64 `json:"estimate_queries"`
@@ -193,12 +182,12 @@ type SimModeStats struct {
 
 // simCtr returns (creating on first use) the counter block for a
 // simulation mode.
-func (e *Engine) simCtr(name string) *simCounters {
+func (e *Engine) simCtr(name string) *SimModeStats {
 	e.simCtrMu.Lock()
 	defer e.simCtrMu.Unlock()
 	sc := e.simCtrs[name]
 	if sc == nil {
-		sc = &simCounters{}
+		sc = &SimModeStats{}
 		e.simCtrs[name] = sc
 	}
 	return sc

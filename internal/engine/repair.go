@@ -47,6 +47,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"github.com/kboost/kboost/internal/faults"
 	"github.com/kboost/kboost/internal/graph"
@@ -154,7 +155,7 @@ func (e *Engine) RepairGraphContext(ctx context.Context, id string, delta *graph
 		detachedBytes = append(detachedBytes, ent.bytes)
 	}
 	e.mu.Unlock()
-	e.ctr.graphPatches.Add(1)
+	atomic.AddInt64(&e.ctr.GraphPatches, 1)
 
 	res := RepairResult{
 		GraphInfo: GraphInfo{ID: id, Version: newVersion, Nodes: g2.N(), Edges: g2.M()},
@@ -165,18 +166,18 @@ func (e *Engine) RepairGraphContext(ctx context.Context, id string, delta *graph
 		if fresh == nil {
 			if hadPool {
 				res.PoolsDropped++
-				e.ctr.repairFallback.Add(1)
-				e.ctr.invalidatedPools.Add(1)
-				e.ctr.retiredPoolBytes.Add(detachedBytes[i])
+				atomic.AddInt64(&e.ctr.RepairFallbackRebuilds, 1)
+				atomic.AddInt64(&e.ctr.InvalidatedPools, 1)
+				atomic.AddInt64(&e.ctr.RetiredPoolBytes, detachedBytes[i])
 			}
 			continue
 		}
 		res.PoolsRepaired++
 		res.RepairedSketches += sketches
 		res.RepairedProfiles += profiles
-		e.ctr.repairSkipped.Add(1)
-		e.ctr.repairedSketches.Add(int64(sketches))
-		e.ctr.repairedProfiles.Add(int64(profiles))
+		atomic.AddInt64(&e.ctr.RepairSkippedRebuilds, 1)
+		atomic.AddInt64(&e.ctr.RepairedSketches, int64(sketches))
+		atomic.AddInt64(&e.ctr.RepairedProfiles, int64(profiles))
 
 		e.mu.Lock()
 		cur, live := e.graphs[id]

@@ -188,7 +188,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			if rec == http.ErrAbortHandler {
 				panic(rec)
 			}
-			s.engine.ctr.panicsRecovered.Add(1)
+			atomic.AddInt64(&s.engine.ctr.PanicsRecovered, 1)
 			// If the handler already started its response this write is a
 			// no-op on the status line; the client sees a truncated body,
 			// which is the best available outcome mid-stream.
@@ -243,7 +243,7 @@ func (s *Server) tryAcquire(cold bool) (release func(), ok bool) {
 
 // shed rejects an unadmittable request with 429 and a Retry-After hint.
 func (s *Server) shed(w http.ResponseWriter) {
-	s.engine.ctr.requestsShed.Add(1)
+	atomic.AddInt64(&s.engine.ctr.RequestsShed, 1)
 	w.Header().Set("Retry-After", strconv.Itoa(s.opt.RetryAfterSeconds))
 	s.writeJSON(w, http.StatusTooManyRequests,
 		errorResponse{Error: "server is at capacity; retry shortly"})

@@ -42,6 +42,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"github.com/kboost/kboost/internal/approx"
@@ -271,17 +272,17 @@ func pickTier(cal *calibration, req EstimateRequest) (tier int, errMet bool) {
 // counts, so estimate_queries is always the sum of the tier counters
 // and a request rejected by validation counts nowhere.
 func (e *Engine) countEstimate(tier int, spec *modeSpec) {
-	e.ctr.estimateQueries.Add(1)
+	atomic.AddInt64(&e.ctr.EstimateQueries, 1)
 	if spec.sim != nil {
-		e.simCtr(spec.name).estimateQueries.Add(1)
+		atomic.AddInt64(&e.simCtr(spec.name).EstimateQueries, 1)
 	}
 	switch tier {
 	case 0:
-		e.ctr.estimateTier0.Add(1)
+		atomic.AddInt64(&e.ctr.EstimateTier0, 1)
 	case 1:
-		e.ctr.estimateTier1.Add(1)
+		atomic.AddInt64(&e.ctr.EstimateTier1, 1)
 	default:
-		e.ctr.estimateTier2.Add(1)
+		atomic.AddInt64(&e.ctr.EstimateTier2, 1)
 	}
 }
 
@@ -392,7 +393,7 @@ func (e *Engine) calibrate(ctx context.Context, spec *modeSpec, req EstimateRequ
 	e.calMu.Lock()
 	e.cals[calKey(req.GraphID, spec.calID())] = cal
 	e.calMu.Unlock()
-	e.ctr.tierCalibrations.Add(1)
+	atomic.AddInt64(&e.ctr.TierCalibrations, 1)
 
 	out.Tier = 2
 	out.ErrorTargetMet = true
