@@ -5,7 +5,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: all build test race lint bench bench-short bench-gate bench-gate-baseline fuzz-short chaos-short
+.PHONY: all build test race lint bench bench-short bench-gate fuzz-short chaos-short
 
 all: build test
 
@@ -68,10 +68,9 @@ fuzz-short:
 # serves: closed-form tier 0, small-sample tier 1, and the warm tier-2
 # baseline they undercut) with -benchmem, and emits
 # machine-readable BENCH_select.json (ns/op, bytes_per_op,
-# allocs_per_op) alongside the usual text output. -count=3 matches the
-# gate's re-runs; the comparator takes each name's *median* baseline
-# run, so one lucky run here cannot tighten the gate for every later
-# commit.
+# allocs_per_op) alongside the usual text output: a record of this
+# host's numbers, not a baseline anything gates against (bench-gate
+# runs both trees itself).
 bench:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkSelectDeltaWarm|BenchmarkExtendIncremental|BenchmarkPoolBuildCold|BenchmarkPRREval' -benchmem -count=3 ./internal/prr && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkLTSelectWarm|BenchmarkLTEstimateWarm' -benchmem -count=3 ./internal/lt && \
@@ -126,19 +125,3 @@ GATED := \
 bench-gate:
 	@test -n '$(BASE)' || { echo 'bench-gate: no merge-base with main or origin/main; pass BASE=<rev>' >&2; exit 2; }
 	GO='$(GO)' bash scripts/bench-gate.sh '$(BASE)' $(GATED)
-
-# bench-gate-baseline is the earlier file-based gate: it re-runs the
-# gated set, emits BENCH_fresh.json, and compares it against the
-# committed BENCH_select.json. Cold ns/op varies too much across runners
-# to gate on, so BenchmarkGraphPatchRebuild and the full-size warm
-# benches stay informational; alloc counts are exact, so the alloc gate
-# catches an accidental per-call allocation on the warm path even when
-# the runner is noisy. Re-runs use -count=3 and the comparator compares
-# the fastest fresh run against the median baseline run. The baseline
-# carries the skew of the host that recorded it, so this gate is only
-# meaningful on that host; the paired bench-gate is the one CI runs.
-bench-gate-baseline:
-	for spec in $(GATED); do \
-		$(GO) test -run '^$$' -bench "$${spec#*=}" -benchmem -count=3 "$${spec%%=*}" || exit 1; \
-	done | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_fresh.json
-	$(GO) run ./cmd/benchjson -baseline BENCH_select.json -current BENCH_fresh.json -max-regress 0.25 -max-alloc-regress 0.25

@@ -10,87 +10,6 @@ import (
 	"strings"
 )
 
-// compare is the bench-gate: it loads two benchjson outputs and fails
-// (returns an error) when any benchmark present in both files — and
-// matching the filter regexp — regressed in ns/op by more than
-// maxRegress, or in allocs_per_op by more than maxAllocRegress.
-// Benchmarks present on only one side are reported but never fail the
-// gate, so new benchmarks cannot break CI before a baseline lands. The
-// committed baseline is recorded on whatever machine last ran `make
-// bench`, so cross-machine comparisons carry hardware skew: the gate is
-// restricted to cheap warm-path benchmarks (CI runners are at least as
-// parallel as the baseline machines, so skew shows up as headroom, not
-// false failures) and the regression budget absorbs the rest. Re-run
-// `make bench` to re-baseline after an intentional change.
-//
-// The alloc gate complements the ns/op gate: allocation counts are
-// exact, not timing-noise-dependent, so it catches an accidental
-// per-call allocation on a warm path even on a noisy runner. A
-// benchmark whose baseline reports zero allocs/op must stay at zero
-// (the bench target always records with -benchmem, so zero means
-// zero-alloc, not unmeasured); with maxAllocRegress < 0 the alloc gate
-// is disabled entirely.
-//
-// Benchmark names carry a -GOMAXPROCS suffix (e.g. "/incremental-8")
-// that varies across machines; names are normalized before matching so
-// a laptop baseline still gates a CI runner.
-func compare(baselinePath, currentPath, filter string, maxRegress, maxAllocRegress float64, w io.Writer) error {
-	if currentPath == "" {
-		return fmt.Errorf("compare mode needs -current")
-	}
-	base, err := loadResults(baselinePath, pickMedian)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	cur, err := loadResults(currentPath, pickMin)
-	if err != nil {
-		return fmt.Errorf("current: %w", err)
-	}
-	keep, err := regexp.Compile(filter) // "" matches everything
-	if err != nil {
-		return fmt.Errorf("filter: %w", err)
-	}
-
-	var regressions []string
-	compared := 0
-	for name, c := range cur {
-		if !keep.MatchString(name) {
-			continue
-		}
-		b, ok := base[name]
-		if !ok {
-			fmt.Fprintf(w, "benchjson: %s: no baseline entry, skipping\n", name)
-			continue
-		}
-		if b.NsPerOp <= 0 {
-			continue
-		}
-		compared++
-		ratio := c.NsPerOp / b.NsPerOp
-		status := "ok"
-		if ratio > 1+maxRegress {
-			status = "REGRESSION"
-			regressions = append(regressions, fmt.Sprintf("%s: %.0f -> %.0f ns/op (%+.1f%%)",
-				name, b.NsPerOp, c.NsPerOp, (ratio-1)*100))
-		}
-		if msg := allocRegression(name, b.AllocsPerOp, c.AllocsPerOp, maxAllocRegress); msg != "" {
-			status = "REGRESSION"
-			regressions = append(regressions, msg)
-		}
-		fmt.Fprintf(w, "benchjson: %-50s %12.0f -> %12.0f ns/op  %+7.1f%%  %4.0f -> %4.0f allocs/op  %s\n",
-			name, b.NsPerOp, c.NsPerOp, (ratio-1)*100, b.AllocsPerOp, c.AllocsPerOp, status)
-	}
-	if compared == 0 {
-		return fmt.Errorf("no benchmarks matched filter %q in both files", filter)
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("regression beyond the gate (%.0f%% ns/op, %.0f%% allocs/op) on:\n  %s",
-			maxRegress*100, maxAllocRegress*100, strings.Join(regressions, "\n  "))
-	}
-	fmt.Fprintf(w, "benchjson: %d benchmark(s) within the %.0f%% gate\n", compared, maxRegress*100)
-	return nil
-}
-
 // allocRegression describes an allocs/op regression from base to cur
 // beyond maxAllocRegress, or returns "" if there is none. An alloc-free
 // base must stay alloc-free; maxAllocRegress < 0 disables the check.
@@ -104,56 +23,6 @@ func allocRegression(name string, base, cur, maxAllocRegress float64) string {
 		return fmt.Sprintf("%s: %.0f -> %.0f allocs/op (%+.1f%%)", name, base, cur, (cur/base-1)*100)
 	}
 	return ""
-}
-
-// loadResults reads a benchjson output file into a map keyed by the
-// normalized benchmark name, collapsing repeated entries (go test
-// -count=N) with pick. The two sides of the gate aggregate
-// differently: the current side keeps the minimum ns/op (the fastest
-// run is the least-noisy estimate of a benchmark's true cost, so a
-// scheduler hiccup in one run cannot read as a regression), while the
-// baseline keeps the median (a lucky baseline run would silently
-// tighten the gate for every later commit — the comparison is "is even
-// the fastest fresh run more than the budget slower than a typical
-// baseline run?").
-func loadResults(path string, pick func([]result) result) (map[string]result, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var results []result
-	if err := json.Unmarshal(data, &results); err != nil {
-		return nil, err
-	}
-	byName := make(map[string][]result, len(results))
-	for _, r := range results {
-		name := normalizeName(r.Name)
-		byName[name] = append(byName[name], r)
-	}
-	out := make(map[string]result, len(byName))
-	for name, rs := range byName {
-		out[name] = pick(rs)
-	}
-	return out, nil
-}
-
-// pickMin returns the entry with the lowest ns/op.
-func pickMin(rs []result) result {
-	best := rs[0]
-	for _, r := range rs[1:] {
-		if r.NsPerOp < best.NsPerOp {
-			best = r
-		}
-	}
-	return best
-}
-
-// pickMedian returns the entry with the median ns/op (lower-middle for
-// an even count, so a 2-entry file behaves like pickMin).
-func pickMedian(rs []result) result {
-	sorted := append([]result(nil), rs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].NsPerOp < sorted[j].NsPerOp })
-	return sorted[(len(sorted)-1)/2]
 }
 
 // normalizeName strips the trailing -GOMAXPROCS suffix go test appends
@@ -181,8 +50,17 @@ func normalizeName(name string) string {
 // both sides (and matching filter) it takes the per-round ratio
 // current/base ns/op and fails when the median ratio exceeds
 // 1+maxRegress; pairing cancels host speed, and the median over rounds
-// discards a round that one scheduler hiccup spoiled. Allocation counts
-// are compared as medians under the same rules as compare.
+// discards a round that one scheduler hiccup spoiled.
+//
+// Allocation counts are compared as per-name medians (allocRegression).
+// They are exact, not timing-noise-dependent, so the alloc gate catches
+// an accidental per-call allocation on a warm path even on a noisy
+// host. A benchmark whose base reports zero allocs/op must stay at
+// zero (the gate always runs with -benchmem, so zero means alloc-free,
+// not unmeasured); with maxAllocRegress < 0 the alloc gate is disabled.
+//
+// Benchmark names carry a -GOMAXPROCS suffix (e.g. "/incremental-8");
+// names are normalized before matching.
 func comparePaired(basePath, currentPath, filter string, maxRegress, maxAllocRegress float64, w io.Writer) error {
 	if currentPath == "" {
 		return fmt.Errorf("paired mode needs -current")

@@ -7,18 +7,15 @@
 //
 //	go test -run '^$' -bench SelectDeltaWarm -benchmem ./internal/prr | benchjson
 //
-// With -baseline it instead compares a fresh JSON file against a
-// committed baseline and fails on ns/op or allocs/op regressions of
-// the benchmarks matching -filter (default: all) — `make
-// bench-gate-baseline`:
+// With -paired and -baseline it instead compares two such files, a
+// base tree's results recorded next to -current's on the same host,
+// one entry per round, and fails when the median per-round ns/op ratio
+// or the median allocs/op of a benchmark matching -filter (default:
+// all) regresses beyond the gate (see comparePaired); this is what
+// `make bench-gate` runs:
 //
-//	benchjson -baseline BENCH_select.json -current BENCH_fresh.json \
+//	benchjson -paired -baseline base.json -current cur.json \
 //	          -max-regress 0.25 -max-alloc-regress 0.25
-//
-// With -paired as well, -baseline names a base tree's results recorded
-// next to -current's on the same host, one entry per round, and the
-// gate compares the median per-round ratio (see comparePaired); this is
-// what `make bench-gate` runs.
 package main
 
 import (
@@ -46,12 +43,12 @@ type result struct {
 func main() {
 	fs := flag.NewFlagSet("benchjson", flag.ExitOnError)
 	var (
-		baseline        = fs.String("baseline", "", "committed baseline JSON; switches to compare mode")
-		current         = fs.String("current", "", "fresh JSON to compare against -baseline")
+		baseline        = fs.String("baseline", "", "with -paired: the base tree's JSON")
+		current         = fs.String("current", "", "with -paired: the current tree's JSON, compared against -baseline")
 		filter          = fs.String("filter", "", "regexp selecting which benchmarks the compare gate covers")
 		maxRegress      = fs.Float64("max-regress", 0.25, "maximum tolerated fractional ns/op regression")
 		maxAllocRegress = fs.Float64("max-alloc-regress", 0.25, "maximum tolerated fractional allocs/op regression (negative disables the alloc gate)")
-		paired          = fs.Bool("paired", false, "with -baseline: compare per-round pairs of a base tree's results recorded alongside -current")
+		paired          = fs.Bool("paired", false, "compare per-round pairs of -baseline's and -current's results, recorded alternately on one host")
 	)
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
@@ -60,8 +57,8 @@ func main() {
 	switch {
 	case *baseline != "" && *paired:
 		err = comparePaired(*baseline, *current, *filter, *maxRegress, *maxAllocRegress, os.Stdout)
-	case *baseline != "":
-		err = compare(*baseline, *current, *filter, *maxRegress, *maxAllocRegress, os.Stdout)
+	case *baseline != "" || *paired:
+		err = fmt.Errorf("-paired and -baseline go together: the paired gate is the only compare mode")
 	default:
 		err = run()
 	}

@@ -57,144 +57,6 @@ func writeJSON(t *testing.T, dir, name, content string) string {
 	return path
 }
 
-func TestCompareGate(t *testing.T) {
-	dir := t.TempDir()
-	base := writeJSON(t, dir, "base.json", `[
-		{"name": "BenchmarkWarmA-8", "iterations": 10, "ns_per_op": 1000},
-		{"name": "BenchmarkWarmB-8", "iterations": 10, "ns_per_op": 2000},
-		{"name": "BenchmarkColdC-8", "iterations": 10, "ns_per_op": 50}
-	]`)
-
-	// Within the gate: 20% slower on a 25% budget, different GOMAXPROCS
-	// suffix, and a new benchmark with no baseline.
-	cur := writeJSON(t, dir, "ok.json", `[
-		{"name": "BenchmarkWarmA-16", "iterations": 10, "ns_per_op": 1200},
-		{"name": "BenchmarkWarmB-16", "iterations": 10, "ns_per_op": 1500},
-		{"name": "BenchmarkWarmNew-16", "iterations": 10, "ns_per_op": 9999}
-	]`)
-	if err := compare(base, cur, "Warm", 0.25, 0.25, &strings.Builder{}); err != nil {
-		t.Fatalf("within-gate compare failed: %v", err)
-	}
-
-	// Beyond the gate: 50% slower must fail, and the failure must name
-	// the offender.
-	bad := writeJSON(t, dir, "bad.json", `[
-		{"name": "BenchmarkWarmA-16", "iterations": 10, "ns_per_op": 1500},
-		{"name": "BenchmarkColdC-16", "iterations": 10, "ns_per_op": 500}
-	]`)
-	err := compare(base, bad, "Warm", 0.25, 0.25, &strings.Builder{})
-	if err == nil {
-		t.Fatal("regression passed the gate")
-	}
-	if !strings.Contains(err.Error(), "BenchmarkWarmA") {
-		t.Fatalf("error does not name the regression: %v", err)
-	}
-	// The filter must exclude the (also regressed) cold benchmark.
-	if strings.Contains(err.Error(), "ColdC") {
-		t.Fatalf("filter leaked cold benchmarks into the gate: %v", err)
-	}
-
-	// No overlap at all is an error, not a silent pass.
-	if err := compare(base, cur, "NoSuchBench", 0.25, 0.25, &strings.Builder{}); err == nil {
-		t.Fatal("empty comparison passed the gate")
-	}
-
-	// The filter is a regexp: an alternation covers disjoint benchmark
-	// families (e.g. 'Warm|PatchRepair'), and a bad
-	// pattern is an error rather than a match-nothing pass.
-	err = compare(base, bad, "Warm|ColdC", 0.25, 0.25, &strings.Builder{})
-	if err == nil || !strings.Contains(err.Error(), "ColdC") {
-		t.Fatalf("alternation filter did not gate both families: %v", err)
-	}
-	if err := compare(base, bad, "Warm|(", 0.25, 0.25, &strings.Builder{}); err == nil {
-		t.Fatal("invalid filter regexp passed the gate")
-	}
-}
-
-func TestCompareAllocGate(t *testing.T) {
-	dir := t.TempDir()
-	base := writeJSON(t, dir, "base.json", `[
-		{"name": "BenchmarkWarmA-8", "iterations": 10, "ns_per_op": 1000, "allocs_per_op": 8},
-		{"name": "BenchmarkWarmB-8", "iterations": 10, "ns_per_op": 1000}
-	]`)
-
-	// Allocs within the 25% budget (8 -> 10), zero-alloc stays zero.
-	ok := writeJSON(t, dir, "ok.json", `[
-		{"name": "BenchmarkWarmA-16", "iterations": 10, "ns_per_op": 1000, "allocs_per_op": 10},
-		{"name": "BenchmarkWarmB-16", "iterations": 10, "ns_per_op": 1000}
-	]`)
-	if err := compare(base, ok, "Warm", 0.25, 0.25, &strings.Builder{}); err != nil {
-		t.Fatalf("within-gate alloc compare failed: %v", err)
-	}
-
-	// 8 -> 12 allocs/op is +50%: beyond the gate even with flat ns/op.
-	grew := writeJSON(t, dir, "grew.json", `[
-		{"name": "BenchmarkWarmA-16", "iterations": 10, "ns_per_op": 1000, "allocs_per_op": 12}
-	]`)
-	err := compare(base, grew, "Warm", 0.25, 0.25, &strings.Builder{})
-	if err == nil {
-		t.Fatal("alloc regression passed the gate")
-	}
-	if !strings.Contains(err.Error(), "allocs/op") {
-		t.Fatalf("error does not mention allocs: %v", err)
-	}
-
-	// A formerly alloc-free benchmark picking up any allocation fails.
-	leaked := writeJSON(t, dir, "leaked.json", `[
-		{"name": "BenchmarkWarmB-16", "iterations": 10, "ns_per_op": 1000, "allocs_per_op": 1}
-	]`)
-	if err := compare(base, leaked, "Warm", 0.25, 0.25, &strings.Builder{}); err == nil {
-		t.Fatal("alloc-free benchmark grew an allocation and passed the gate")
-	}
-
-	// Negative budget disables the alloc gate entirely.
-	if err := compare(base, grew, "Warm", 0.25, -1, &strings.Builder{}); err != nil {
-		t.Fatalf("disabled alloc gate still failed: %v", err)
-	}
-}
-
-func TestLoadResultsAggregation(t *testing.T) {
-	dir := t.TempDir()
-	path := writeJSON(t, dir, "multi.json", `[
-		{"name": "BenchmarkWarmA-8", "iterations": 10, "ns_per_op": 1500},
-		{"name": "BenchmarkWarmA-8", "iterations": 10, "ns_per_op": 900},
-		{"name": "BenchmarkWarmA-8", "iterations": 10, "ns_per_op": 1100}
-	]`)
-	res, err := loadResults(path, pickMin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res["BenchmarkWarmA"].NsPerOp; got != 900 {
-		t.Fatalf("pickMin kept %v ns/op, want the 900 minimum", got)
-	}
-	res, err = loadResults(path, pickMedian)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res["BenchmarkWarmA"].NsPerOp; got != 1100 {
-		t.Fatalf("pickMedian kept %v ns/op, want the 1100 median", got)
-	}
-}
-
-// The gate compares min-of-current against median-of-baseline: one
-// lucky baseline run out of three must not tighten the gate.
-func TestCompareGateMedianBaseline(t *testing.T) {
-	dir := t.TempDir()
-	base := writeJSON(t, dir, "base.json", `[
-		{"name": "BenchmarkWarmA-8", "iterations": 10, "ns_per_op": 700},
-		{"name": "BenchmarkWarmA-8", "iterations": 10, "ns_per_op": 1000},
-		{"name": "BenchmarkWarmA-8", "iterations": 10, "ns_per_op": 1050}
-	]`)
-	// 1200 is +71% over the lucky 700 but +20% over the 1000 median.
-	cur := writeJSON(t, dir, "cur.json", `[
-		{"name": "BenchmarkWarmA-8", "iterations": 10, "ns_per_op": 1400},
-		{"name": "BenchmarkWarmA-8", "iterations": 10, "ns_per_op": 1200}
-	]`)
-	if err := compare(base, cur, "Warm", 0.25, 0.25, &strings.Builder{}); err != nil {
-		t.Fatalf("min-vs-median compare failed: %v", err)
-	}
-}
-
 func TestComparePairedGate(t *testing.T) {
 	dir := t.TempDir()
 	// Five rounds; the host slowed down in round 3 for both sides and
@@ -241,6 +103,33 @@ func TestComparePairedGate(t *testing.T) {
 	]`)
 	if err := comparePaired(base, allocs, "Warm", 0.25, 0.25, &strings.Builder{}); err == nil {
 		t.Fatal("alloc regression passed the paired gate")
+	}
+	// A negative budget disables the alloc gate entirely.
+	if err := comparePaired(base, allocs, "Warm", 0.25, -1, &strings.Builder{}); err != nil {
+		t.Fatalf("disabled alloc gate still failed: %v", err)
+	}
+
+	// An alloc-free benchmark must stay alloc-free: one allocation in
+	// the median fails however small the budget's absolute slack.
+	free := writeJSON(t, dir, "free.json", `[
+		{"name": "BenchmarkWarmZ-2", "iterations": 10, "ns_per_op": 100},
+		{"name": "BenchmarkWarmZ-2", "iterations": 10, "ns_per_op": 100},
+		{"name": "BenchmarkWarmZ-2", "iterations": 10, "ns_per_op": 100}
+	]`)
+	leaked := writeJSON(t, dir, "leaked.json", `[
+		{"name": "BenchmarkWarmZ-2", "iterations": 10, "ns_per_op": 100, "allocs_per_op": 1},
+		{"name": "BenchmarkWarmZ-2", "iterations": 10, "ns_per_op": 100, "allocs_per_op": 1},
+		{"name": "BenchmarkWarmZ-2", "iterations": 10, "ns_per_op": 100}
+	]`)
+	if err := comparePaired(free, free, "Warm", 0.25, 0.25, &strings.Builder{}); err != nil {
+		t.Fatalf("alloc-free benchmark against itself failed: %v", err)
+	}
+	err = comparePaired(free, leaked, "Warm", 0.25, 0.25, &strings.Builder{})
+	if err == nil || !strings.Contains(err.Error(), "was alloc-free") {
+		t.Fatalf("alloc-free benchmark grew an allocation and passed the gate: %v", err)
+	}
+	if err := comparePaired(free, leaked, "Warm", 0.25, -1, &strings.Builder{}); err != nil {
+		t.Fatalf("disabled alloc gate still failed: %v", err)
 	}
 
 	if err := comparePaired(base, ok, "NoSuchBench", 0.25, 0.25, &strings.Builder{}); err == nil {
