@@ -5,7 +5,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: all build test race lint bench bench-short bench-gate fuzz-short chaos-short
+.PHONY: all build test test-386 race lint bench bench-short bench-gate fuzz-short chaos-short
 
 all: build test
 
@@ -14,6 +14,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# test-386 runs the suite on a 32-bit target. The engine's counters are
+# plain int64 fields bumped through sync/atomic, which panics on 32-bit
+# platforms unless the field is 8-byte aligned; this keeps that layout
+# rule checked (an amd64 host runs 386 test binaries natively).
+test-386:
+	GOARCH=386 $(GO) test ./...
 
 # maxcover (CoverageOf/MemoryBytes run concurrently with each other) and
 # graph (shared immutable CSR read from every worker) joined the race
