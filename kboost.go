@@ -305,6 +305,11 @@ type Engine = engine.Engine
 type EngineOptions = engine.Options
 
 // EngineStats is a snapshot of an Engine's cache and query counters.
+// Its cumulative counters (queries, tier serves, pool hits, repairs,
+// shed and canceled requests, ...) live in the embedded
+// engine.Counters block, so they read as st.PoolHits directly and
+// encode flat into /v1/stats; SimModes holds the per-mode
+// EngineSimModeStats blocks.
 type EngineStats = engine.Stats
 
 // EngineBoostRequest is one boosting query against a registered graph.
