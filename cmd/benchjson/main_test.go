@@ -93,6 +93,21 @@ func TestComparePairedGate(t *testing.T) {
 		t.Fatalf("30%% paired slowdown passed the gate: %v", err)
 	}
 
+	if err := comparePaired(base, ok, "NoSuchBench", 0.25, 0.25, &strings.Builder{}); err == nil {
+		t.Fatal("empty paired comparison passed the gate")
+	}
+}
+
+func TestCompareAllocGate(t *testing.T) {
+	dir := t.TempDir()
+	base := writeJSON(t, dir, "base.json", `[
+		{"name": "BenchmarkWarmA-2", "iterations": 10, "ns_per_op": 1000, "allocs_per_op": 4},
+		{"name": "BenchmarkWarmA-2", "iterations": 10, "ns_per_op": 1010, "allocs_per_op": 4},
+		{"name": "BenchmarkWarmA-2", "iterations": 10, "ns_per_op": 2000, "allocs_per_op": 4},
+		{"name": "BenchmarkWarmA-2", "iterations": 10, "ns_per_op": 990, "allocs_per_op": 4},
+		{"name": "BenchmarkWarmA-2", "iterations": 10, "ns_per_op": 1000, "allocs_per_op": 4}
+	]`)
+
 	// One extra allocation per op (4 -> 6) fails the alloc gate.
 	allocs := writeJSON(t, dir, "allocs.json", `[
 		{"name": "BenchmarkWarmA-2", "iterations": 10, "ns_per_op": 1000, "allocs_per_op": 6},
@@ -124,15 +139,11 @@ func TestComparePairedGate(t *testing.T) {
 	if err := comparePaired(free, free, "Warm", 0.25, 0.25, &strings.Builder{}); err != nil {
 		t.Fatalf("alloc-free benchmark against itself failed: %v", err)
 	}
-	err = comparePaired(free, leaked, "Warm", 0.25, 0.25, &strings.Builder{})
+	err := comparePaired(free, leaked, "Warm", 0.25, 0.25, &strings.Builder{})
 	if err == nil || !strings.Contains(err.Error(), "was alloc-free") {
 		t.Fatalf("alloc-free benchmark grew an allocation and passed the gate: %v", err)
 	}
 	if err := comparePaired(free, leaked, "Warm", 0.25, -1, &strings.Builder{}); err != nil {
 		t.Fatalf("disabled alloc gate still failed: %v", err)
-	}
-
-	if err := comparePaired(base, ok, "NoSuchBench", 0.25, 0.25, &strings.Builder{}); err == nil {
-		t.Fatal("empty paired comparison passed the gate")
 	}
 }
