@@ -79,7 +79,7 @@ fuzz-short:
 # host's numbers, not a baseline anything gates against (bench-gate
 # runs both trees itself).
 bench:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkSelectDeltaWarm|BenchmarkExtendIncremental|BenchmarkPoolBuildCold|BenchmarkPRREval' -benchmem -count=3 ./internal/prr && \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkSelectDeltaWarm|BenchmarkSelectCoverWarm|BenchmarkExtendIncremental|BenchmarkPoolBuildCold|BenchmarkPRREval' -benchmem -count=3 ./internal/prr && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkLTSelectWarm|BenchmarkLTEstimateWarm' -benchmem -count=3 ./internal/lt && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkSIRSelectWarm|BenchmarkSIREstimateWarm' -benchmem -count=3 ./internal/model/sir && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkKThreshSelectWarm|BenchmarkKThreshEstimateWarm' -benchmem -count=3 ./internal/model/kthresh && \
@@ -90,7 +90,7 @@ bench:
 # bench-short is the CI smoke variant: tiny graphs, one iteration each,
 # just proving the benchmarks still build and run.
 bench-short:
-	$(GO) test -run '^$$' -bench 'BenchmarkSelectDeltaWarm|BenchmarkExtendIncremental|BenchmarkPoolBuildCold|BenchmarkPRREval' -benchmem -benchtime 1x -short -count=1 ./internal/prr
+	$(GO) test -run '^$$' -bench 'BenchmarkSelectDeltaWarm|BenchmarkSelectCoverWarm|BenchmarkExtendIncremental|BenchmarkPoolBuildCold|BenchmarkPRREval' -benchmem -benchtime 1x -short -count=1 ./internal/prr
 	$(GO) test -run '^$$' -bench 'BenchmarkLTSelectWarm|BenchmarkLTEstimateWarm' -benchmem -benchtime 1x -short -count=1 ./internal/lt
 	$(GO) test -run '^$$' -bench 'BenchmarkSIRSelectWarm|BenchmarkSIREstimateWarm' -benchmem -benchtime 1x -short -count=1 ./internal/model/sir
 	$(GO) test -run '^$$' -bench 'BenchmarkKThreshSelectWarm|BenchmarkKThreshEstimateWarm' -benchmem -benchtime 1x -short -count=1 ./internal/model/kthresh
@@ -111,7 +111,8 @@ bench-short:
 # tree is refused unless spelled BASE=HEAD, the gate's self-test.
 # Pairing makes the gate host-free: both trees run on the same machine
 # at the same GOMAXPROCS, so hardware and shard-count skew cancel.
-# Gated set: the warm selection/estimate paths (the *Short variants
+# Gated set: the warm selection/estimate paths (the Δ̂ and μ̂ greedies
+# on a built PRR pool among them; the *Short variants
 # exist so every gated benchmark completes >= 20 iterations), the
 # graph-patch repair path, the tiered estimate serves, and the two
 # kernels of a PATCH-then-boost cycle: the greedy candidate pool and
@@ -119,7 +120,7 @@ bench-short:
 # estimate.
 BASE ?= $(shell git merge-base HEAD main 2>/dev/null || git merge-base HEAD origin/main 2>/dev/null)
 GATED := \
-	./internal/prr='BenchmarkSelectDeltaWarm' \
+	./internal/prr='BenchmarkSelectDeltaWarm|BenchmarkSelectCoverWarm' \
 	./internal/lt='BenchmarkLTSelectWarmShort|BenchmarkLTEstimateWarmShort' \
 	./internal/model/sir='BenchmarkSIRSelectWarm|BenchmarkSIREstimateWarm' \
 	./internal/model/kthresh='BenchmarkKThreshSelectWarm|BenchmarkKThreshEstimateWarm' \

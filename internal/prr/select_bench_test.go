@@ -60,6 +60,23 @@ func BenchmarkSelectDeltaWarm(b *testing.B) {
 	})
 }
 
+// BenchmarkSelectCoverWarm measures the μ̂ max-coverage selection
+// (SelectAndCover, the imm.Sketcher hook every ic boost runs) on an
+// already-built pool. allocs/op is the number to watch: the selection
+// reads only the pool's coverage index, so its scratch is reusable
+// across queries.
+func BenchmarkSelectCoverWarm(b *testing.B) {
+	const k = 20
+	pool := benchPool(b, k)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if chosen, _ := pool.SelectAndCover(k); len(chosen) == 0 {
+			b.Fatal("empty selection")
+		}
+	}
+}
+
 // BenchmarkExtendIncremental measures pool growth including the
 // incremental maintenance of the selection index: one-shot generation
 // versus the same total arriving in ten batches (the Engine's
