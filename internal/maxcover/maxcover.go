@@ -11,6 +11,9 @@ package maxcover
 import (
 	"math"
 	"sync"
+	"unsafe"
+
+	"github.com/kboost/kboost/internal/freelist"
 )
 
 // Coverage is an incremental max-coverage instance. Add sketches with
@@ -28,9 +31,11 @@ type Coverage struct {
 	setStart []int32   // sketch id -> offset into setItems; len = NumSets()+1
 	setItems []int32   // concatenated deduplicated item lists
 	postings [][]int32 // item -> sketch ids containing it
-	// postingsLen tracks the summed posting-list lengths so MemoryBytes
-	// is O(1) instead of a scan over the item universe.
-	postingsLen int64
+	// postingsCap tracks the summed posting-list capacities so
+	// MemoryBytes is O(1) instead of a scan over the item universe.
+	// Capacity, not length: append-doubling slack and the storage Reset
+	// keeps are resident memory too.
+	postingsCap int64
 
 	// seen is an epoch-stamped per-item array reused across AddSet calls
 	// so deduplication is O(len(items)) instead of O(len(items)^2).
@@ -45,6 +50,21 @@ type Coverage struct {
 	covMu    sync.Mutex
 	covSeen  []int32 // kboost:guarded-by covMu
 	covEpoch int32   // kboost:guarded-by covMu // kboost:epoch
+
+	// free recycles Select's working arrays across calls. Idle scratch
+	// is all clear: every Select clears exactly what it set.
+	free *freelist.List[selectScratch]
+}
+
+// selectScratch is one Select call's working state.
+type selectScratch struct {
+	covered []bool // sketch id -> covered by pre or a pick
+	taken   []bool // item -> picked
+	heap    Heap
+}
+
+func (s *selectScratch) bytes() int64 {
+	return int64(cap(s.covered)+cap(s.taken)) + int64(cap(s.heap))*12
 }
 
 // New returns a Coverage over items 0..numItems-1.
@@ -54,7 +74,34 @@ func New(numItems int) *Coverage {
 		setStart: []int32{0},
 		postings: make([][]int32, numItems),
 		seen:     make([]int32, numItems),
+		free:     freelist.New((*selectScratch).bytes),
 	}
+}
+
+// Reset empties the index in place for a refill over the same item
+// universe, keeping every backing array's capacity: the sketch CSR, the
+// posting lists, the stamp arrays and the Select scratch. Like AddSet
+// it must be externally serialized against every other method.
+func (c *Coverage) Reset() {
+	c.setStart = c.setStart[:1]
+	c.setItems = c.setItems[:0]
+	for v := range c.postings {
+		c.postings[v] = c.postings[v][:0]
+	}
+}
+
+// appendPosting records sketch id under item v, keeping postingsCap
+// current.
+func (c *Coverage) appendPosting(v, id int32) {
+	p := c.postings[v]
+	if len(p) == cap(p) {
+		c.postingsCap -= int64(cap(p))
+		p = append(p, id)
+		c.postingsCap += int64(cap(p))
+	} else {
+		p = append(p, id)
+	}
+	c.postings[v] = p
 }
 
 // NumItems returns the size of the item universe.
@@ -105,8 +152,7 @@ func (c *Coverage) AddSet(items []int32) {
 		}
 		c.seen[v] = c.seenEpoch
 		c.setItems = append(c.setItems, v)
-		c.postings[v] = append(c.postings[v], id)
-		c.postingsLen++
+		c.appendPosting(v, id)
 	}
 	c.setStart = append(c.setStart, int32(len(c.setItems)))
 }
@@ -121,9 +167,8 @@ func (c *Coverage) AddSortedSet(items []int32) {
 	c.setItems = append(c.setItems, items...)
 	c.setStart = append(c.setStart, int32(len(c.setItems)))
 	for _, v := range items {
-		c.postings[v] = append(c.postings[v], id)
+		c.appendPosting(v, id)
 	}
-	c.postingsLen += int64(len(items))
 }
 
 // bumpCovEpoch sizes the CoverageOf stamp array for the current sketch
@@ -167,20 +212,21 @@ func (c *Coverage) CoverageOf(chosen []int32) int {
 }
 
 // MemoryBytes returns the resident size of the index's backing arrays
-// (sets CSR, postings, and the stamp arrays) — the coverage share of a
-// pool's MemoryEstimate. O(1): posting lengths are tracked as they
-// grow, so byte accounting never scans the item universe. covMu is
-// taken for the covSeen header read (surfaced by the guardedby
-// analyzer: CoverageOf reallocates that array under covMu, and nothing
-// orders an engine-side MemoryBytes call against concurrent
-// estimates).
+// (sets CSR, postings, the stamp arrays and the idle Select scratch),
+// counted by capacity — the coverage share of a pool's MemoryEstimate.
+// O(1): posting capacities are tracked as they grow, so byte
+// accounting never scans the item universe. covMu is taken for the
+// covSeen header read (surfaced by the guardedby analyzer: CoverageOf
+// reallocates that array under covMu, and nothing orders an
+// engine-side MemoryBytes call against concurrent estimates).
 func (c *Coverage) MemoryBytes() int64 {
 	c.covMu.Lock()
-	covSeenLen := len(c.covSeen)
+	covSeenCap := cap(c.covSeen)
 	c.covMu.Unlock()
-	bytes := int64(cap(c.setStart)+cap(c.setItems)+len(c.seen)+covSeenLen) * 4
-	bytes += c.postingsLen * 4
-	bytes += int64(len(c.postings)) * 24 // slice headers
+	bytes := int64(cap(c.setStart)+cap(c.setItems)+cap(c.seen)+covSeenCap) * 4
+	bytes += c.postingsCap * 4
+	bytes += int64(cap(c.postings)) * int64(unsafe.Sizeof(c.postings[0])) // slice headers
+	bytes += c.free.Bytes()
 	return bytes
 }
 
@@ -190,32 +236,36 @@ func (c *Coverage) MemoryBytes() int64 {
 // do not contribute to gains or the returned coverage delta.
 //
 // It returns the chosen items in pick order and the number of sketches
-// they cover (excluding sketches pre covered).
+// they cover (excluding sketches pre covered). Its working arrays come
+// from the Coverage's free list, so a warm Select allocates only the
+// returned slice; concurrent calls each take their own scratch.
 func (c *Coverage) Select(k int, banned []bool, pre []int32) (chosen []int32, covered int) {
 	if k <= 0 {
 		return nil, 0
 	}
-	coveredSet := make([]bool, c.NumSets())
+	s := c.free.Get()
+	coveredSet := sizedClear(&s.covered, c.NumSets())
+	taken := sizedClear(&s.taken, c.numItems)
 	for _, v := range pre {
 		if v < 0 || int(v) >= c.numItems {
 			continue
 		}
-		for _, s := range c.postings[v] {
-			coveredSet[s] = true
+		for _, id := range c.postings[v] {
+			coveredSet[id] = true
 		}
 	}
 
 	gainOf := func(item int32) int32 {
 		gain := int32(0)
-		for _, s := range c.postings[item] {
-			if !coveredSet[s] {
+		for _, id := range c.postings[item] {
+			if !coveredSet[id] {
 				gain++
 			}
 		}
 		return gain
 	}
 
-	h := make(Heap, 0, c.numItems)
+	h := s.heap[:0]
 	for v := 0; v < c.numItems; v++ {
 		if banned != nil && banned[v] {
 			continue
@@ -227,7 +277,7 @@ func (c *Coverage) Select(k int, banned []bool, pre []int32) (chosen []int32, co
 	}
 	h.Init()
 
-	taken := make([]bool, c.numItems)
+	chosen = make([]int32, 0, min(k, len(h)))
 	for len(chosen) < k && h.Len() > 0 {
 		top := h.PopMax()
 		if taken[top.Item] {
@@ -241,8 +291,8 @@ func (c *Coverage) Select(k int, banned []bool, pre []int32) (chosen []int32, co
 			chosen = append(chosen, top.Item)
 			taken[top.Item] = true
 			covered += int(top.Gain)
-			for _, s := range c.postings[top.Item] {
-				coveredSet[s] = true
+			for _, id := range c.postings[top.Item] {
+				coveredSet[id] = true
 			}
 			continue
 		}
@@ -251,5 +301,31 @@ func (c *Coverage) Select(k int, banned []bool, pre []int32) (chosen []int32, co
 		top.Stamp = int32(len(chosen))
 		h.PushEntry(top)
 	}
+
+	// Clear exactly what this call set, so the scratch goes back all
+	// clear without a pass over the sketch or item universe.
+	for _, list := range [2][]int32{pre, chosen} {
+		for _, v := range list {
+			if v < 0 || int(v) >= c.numItems {
+				continue
+			}
+			taken[v] = false
+			for _, id := range c.postings[v] {
+				coveredSet[id] = false
+			}
+		}
+	}
+	s.heap = h[:0]
+	c.free.Put(s)
 	return chosen, covered
+}
+
+// sizedClear returns (*buf)[:n], reallocating when the capacity is
+// short. The backing array must be all false, which the caller keeps
+// true by clearing what it sets before the next call.
+func sizedClear(buf *[]bool, n int) []bool {
+	if cap(*buf) < n {
+		*buf = make([]bool, n)
+	}
+	return (*buf)[:n]
 }
