@@ -91,41 +91,6 @@ func benchGraph(b *testing.B, scale float64) *graph.Graph {
 	return g
 }
 
-// BenchmarkPRRGeneration measures raw PRR-graph generation+compression
-// throughput (the sampling phase's inner loop).
-func BenchmarkPRRGeneration(b *testing.B) {
-	g := benchGraph(b, 0.01)
-	seeds := InfluentialSeeds(g, 20)
-	gen, err := prr.NewGenerator(g, seeds, 20, prr.ModeFull)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(7)
-	edges := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := gen.Generate(r)
-		edges += res.EdgesExamined
-	}
-	b.ReportMetric(float64(edges)/float64(b.N), "edges/op")
-}
-
-// BenchmarkPRRGenerationLB measures the leaner critical-nodes-only
-// generation used by PRR-Boost-LB.
-func BenchmarkPRRGenerationLB(b *testing.B) {
-	g := benchGraph(b, 0.01)
-	seeds := InfluentialSeeds(g, 20)
-	gen, err := prr.NewGenerator(g, seeds, 20, prr.ModeLB)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gen.Generate(r)
-	}
-}
-
 // BenchmarkRRSetGeneration measures classic RR-set sampling.
 func BenchmarkRRSetGeneration(b *testing.B) {
 	g := benchGraph(b, 0.01)
@@ -206,29 +171,6 @@ func BenchmarkTreeDP(b *testing.B) {
 }
 
 // --- ablation benchmarks (design-choice validation) ---
-
-// BenchmarkAblationPruning quantifies the distance-pruning of Algorithm
-// 1: small k prunes aggressively, large k explores more edges.
-func BenchmarkAblationPruning(b *testing.B) {
-	g := benchGraph(b, 0.01)
-	seeds := InfluentialSeeds(g, 20)
-	for _, k := range []int{1, 5, 100} {
-		b.Run(map[int]string{1: "k=1", 5: "k=5", 100: "k=100"}[k], func(b *testing.B) {
-			gen, err := prr.NewGenerator(g, seeds, k, prr.ModeFull)
-			if err != nil {
-				b.Fatal(err)
-			}
-			r := rng.New(7)
-			edges := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res := gen.Generate(r)
-				edges += res.EdgesExamined
-			}
-			b.ReportMetric(float64(edges)/float64(b.N), "edges/op")
-		})
-	}
-}
 
 // BenchmarkAblationCompression reports the raw-vs-compressed PRR sizes
 // that justify the compression phase (Tables 2-3's ratio).

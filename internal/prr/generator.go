@@ -3,6 +3,7 @@ package prr
 import (
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"github.com/kboost/kboost/internal/graph"
 	"github.com/kboost/kboost/internal/rng"
@@ -37,20 +38,17 @@ type sEdge struct {
 	boost    uint8
 }
 
-// Result reports one generated PRR-graph.
+// Result reports one generated PRR-graph: its kind and size statistics.
+// A boostable graph's payload stays in the arena it was emitted into.
 type Result struct {
-	Kind     Kind
-	Root     int32
-	Graph    *PRR    // compressed graph; nil unless Kind==Boostable and ModeFull via GenerateFrom
-	Critical []int32 // critical node ids; nil unless Kind==Boostable via GenerateFrom
+	Kind Kind
+	Root int32
 	// RawEdges is the number of non-blocked edges recorded before
 	// compression (the "uncompressed" size of Tables 2-3).
 	RawEdges int
 	// CompressedEdges is the edge count after compression (ModeFull).
 	CompressedEdges int
-	// NumCritical is the size of the critical node set C_R (set on the
-	// pooled GenerateInto path, where Critical itself stays in the
-	// arena).
+	// NumCritical is the size of the critical node set C_R.
 	NumCritical int
 	// EdgesExamined counts edge lookups during generation: the empirical
 	// analogue of EPT in the running-time analysis.
@@ -60,8 +58,8 @@ type Result struct {
 // Generator produces random PRR-graphs for a fixed (graph, seeds, k).
 // It owns large scratch buffers; create one per goroutine. All scratch
 // — including the compression working set — is reused across
-// generations, so pooled generation (GenerateInto) performs no
-// steady-state allocations beyond amortized arena growth.
+// generations, so generation (GenerateInto) performs no steady-state
+// allocations beyond amortized arena growth.
 type Generator struct {
 	g        *graph.Graph
 	seedMask []bool
@@ -105,10 +103,6 @@ type Generator struct {
 	sortKeys            []uint64
 	q                   []int32
 
-	// own is the single-graph emission buffer behind the standalone
-	// GenerateFrom path (tests, examples, reference implementations).
-	own arena
-
 	// lastExpanded records the nodes expanded by the most recent
 	// generation, in discovery order. A generation's RNG draw sequence is
 	// exactly: one root draw, then one draw per in-edge of each expanded
@@ -151,6 +145,30 @@ func NewGenerator(g *graph.Graph, seeds []int32, k int, mode Mode) (*Generator, 
 	return gen, nil
 }
 
+// rebind points the generator at g, a graph over the same node set
+// (a patched snapshot): the node-indexed scratch stays valid, so pool
+// repair keeps it instead of building fresh generators.
+func (gen *Generator) rebind(g *graph.Graph) { gen.g = g }
+
+// bytes returns the generator's resident scratch, counted by capacity:
+// the node-indexed arrays (11 B per node) plus the per-generation
+// buffers, which keep the size of the largest sketch generated so far.
+func (gen *Generator) bytes() int64 {
+	b := int64(cap(gen.dr)+cap(gen.cur)+cap(gen.next)+cap(gen.rawNodes)+cap(gen.localOf)+cap(gen.lastExpanded)) * 4
+	b += int64(cap(gen.seedMask) + cap(gen.expanded) + cap(gen.emptyMask))
+	b += int64(cap(gen.rawEdges)) * int64(unsafe.Sizeof(rawEdge{}))
+	b += int64(cap(gen.adjOutStart)+cap(gen.adjInStart)+cap(gen.adjOutTo)+cap(gen.adjInFrom)+cap(gen.adjOutPos)+cap(gen.adjInPos)) * 4
+	b += int64(cap(gen.adjOutBoost) + cap(gen.adjInBoost))
+	b += int64(cap(gen.dS)+cap(gen.dpr)+cap(gen.keepID)+cap(gen.stageOrig)) * 4
+	b += int64(cap(gen.inX) + cap(gen.fwd) + cap(gen.bwd))
+	b += int64(cap(gen.sEdges)) * int64(unsafe.Sizeof(sEdge{}))
+	b += int64(cap(gen.sOutStart)+cap(gen.sInStart)+cap(gen.sOutTo)+cap(gen.sInFrom)) * 4
+	b += int64(cap(gen.finalID)+cap(gen.finalOrig)+cap(gen.outPosF)+cap(gen.inPosF)+cap(gen.q)) * 4
+	b += int64(cap(gen.sortKeys)) * 8
+	b += gen.scratch.bytes()
+	return b
+}
+
 // genBudget is the pruning budget for phase 1 (k, or 1 in LB mode).
 func (gen *Generator) genBudget() int32 {
 	if gen.mode == ModeLB {
@@ -177,56 +195,13 @@ func (gen *Generator) cleanup() {
 	gen.next = gen.next[:0]
 }
 
-// Generate produces one PRR-graph for a uniformly random root,
-// returning a standalone Result (see GenerateFrom).
-func (gen *Generator) Generate(r *rng.Source) Result {
-	root := int32(r.Intn(gen.g.N()))
-	return gen.GenerateFrom(root, r)
-}
-
-// GenerateFrom produces one PRR-graph rooted at root (Algorithm 1) as a
-// standalone Result: Graph and Critical own their memory and outlive
-// the Generator. Pool construction uses GenerateInto instead, which
-// appends the same bits to a shared arena without the copies.
-func (gen *Generator) GenerateFrom(root int32, r *rng.Source) Result {
-	gen.own.reset()
-	res := gen.generateInto(&gen.own, root, r)
-	if res.Kind != KindBoostable {
-		return res
-	}
-	if gen.mode == ModeFull {
-		view := gen.own.at(0)
-		res.Graph = clonePRR(&view)
-		res.Critical = res.Graph.critical
-	} else {
-		res.Critical = append([]int32(nil), gen.own.critAt(0)...)
-	}
-	return res
-}
-
 // GenerateInto produces one PRR-graph for a uniformly random root,
 // appending any boostable payload (compressed graph in ModeFull,
 // critical set in both modes) to a. The Result carries kind and size
-// statistics only; Graph and Critical stay nil.
+// statistics only.
 func (gen *Generator) GenerateInto(a *arena, r *rng.Source) Result {
 	root := int32(r.Intn(gen.g.N()))
 	return gen.generateInto(a, root, r)
-}
-
-// clonePRR deep-copies a (possibly arena-backed) PRR view into a
-// standalone graph owning its storage.
-func clonePRR(v *PRR) *PRR {
-	return &PRR{
-		root:     v.root,
-		orig:     append([]int32(nil), v.orig...),
-		outStart: append([]int32(nil), v.outStart...),
-		outTo:    append([]int32(nil), v.outTo...),
-		outBoost: append([]uint8(nil), v.outBoost...),
-		inStart:  append([]int32(nil), v.inStart...),
-		inFrom:   append([]int32(nil), v.inFrom...),
-		inBoost:  append([]uint8(nil), v.inBoost...),
-		critical: append([]int32(nil), v.critical...),
-	}
 }
 
 // generateInto is the shared generation core (Algorithm 1): phase-1

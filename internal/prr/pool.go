@@ -6,8 +6,10 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"github.com/kboost/kboost/internal/faults"
+	"github.com/kboost/kboost/internal/freelist"
 	"github.com/kboost/kboost/internal/graph"
 	"github.com/kboost/kboost/internal/imm"
 	"github.com/kboost/kboost/internal/maxcover"
@@ -55,6 +57,11 @@ type Pool struct {
 	cov   *maxcover.Coverage // critical sets of boostable graphs
 	arena arena              // flat storage of the boostable graphs (ModeFull: full structure; ModeLB: critical sets only)
 	sel   *deltaIndex        // ModeFull: persistent Δ̂ selection index
+
+	// deltaFree recycles selectDelta's working arrays across queries;
+	// touched is Repair's per-sketch touched mask, kept between repairs.
+	deltaFree *freelist.List[deltaScratch]
+	touched   []bool
 
 	// zeroMask is a shared all-false boost mask (read-only) used when
 	// computing initial candidate sets.
@@ -126,6 +133,8 @@ func NewPool(g *graph.Graph, seeds []int32, k int, mode Mode, seed uint64, worke
 		seed:     seed,
 		cov:      maxcover.New(g.N()),
 		zeroMask: make([]bool, g.N()),
+
+		deltaFree: freelist.New(func(s *deltaScratch) int64 { return s.size }),
 	}
 	if mode == ModeFull {
 		p.sel = newDeltaIndex(g.N())
@@ -379,21 +388,28 @@ func (p *Pool) EstimateDelta(b []int32) (float64, error) {
 // contents, so results may be cached keyed by Generation).
 func (p *Pool) Generation() uint64 { return p.generation }
 
-// MemoryEstimate returns the pool's resident bytes: the graph arena,
-// the retained per-worker shard arenas (kept for allocation-free
-// re-extension — their capacity is real memory even while empty), the
-// coverage index, and the selection index. Counted from backing-array
-// capacities, so the engine's byte-based eviction tracks real memory
-// instead of a per-edge approximation.
+// MemoryEstimate returns the pool's resident bytes: the graph arena
+// and sketch log, the retained per-worker shard arenas and generators
+// (kept for allocation-free re-extension and repair — their capacity
+// is real memory even while idle), the coverage index, the selection
+// index, and the scratch kept between queries and repairs (the idle
+// selection scratch on the free lists, the touched mask, the masks).
+// Counted from backing-array capacities in O(workers), so the engine's
+// byte-based eviction tracks real memory instead of a per-edge
+// approximation.
 func (p *Pool) MemoryEstimate() int64 {
 	bytes := p.arena.bytes() + p.log.bytes()
-	for _, sh := range p.shards {
-		bytes += sh.arena.bytes() + sh.log.bytes()
+	for w, sh := range p.shards {
+		bytes += sh.arena.bytes() + sh.log.bytes() + p.gens[w].bytes()
 	}
 	bytes += p.cov.MemoryBytes()
 	if p.sel != nil {
-		bytes += int64(cap(p.sel.postItems)+cap(p.sel.candItems)+cap(p.sel.postStart)+cap(p.sel.candStart)+cap(p.sel.gain0)) * 4
+		bytes += p.sel.bytes()
 	}
+	bytes += p.deltaFree.Bytes()
+	bytes += int64(cap(p.touched) + cap(p.seedMask) + cap(p.zeroMask))
+	bytes += int64(cap(p.seeds)) * 4
+	bytes += int64(cap(p.streams)+cap(p.gens)+cap(p.shards)) * int64(unsafe.Sizeof(p.gens[0]))
 	return bytes
 }
 

@@ -122,6 +122,11 @@ func (s *Scratch) reset(n int) {
 	s.queue = s.queue[:0]
 }
 
+// bytes returns the scratch's resident size, counted by capacity.
+func (s *Scratch) bytes() int64 {
+	return int64(cap(s.mark)+cap(s.queue)+cap(s.cand)) * 4
+}
+
 // edgeLive reports whether an edge with the given boost flag and target
 // is traversable: live edges always, boost edges only if the target's
 // original node is boosted.

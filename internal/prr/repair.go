@@ -29,7 +29,6 @@ import (
 	"sync"
 
 	"github.com/kboost/kboost/internal/graph"
-	"github.com/kboost/kboost/internal/maxcover"
 )
 
 // sketchLog records, for every generated sketch in global index order,
@@ -151,12 +150,15 @@ func (p *Pool) Repair(g2 *graph.Graph, dirtyIn []bool, maxFrac float64) (touched
 
 	total := p.total
 	// Touched scan: parallel over contiguous index ranges, accumulating
-	// both the touched count and the touched expansion size (the cost
-	// weight for the fallback decision below).
-	touchedMask := make([]bool, total)
+	// the touched count, the touched expansion size (the cost weight for
+	// the fallback decision below) and the boostable count, whose prefix
+	// sums give each range's first arena row (arena order == global
+	// index order among boostable sketches).
+	touchedMask := sized(&p.touched, total)
 	counts, offs := splitCounts(total, p.workers)
 	perWorker := make([]int, p.workers)
 	perWorkerExp := make([]int64, p.workers)
+	rowStart := make([]int, p.workers+1)
 	var wg sync.WaitGroup
 	for w := 0; w < p.workers; w++ {
 		if counts[w] == 0 {
@@ -165,9 +167,12 @@ func (p *Pool) Repair(g2 *graph.Graph, dirtyIn []bool, maxFrac float64) (touched
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c := 0
+			c, rows := 0, 0
 			var exp int64
 			for i := offs[w]; i < offs[w+1]; i++ {
+				if p.log.kind[i] == KindBoostable {
+					rows++
+				}
 				for _, v := range p.log.exp(i) {
 					if dirtyIn[v] {
 						touchedMask[i] = true
@@ -179,6 +184,7 @@ func (p *Pool) Repair(g2 *graph.Graph, dirtyIn []bool, maxFrac float64) (touched
 			}
 			perWorker[w] = c
 			perWorkerExp[w] = exp
+			rowStart[w+1] = rows
 		}(w)
 	}
 	wg.Wait()
@@ -186,33 +192,18 @@ func (p *Pool) Repair(g2 *graph.Graph, dirtyIn []bool, maxFrac float64) (touched
 	for w := range perWorker {
 		touched += perWorker[w]
 		touchedExp += perWorkerExp[w]
+		rowStart[w+1] += rowStart[w]
 	}
 	totalExp := int64(len(p.log.expItems))
 	if totalExp > 0 && float64(touchedExp) > maxFrac*float64(totalExp) {
 		return touched, false, nil
 	}
 
-	// Fresh generators bound to the patched graph. Built before any pool
-	// state is mutated so an error leaves the pool intact.
-	gens := make([]*Generator, p.workers)
-	for w := range gens {
-		gens[w], err = NewGenerator(g2, p.seeds, p.k, p.mode)
-		if err != nil {
-			return touched, false, err
-		}
-	}
-
-	// rowOf[i]: arena row of boostable sketch i (arena order == global
-	// index order among boostable sketches).
-	rowOf := make([]int32, total)
-	row := int32(0)
-	for i := 0; i < total; i++ {
-		if p.log.kind[i] == KindBoostable {
-			rowOf[i] = row
-			row++
-		} else {
-			rowOf[i] = -1
-		}
+	// The generators keep their node-sized scratch: the node universe is
+	// fixed, so pointing them at the patched graph is all a rebuild
+	// needs from them.
+	for _, gen := range p.gens {
+		gen.rebind(g2)
 	}
 
 	// Rebuild: workers take the same contiguous index ranges as the
@@ -226,43 +217,46 @@ func (p *Pool) Repair(g2 *graph.Graph, dirtyIn []bool, maxFrac float64) (touched
 		go func(w int) {
 			defer wg.Done()
 			r := p.streams[w]
-			gen := gens[w]
+			gen := p.gens[w]
 			sh := p.shards[w]
 			sh.reset()
+			row := rowStart[w]
 			for i := offs[w]; i < offs[w+1]; i++ {
+				boostable := p.log.kind[i] == KindBoostable
 				if touchedMask[i] {
 					r.ReseedStream(p.seed, uint64(i))
 					res := gen.GenerateInto(&sh.arena, r)
 					sh.record(res, gen.lastExpanded)
 				} else {
 					sh.log.appendFrom(&p.log, i)
-					if ri := rowOf[i]; ri >= 0 {
-						sh.arena.appendGraph(&p.arena, int(ri))
+					if boostable {
+						sh.arena.appendGraph(&p.arena, row)
 					}
+				}
+				if boostable {
+					row++
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
 
-	// Merge in worker order into fresh storage (the old arena is still
-	// the copy source), then recompute counters and rebuild the
-	// coverage/selection indexes from the repaired arena — critical sets
-	// are reused from the arena, so no sampling happens here.
-	var na arena
-	var nl sketchLog
+	// The old arena and log are no longer a copy source: merge the
+	// shards back into their storage in worker order, then recompute
+	// counters and refill the coverage/selection indexes in place from
+	// the repaired arena — critical sets are reused from the arena, so
+	// no sampling happens here.
+	p.arena.reset()
+	p.log.reset()
 	for w := 0; w < p.workers; w++ {
 		if counts[w] == 0 {
 			continue
 		}
-		na.appendArena(&p.shards[w].arena)
-		nl.appendLog(&p.shards[w].log)
+		p.arena.appendArena(&p.shards[w].arena)
+		p.log.appendLog(&p.shards[w].log)
 		p.shards[w].reset()
 	}
-	p.arena = na
-	p.log = nl
 	p.g = g2
-	p.gens = gens
 
 	p.numActivated, p.numHopeless, p.numBoostable = 0, 0, 0
 	p.sumRaw, p.sumCompressed, p.sumExamined, p.sumCritical = 0, 0, 0, 0
@@ -279,14 +273,14 @@ func (p *Pool) Repair(g2 *graph.Graph, dirtyIn []bool, maxFrac float64) (touched
 			p.sumCompressed += int64(p.log.comp[i])
 		}
 	}
-	p.cov = maxcover.New(n)
+	p.cov.Reset()
 	for i := 0; i < p.arena.numGraphs(); i++ {
 		crit := p.arena.critAt(i)
 		p.sumCritical += int64(len(crit))
 		p.cov.AddSortedSet(crit)
 	}
-	if p.mode == ModeFull {
-		p.sel = newDeltaIndex(n)
+	if p.sel != nil {
+		p.sel.reset()
 		p.sel.extend(&p.arena, 0)
 	}
 	p.generation++

@@ -3,7 +3,9 @@ package prr
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
+	"unsafe"
 
 	"github.com/kboost/kboost/internal/maxcover"
 )
@@ -40,6 +42,10 @@ type deltaIndex struct {
 	// gain0[v] = number of graphs whose initial candidate set contains
 	// v: the marginal gains of the first greedy pick, precomputed.
 	gain0 []int32
+
+	// cursor is extend's per-node batch count and write cursor, kept so
+	// a merge allocates nothing node-sized.
+	cursor []int32
 }
 
 func newDeltaIndex(n int) *deltaIndex {
@@ -49,6 +55,21 @@ func newDeltaIndex(n int) *deltaIndex {
 		candStart: []int32{0},
 		gain0:     make([]int32, n),
 	}
+}
+
+// reset empties the index in place for a rebuild over the same node
+// universe (pool repair), keeping every backing array's capacity.
+func (x *deltaIndex) reset() {
+	clear(x.postStart)
+	x.postItems = x.postItems[:0]
+	x.candStart = x.candStart[:1]
+	x.candItems = x.candItems[:0]
+	clear(x.gain0)
+}
+
+// bytes returns the index's resident size, counted by capacity.
+func (x *deltaIndex) bytes() int64 {
+	return int64(cap(x.postStart)+cap(x.postItems)+cap(x.candStart)+cap(x.candItems)+cap(x.gain0)+cap(x.cursor)) * 4
 }
 
 // numGraphs returns the number of indexed PRR-graphs.
@@ -71,7 +92,7 @@ func (x *deltaIndex) initialCands(gi int) []int32 {
 // arena while each graph was cache-hot; extending the index is
 // therefore pure merging: candidate rows are copied out of the arena
 // and the posting CSR is rebuilt by interleaving the old lists with the
-// batch in one O(old+new) pass. Extend calls grow the pool
+// batch in one O(old+new) pass, in place. Extend calls grow the pool
 // geometrically, so the merge amortizes to
 // O(total postings × log(growth steps)) over the pool's lifetime —
 // versus O(total postings) per *query* for the naive path.
@@ -92,33 +113,36 @@ func (x *deltaIndex) extend(a *arena, from int) {
 	}
 
 	// Posting CSR: count the batch contribution per node, then merge.
-	counts := make([]int32, x.n)
+	counts := sized(&x.cursor, x.n)
+	added := 0
 	for i := from; i < a.numGraphs(); i++ {
 		R := a.at(i)
 		for _, v := range R.Nodes() {
 			counts[v]++
 		}
+		added += R.NumNodes() - 1
 	}
-	newStart := make([]int32, x.n+1)
-	for v := 0; v < x.n; v++ {
-		newStart[v+1] = newStart[v] + (x.postStart[v+1] - x.postStart[v]) + counts[v]
-	}
-	newItems := make([]int32, newStart[x.n])
-	// next[v] tracks the write cursor per node during the merge.
-	next := counts // reuse: overwritten below
-	for v := 0; v < x.n; v++ {
-		old := x.postItems[x.postStart[v]:x.postStart[v+1]]
-		copy(newItems[newStart[v]:], old)
-		next[v] = newStart[v] + int32(len(old))
+	x.postItems = slices.Grow(x.postItems, added)[:len(x.postItems)+added]
+	// Every old list moves right by the batch postings of the nodes
+	// before it, so a pass from the last node down moves each list
+	// before anything lands on it. shift is that batch prefix for v;
+	// postStart[v+1] becomes v's new end once v's old bounds are read,
+	// and counts[v] becomes v's batch write cursor.
+	shift := int32(added)
+	for v := x.n - 1; v >= 0; v-- {
+		shift -= counts[v]
+		lo, hi := x.postStart[v], x.postStart[v+1]
+		copy(x.postItems[lo+shift:], x.postItems[lo:hi])
+		x.postStart[v+1] = hi + shift + counts[v]
+		counts[v] = hi + shift
 	}
 	for i := from; i < a.numGraphs(); i++ {
 		R := a.at(i)
 		for _, v := range R.Nodes() {
-			newItems[next[v]] = int32(i)
-			next[v]++
+			x.postItems[counts[v]] = int32(i)
+			counts[v]++
 		}
 	}
-	x.postStart, x.postItems = newStart, newItems
 }
 
 // scratchPool recycles BFS scratch buffers across selections and index
@@ -152,30 +176,59 @@ type reEval struct {
 // loop polls ctx once per chosen node, so a canceled request stops
 // within one re-evaluation round.
 func (p *Pool) SelectDeltaAmongContext(ctx context.Context, k int, cands []int32) ([]int32, int, error) {
-	if cands == nil {
-		return p.selectDelta(ctx, k, nil)
-	}
-	candMask := make([]bool, p.g.N())
-	for _, v := range cands {
-		if v >= 0 && int(v) < len(candMask) {
-			candMask[v] = true
-		}
-	}
-	return p.selectDelta(ctx, k, candMask)
+	return p.selectDelta(ctx, k, cands)
 }
 
-// selectDelta is the shared implementation; a non-nil candMask
-// restricts which nodes may enter the heap (initially and on gain
-// rises), leaving the rest of the incremental machinery untouched.
+// deltaScratch is one selectDelta call's working state, recycled
+// through the pool's free list. Between calls every mask in it is all
+// clear: a call clears the node masks at its picks (and its candidate
+// list) and the graph masks along its picks' postings, which is where
+// it set them.
+type deltaScratch struct {
+	mask     []bool  // node -> picked
+	candMask []bool  // node -> may be picked (restricted calls)
+	bumped   []bool  // node -> in this pick's bumps list
+	gain     []int32 // node -> authoritative gain; copied from gain0 per call
+	bumps    []int32 // nodes whose gain rose during the current pick
+
+	// covered[gi] marks graphs the picks cover. owned[gi] marks graphs
+	// whose candidate set was re-evaluated: it is then
+	// ownItems[ownOff[gi]:][:ownLen[gi]] instead of the index's initial
+	// row, which is never written.
+	covered, owned []bool
+	ownOff, ownLen []int32
+	ownItems       []int32
+
+	heap  maxcover.Heap
+	evals []reEval
+
+	size int64 // bytes(), taken when the scratch was last put back
+}
+
+func (s *deltaScratch) bytes() int64 {
+	b := int64(cap(s.mask) + cap(s.candMask) + cap(s.bumped) + cap(s.covered) + cap(s.owned))
+	b += int64(cap(s.gain)+cap(s.bumps)+cap(s.ownOff)+cap(s.ownLen)+cap(s.ownItems)) * 4
+	b += int64(cap(s.heap)) * 12
+	b += int64(cap(s.evals)) * int64(unsafe.Sizeof(reEval{}))
+	for _, e := range s.evals[:cap(s.evals)] {
+		b += int64(cap(e.cands)) * 4
+	}
+	return b
+}
+
+// selectDelta is the shared implementation; a non-nil among restricts
+// which nodes may enter the heap (initially and on gain rises), leaving
+// the rest of the incremental machinery untouched.
 //
 // It is incremental: the inverted index and the initial candidate sets
 // are read from the pool's deltaIndex (maintained by Extend) instead of
 // being rebuilt, the per-pick argmax is a lazy max-heap instead of an
 // O(n) scan, and the post-pick re-evaluation of affected graphs is
-// sharded across the pool's workers. It is safe to run concurrently
-// with other read-only pool methods (not with Extend) and returns
-// exactly what selectDeltaNaive would.
-func (p *Pool) selectDelta(ctx context.Context, k int, candMask []bool) ([]int32, int, error) {
+// sharded across the pool's workers. Its working arrays come from the
+// pool's free list (deltaScratch). It is safe to run concurrently with
+// other read-only pool methods (not with Extend) and returns exactly
+// what selectDeltaNaive would.
+func (p *Pool) selectDelta(ctx context.Context, k int, among []int32) ([]int32, int, error) {
 	if p.mode != ModeFull {
 		return nil, 0, fmt.Errorf("prr: Δ̂ selection requires ModeFull")
 	}
@@ -186,18 +239,26 @@ func (p *Pool) selectDelta(ctx context.Context, k int, candMask []bool) ([]int32
 	n := p.g.N()
 	numGraphs := p.arena.numGraphs()
 
-	// Per-query mutable state. cands[gi] starts as a view into the
-	// index; owned[gi] flips when the graph gets its own re-evaluated
-	// slice (so the shared index is never written).
-	mask := make([]bool, n)
-	gain := append([]int32(nil), x.gain0...)
-	covered := make([]bool, numGraphs)
-	coveredCount := 0
-	cands := make([][]int32, numGraphs)
-	owned := make([]bool, numGraphs)
-	for gi := 0; gi < numGraphs; gi++ {
-		cands[gi] = x.initialCands(gi)
+	s := p.deltaFree.Get()
+	mask := sizedDirty(&s.mask, n)
+	bumped := sizedDirty(&s.bumped, n)
+	gain := sizedDirty(&s.gain, n)
+	copy(gain, x.gain0)
+	covered := sizedDirty(&s.covered, numGraphs)
+	owned := sizedDirty(&s.owned, numGraphs)
+	ownOff := sizedDirty(&s.ownOff, numGraphs)
+	ownLen := sizedDirty(&s.ownLen, numGraphs)
+	ownItems, bumps := s.ownItems[:0], s.bumps[:0]
+	var candMask []bool
+	if among != nil {
+		candMask = sizedDirty(&s.candMask, n)
+		for _, v := range among {
+			if v >= 0 && int(v) < n {
+				candMask[v] = true
+			}
+		}
 	}
+	coveredCount := 0
 
 	// Lazy max-heap over gains, maxcover's CELF heap with lazy-deletion
 	// semantics: gain[] is authoritative; a popped entry whose Gain
@@ -205,7 +266,7 @@ func (p *Pool) selectDelta(ctx context.Context, k int, candMask []bool) ([]int32
 	// may *rise* after a pick (Δ̂ is not submodular), so every increment
 	// pushes a fresh entry — the heap top is then always an upper bound
 	// on the true maximum, which makes the pop loop exact.
-	h := make(maxcover.Heap, 0, n/2)
+	h := s.heap[:0]
 	for v := int32(0); int(v) < n; v++ {
 		if gain[v] > 0 && !p.seedMask[v] && (candMask == nil || candMask[v]) {
 			h = append(h, maxcover.Entry{Item: v, Gain: gain[v]})
@@ -215,15 +276,10 @@ func (p *Pool) selectDelta(ctx context.Context, k int, candMask []bool) ([]int32
 
 	scratch := getScratch()
 	defer putScratch(scratch)
-	// bumped collects the distinct nodes incremented during one pick's
-	// re-evaluation (stamped by pick number): each gets a fresh heap
-	// entry at its final gain, since increments can raise a gain above
-	// every entry the heap holds for it.
-	var bumped []int32
-	bumpStamp := make([]int32, n)
-	evals := make([]reEval, 0, 256)
+	evals := s.evals[:0]
 
-	var chosen []int32
+	chosen := make([]int32, 0, min(k, h.Len()))
+	var err error
 	for len(chosen) < k && h.Len() > 0 {
 		top := h.PopMax()
 		if mask[top.Item] {
@@ -239,8 +295,8 @@ func (p *Pool) selectDelta(ctx context.Context, k int, candMask []bool) ([]int32
 		// One poll per pick: re-evaluation below is the expensive part
 		// of a round, so this bounds cancellation latency to one round
 		// while costing nothing measurable on the warm path.
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
+		if err = ctx.Err(); err != nil {
+			break
 		}
 		best := top.Item
 		chosen = append(chosen, best)
@@ -249,9 +305,10 @@ func (p *Pool) selectDelta(ctx context.Context, k int, candMask []bool) ([]int32
 		// Re-evaluate the candidate sets of every uncovered graph that
 		// contains best; only those can change.
 		affected := x.postings(best)
-		evals = evals[:0]
 		if cap(evals) < len(affected) {
-			evals = make([]reEval, 0, len(affected))
+			// Grow over the full capacity so every entry keeps its
+			// candidate buffer.
+			evals = slices.Grow(evals[:cap(evals)], len(affected)-cap(evals))
 		}
 		evals = evals[:len(affected)]
 		if len(affected) >= reEvalParallelMin && p.workers > 1 {
@@ -268,40 +325,67 @@ func (p *Pool) selectDelta(ctx context.Context, k int, candMask []bool) ([]int32
 		}
 
 		// Apply serially: retract old gains, install new candidate sets,
-		// and push heap entries for nodes whose gain rose.
-		bumped = bumped[:0]
+		// and push heap entries for nodes whose gain rose — each once,
+		// at its final gain, since increments can raise a gain above
+		// every entry the heap holds for it.
 		for i, gi := range affected {
 			if covered[gi] {
 				continue
 			}
-			for _, v := range cands[gi] {
+			old := x.initialCands(int(gi))
+			if owned[gi] {
+				old = ownItems[ownOff[gi]:][:ownLen[gi]]
+			}
+			for _, v := range old {
 				gain[v]--
 			}
 			if evals[i].covered {
 				covered[gi] = true
 				coveredCount++
-				cands[gi], owned[gi] = nil, false
 				continue
 			}
-			if owned[gi] {
-				cands[gi] = append(cands[gi][:0], evals[i].cands...)
+			cs := evals[i].cands
+			if owned[gi] && len(cs) <= len(old) {
+				copy(old, cs)
 			} else {
-				cands[gi] = append([]int32(nil), evals[i].cands...)
+				ownOff[gi] = int32(len(ownItems))
+				ownItems = append(ownItems, cs...)
 				owned[gi] = true
 			}
-			for _, v := range cands[gi] {
+			ownLen[gi] = int32(len(cs))
+			for _, v := range cs {
 				gain[v]++
-				if bumpStamp[v] != int32(len(chosen)) {
-					bumpStamp[v] = int32(len(chosen))
-					bumped = append(bumped, v)
+				if !bumped[v] {
+					bumped[v] = true
+					bumps = append(bumps, v)
 				}
 			}
 		}
-		for _, v := range bumped {
+		for _, v := range bumps {
+			bumped[v] = false
 			if gain[v] > 0 && !mask[v] && !p.seedMask[v] && (candMask == nil || candMask[v]) {
 				h.PushEntry(maxcover.Entry{Item: v, Gain: gain[v]})
 			}
 		}
+		bumps = bumps[:0]
+	}
+
+	for _, v := range chosen {
+		mask[v] = false
+		for _, gi := range x.postings(v) {
+			covered[gi], owned[gi] = false, false
+		}
+	}
+	for _, v := range among {
+		if v >= 0 && int(v) < n {
+			candMask[v] = false
+		}
+	}
+	s.heap, s.evals, s.ownItems, s.bumps = h[:0], evals[:0], ownItems[:0], bumps
+	s.size = s.bytes()
+	p.deltaFree.Put(s)
+	if err != nil {
+		return nil, 0, err
 	}
 	return chosen, coveredCount, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"github.com/kboost/kboost/internal/rng"
@@ -233,4 +234,90 @@ func TestGenerationAdvances(t *testing.T) {
 	if pool.MemoryEstimate() <= 0 {
 		t.Fatal("memory estimate not positive for a grown pool")
 	}
+}
+
+// cancelAfter is a context whose Err turns to Canceled after a fixed
+// number of polls, so a selection is interrupted between picks.
+type cancelAfter struct {
+	context.Context
+	polls int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.polls <= 0 {
+		return context.Canceled
+	}
+	c.polls--
+	return nil
+}
+
+// TestSelectDeltaScratchReuse runs unrestricted and restricted Δ̂
+// selections — including an empty shortlist, out-of-range entries and
+// selections canceled between picks — on one pool, serially and from
+// concurrent goroutines, and requires each answer to equal the same
+// query on a freshly built pool, whose recycled scratch has never been
+// used. A query that leaves a mask, a covered or owned flag or a
+// candidate row behind in the scratch fails a later query here.
+func TestSelectDeltaScratchReuse(t *testing.T) {
+	r := rng.New(21)
+	g := testutil.RandomGraph(r, 40, 160, 0.4)
+	build := func() *Pool {
+		pool, err := NewPool(g, []int32{0, 1}, 4, ModeFull, 5, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		extend(t, pool, 3000)
+		return pool
+	}
+	type query struct {
+		k     int
+		among []int32
+	}
+	queries := []query{
+		{4, nil}, {2, nil}, {3, []int32{5, 7, 9, 11, 13, 40, -1}}, {4, []int32{}},
+		{1, nil}, {4, []int32{2, 3, 4, 5, 6, 7, 8, 9, 10, 20, 30}}, {3, nil},
+	}
+	answer := func(pool *Pool, q query) string {
+		chosen, covered, err := pool.SelectDeltaAmongContext(context.Background(), q.k, q.among)
+		if err != nil {
+			t.Error(err)
+		}
+		return fmt.Sprint(chosen, covered)
+	}
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		want[i] = answer(build(), q)
+	}
+
+	pool := build()
+	canceled := 0
+	for round := 0; round < 3; round++ {
+		for i := range queries {
+			j := (i*3 + round) % len(queries)
+			ctx := &cancelAfter{context.Background(), 1 + (i+round)%3}
+			if _, _, err := pool.SelectDeltaAmongContext(ctx, 4, queries[j].among); err != nil {
+				canceled++
+			}
+			if got := answer(pool, queries[j]); got != want[j] {
+				t.Fatalf("round %d query %d: reused scratch answered %s, fresh %s", round, j, got, want[j])
+			}
+		}
+	}
+	if canceled == 0 {
+		t.Fatal("no selection was canceled between picks")
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := range queries {
+				j := (i + w) % len(queries)
+				if got := answer(pool, queries[j]); got != want[j] {
+					t.Errorf("goroutine %d query %d: %s, want %s", w, j, got, want[j])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
