@@ -254,7 +254,8 @@ func (p *Pool[W, S]) ProfileGains(pi int, bset []int32, mask, open []bool) (delt
 	return delta, gains, gc.touch
 }
 
-// greedy is one lazy-greedy selection's state. The boost objective is
+// greedy is one lazy-greedy selection's state, recycled across queries
+// through the pool's free list. The boost objective is
 // not submodular, so the greedy keeps an authoritative gain per
 // candidate — the sum of its per-profile gains under the current boost
 // set — and after each pick re-evaluates every profile the pick can
@@ -277,10 +278,11 @@ type greedy[W, S any] struct {
 	pairs            []gainPair
 	pairOff, pairLen []int32
 
-	// Touch postings as linked lists in flat arrays: node t's profiles
-	// are tprof[i] for i = thead[t], tnext[i], ... until -1. A profile
-	// whose touch set later lost t stays listed; that costs one
-	// needless re-evaluation, never a wrong answer.
+	// Touch postings as linked lists in flat arrays, 1-based so that 0
+	// ends a list: node t's profiles are tprof[i-1] for i = thead[t],
+	// tnext[i-1], ... until 0. A profile whose touch set later lost t
+	// stays listed; that costs one needless re-evaluation, never a wrong
+	// answer.
 	thead, tnext, tprof []int32
 
 	gcs   []*Gains // one per busy worker, from the pool's free list
@@ -288,6 +290,59 @@ type greedy[W, S any] struct {
 	stamp []int32 // per profile: the pass that last listed it
 	pass  int32
 	aff   []int32
+}
+
+// zeroed returns (*buf)[:n], reallocating when the capacity is short.
+// The backing array must be all zero: the greedy clears what it set
+// before putting its state back.
+func zeroed[T int32 | bool](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
+}
+
+// getGreedy takes a selection state from the free list, sized for the
+// pool's current node and profile counts.
+func (p *Pool[W, S]) getGreedy() *greedy[W, S] {
+	n, R := p.g.N(), len(p.profileSeed)
+	q := p.greedies.Get().(*greedy[W, S])
+	q.p = p
+	q.mask, q.open = zeroed(&q.mask, n), zeroed(&q.open, n)
+	q.gain, q.pushed, q.thead = zeroed(&q.gain, n), zeroed(&q.pushed, n), zeroed(&q.thead, n)
+	q.pairOff, q.pairLen, q.stamp = zeroed(&q.pairOff, R), zeroed(&q.pairLen, R), zeroed(&q.stamp, R)
+	q.gcs = slices.Grow(q.gcs[:0], p.workers)[:p.workers]
+	return q
+}
+
+// putGreedy clears what the selection over cands set and returns its
+// state to the free list. Gains and heap entries only ever move for
+// nodes in pairs, the touch and profile arrays are cleared whole.
+func (p *Pool[W, S]) putGreedy(q *greedy[W, S], cands []int32) {
+	for w, gc := range q.gcs {
+		if gc != nil {
+			gc.open, gc.front = nil, nil // drop this query's views
+			p.gains.Put(gc)
+			q.gcs[w] = nil
+		}
+	}
+	for _, v := range cands {
+		q.open[v] = false
+	}
+	for _, v := range q.bset {
+		q.mask[v] = false
+	}
+	for _, e := range q.pairs {
+		q.gain[e.v], q.pushed[e.v] = 0, 0
+	}
+	clear(q.thead)
+	clear(q.pairOff)
+	clear(q.pairLen)
+	clear(q.stamp)
+	q.p, q.bset, q.pass = nil, nil, 0
+	q.h, q.pairs, q.aff = q.h[:0], q.pairs[:0], q.aff[:0]
+	q.tnext, q.tprof, q.spans = q.tnext[:0], q.tprof[:0], q.spans[:0]
+	p.greedies.Put(q)
 }
 
 // span locates one profile's evaluation output in its worker's Gains.
@@ -298,30 +353,10 @@ func (p *Pool[W, S]) greedyBoost(ctx context.Context, k int, cands []int32) ([]i
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
-	n, R := p.g.N(), len(p.profileSeed)
-	q := &greedy[W, S]{
-		p:       p,
-		mask:    make([]bool, n),
-		open:    make([]bool, n),
-		gain:    make([]int32, n),
-		pushed:  make([]int32, n),
-		pairOff: make([]int32, R),
-		pairLen: make([]int32, R),
-		thead:   make([]int32, n),
-		stamp:   make([]int32, R),
-		gcs:     make([]*Gains, p.workers),
-	}
-	for i := range q.thead {
-		q.thead[i] = -1
-	}
-	defer func() {
-		for _, gc := range q.gcs {
-			if gc != nil {
-				gc.open, gc.front = nil, nil // drop this query's views
-				p.gains.Put(gc)
-			}
-		}
-	}()
+	R := len(p.profileSeed)
+	q := p.getGreedy()
+	defer p.putGreedy(q, cands)
+	q.bset = make([]int32, 0, min(k, len(cands)))
 	// Under B = ∅ a candidate can gain only where it is in the base
 	// frontier, so the first pass covers just those profiles.
 	q.pass++
@@ -350,8 +385,8 @@ func (p *Pool[W, S]) greedyBoost(ctx context.Context, k int, cands []int32) ([]i
 		delta += int64(top.Gain)
 		q.pass++
 		q.list(p.FrontierProfiles(v))
-		for i := q.thead[v]; i >= 0; i = q.tnext[i] {
-			q.list(q.tprof[i : i+1])
+		for i := q.thead[v]; i > 0; i = q.tnext[i-1] {
+			q.list(q.tprof[i-1 : i])
 		}
 		q.eval()
 	}
@@ -416,7 +451,7 @@ func (q *greedy[W, S]) eval() {
 		for _, t := range gc.touch[sp.t0:sp.t1] {
 			q.tprof = append(q.tprof, pi)
 			q.tnext = append(q.tnext, q.thead[t])
-			q.thead[t] = int32(len(q.tprof) - 1)
+			q.thead[t] = int32(len(q.tprof))
 		}
 	}
 	for _, e := range q.pairs[mark:] {

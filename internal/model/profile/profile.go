@@ -181,8 +181,9 @@ type Pool[W, S any] struct {
 	// (generation, query).
 	generation uint64
 
-	scratch sync.Pool // of S
-	gains   sync.Pool // of *Gains, for the greedy's workers
+	scratch  sync.Pool // of S
+	gains    sync.Pool // of *Gains, for the greedy's workers
+	greedies sync.Pool // of *greedy[W, S], the selection state
 }
 
 // New creates an empty pool for (g, seeds) named after its model. seed
@@ -210,6 +211,7 @@ func New[W, S any](name string, g *graph.Graph, seeds []int32, seed uint64, work
 	p.c = mk(p.seeds)
 	p.scratch.New = func() any { return p.c.NewScratch() }
 	p.gains.New = func() any { return &Gains{stamp: make([]int32, g.N())} }
+	p.greedies.New = func() any { return new(greedy[W, S]) }
 	return p, nil
 }
 
@@ -289,7 +291,8 @@ func (p *Pool[W, S]) BaseSpread() float64 {
 // CSRs with their payload, the inverted index and the profile seeds —
 // exact array lengths × element sizes, matching the arena accounting
 // prr.Pool reports, so the engine's byte-based eviction compares every
-// pool family fairly.
+// pool family fairly. The greedy's recycled state (gains, greedies) is
+// not counted: lt's golden digests pin this value.
 func (p *Pool[W, S]) MemoryEstimate() int64 {
 	var zero W
 	st := &p.st
