@@ -309,11 +309,13 @@ func (c *Coverage) Select(k int, banned []bool, pre []int32) (chosen []int32, co
 			if v < 0 || int(v) >= c.numItems {
 				continue
 			}
-			taken[v] = false
 			for _, id := range c.postings[v] {
 				coveredSet[id] = false
 			}
 		}
+	}
+	for _, v := range chosen {
+		taken[v] = false
 	}
 	s.heap = h[:0]
 	c.free.Put(s)
