@@ -75,9 +75,10 @@ fuzz-short:
 # serves: closed-form tier 0, small-sample tier 1, and the warm tier-2
 # baseline they undercut) with -benchmem, and emits
 # machine-readable BENCH_select.json (ns/op, bytes_per_op,
-# allocs_per_op) alongside the usual text output: a record of this
-# host's numbers, not a baseline anything gates against (bench-gate
-# runs both trees itself).
+# allocs_per_op, stamped with the host's OS, architecture, CPU model,
+# nproc, GOMAXPROCS and Go version) alongside the usual text output: a
+# record of this host's numbers, not a baseline anything gates against
+# (bench-gate runs both trees itself).
 bench:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkSelectDeltaWarm|BenchmarkSelectCoverWarm|BenchmarkExtendIncremental|BenchmarkPoolBuildCold|BenchmarkPRREval' -benchmem -count=3 ./internal/prr && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkLTSelectWarm|BenchmarkLTEstimateWarm' -benchmem -count=3 ./internal/lt && \

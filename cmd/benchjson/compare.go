@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -59,6 +60,10 @@ func normalizeName(name string) string {
 // zero (the gate always runs with -benchmem, so zero means alloc-free,
 // not unmeasured); with maxAllocRegress < 0 the alloc gate is disabled.
 //
+// A benchmark on only one side is reported, not compared: "not run on
+// the current tree" for a base-only one, "not in the base tree" for one
+// the current tree added or renamed.
+//
 // Benchmark names carry a -GOMAXPROCS suffix (e.g. "/incremental-8");
 // names are normalized before matching.
 func comparePaired(basePath, currentPath, filter string, maxRegress, maxAllocRegress float64, w io.Writer) error {
@@ -69,7 +74,7 @@ func comparePaired(basePath, currentPath, filter string, maxRegress, maxAllocReg
 	if err != nil {
 		return fmt.Errorf("base: %w", err)
 	}
-	cur, _, err := loadRounds(currentPath)
+	cur, curOrder, err := loadRounds(currentPath)
 	if err != nil {
 		return fmt.Errorf("current: %w", err)
 	}
@@ -115,6 +120,11 @@ func comparePaired(basePath, currentPath, filter string, maxRegress, maxAllocReg
 		fmt.Fprintf(w, "benchjson: %-50s %12.0f -> %12.0f ns/op  median ratio %.3f (%+6.1f%%, %d rounds)  %4.0f -> %4.0f allocs/op  %s\n",
 			name, medianOf(b[:n], nsPerOp), medianOf(c[:n], nsPerOp), ratio, (ratio-1)*100, len(ratios), bAllocs, cAllocs, status)
 	}
+	for _, name := range curOrder {
+		if _, inBase := base[name]; !inBase && keep.MatchString(name) {
+			fmt.Fprintf(w, "benchjson: %s: not in the base tree, not compared\n", name)
+		}
+	}
 	if compared == 0 {
 		return fmt.Errorf("no benchmarks matched filter %q on both sides", filter)
 	}
@@ -126,21 +136,26 @@ func comparePaired(basePath, currentPath, filter string, maxRegress, maxAllocReg
 	return nil
 }
 
-// loadRounds reads a benchjson output file into per-name entry lists in
-// file order (one entry per round) and returns the names in first-seen
-// order.
+// loadRounds reads a benchjson record, or a bare result array, into
+// per-name entry lists in file order (one entry per round) and returns
+// the names in first-seen order.
 func loadRounds(path string) (map[string][]result, []string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	var results []result
-	if err := json.Unmarshal(data, &results); err != nil {
+	var rec record
+	if trimmed := bytes.TrimSpace(data); len(trimmed) > 0 && trimmed[0] == '[' {
+		err = json.Unmarshal(data, &rec.Results)
+	} else {
+		err = json.Unmarshal(data, &rec)
+	}
+	if err != nil {
 		return nil, nil, err
 	}
 	byName := make(map[string][]result)
 	var order []string
-	for _, r := range results {
+	for _, r := range rec.Results {
 		name := normalizeName(r.Name)
 		if _, seen := byName[name]; !seen {
 			order = append(order, name)

@@ -1,13 +1,16 @@
 // Command benchjson converts `go test -bench` text output on stdin
-// into a JSON array on stdout, one object per benchmark result with the
-// parsed ns/op, the -benchmem allocation columns (bytes_per_op,
-// allocs_per_op) and any extra ReportMetric pairs. The Makefile's bench
-// target uses it to emit BENCH_select.json so selection-performance
-// regressions are diffable across commits.
+// into a JSON record on stdout: the host it ran on (OS, architecture,
+// CPU model, nproc, GOMAXPROCS, Go version) and an array of results,
+// one object per benchmark result with the parsed ns/op, the -benchmem
+// allocation columns (bytes_per_op, allocs_per_op) and any extra
+// ReportMetric pairs. The Makefile's bench target uses it to emit
+// BENCH_select.json so selection-performance numbers are diffable
+// across commits and say which host they came from.
 //
 //	go test -run '^$' -bench SelectDeltaWarm -benchmem ./internal/prr | benchjson
 //
-// With -paired and -baseline it instead compares two such files, a
+// With -paired and -baseline it instead compares two such files (or
+// bare result arrays, the format before records carried a host), a
 // base tree's results recorded next to -current's on the same host,
 // one entry per round, and fails when the median per-round ns/op ratio
 // or the median allocs/op of a benchmark matching -filter (default:
@@ -23,7 +26,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -68,12 +73,44 @@ func main() {
 	}
 }
 
-func run() error {
-	var results []result
-	sc := bufio.NewScanner(os.Stdin)
+// host identifies the machine and toolchain a record was taken on.
+// nproc and GOMAXPROCS are benchjson's own, which the Makefile and the
+// gate run in the benchmarks' environment; cpu is the first `cpu:`
+// header line go test printed (empty when it printed none).
+type host struct {
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	CPU        string `json:"cpu"`
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+}
+
+// record is benchjson's output: the host, then every benchmark result
+// in input order.
+type record struct {
+	Host    host     `json:"host"`
+	Results []result `json:"results"`
+}
+
+func run() error { return convert(os.Stdin, os.Stdout) }
+
+// convert reads `go test -bench` text from r and writes its record to w.
+func convert(r io.Reader, w io.Writer) error {
+	rec := record{Host: host{
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+	}}
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok && rec.Host.CPU == "" {
+			rec.Host.CPU = strings.TrimSpace(cpu)
+		}
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
@@ -82,14 +119,14 @@ func run() error {
 			fmt.Fprintf(os.Stderr, "benchjson: skipping unparseable line: %s\n", line)
 			continue
 		}
-		results = append(results, res)
+		rec.Results = append(rec.Results, res)
 	}
 	if err := sc.Err(); err != nil {
 		return err
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(results)
+	return enc.Encode(rec)
 }
 
 // parseLine parses one benchmark result line:

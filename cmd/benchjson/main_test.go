@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -145,5 +148,102 @@ func TestCompareAllocGate(t *testing.T) {
 	}
 	if err := comparePaired(free, leaked, "Warm", 0.25, -1, &strings.Builder{}); err != nil {
 		t.Fatalf("disabled alloc gate still failed: %v", err)
+	}
+}
+
+// TestComparePairedReportsCurrentOnly checks that a filtered benchmark
+// only the current tree has, new or renamed, gets a line saying it was
+// not compared, and that it neither fails nor counts toward the gate.
+func TestComparePairedReportsCurrentOnly(t *testing.T) {
+	dir := t.TempDir()
+	base := writeJSON(t, dir, "base.json", `[
+		{"name": "BenchmarkWarmA-2", "iterations": 10, "ns_per_op": 1000, "allocs_per_op": 4},
+		{"name": "BenchmarkWarmA-2", "iterations": 10, "ns_per_op": 1000, "allocs_per_op": 4}
+	]`)
+	cur := writeJSON(t, dir, "cur.json", `[
+		{"name": "BenchmarkWarmA-2", "iterations": 10, "ns_per_op": 1000, "allocs_per_op": 4},
+		{"name": "BenchmarkWarmNew-2", "iterations": 10, "ns_per_op": 9000, "allocs_per_op": 40},
+		{"name": "BenchmarkColdNew-2", "iterations": 10, "ns_per_op": 9000, "allocs_per_op": 40},
+		{"name": "BenchmarkWarmA-2", "iterations": 10, "ns_per_op": 1000, "allocs_per_op": 4},
+		{"name": "BenchmarkWarmNew-2", "iterations": 10, "ns_per_op": 9000, "allocs_per_op": 40}
+	]`)
+	var out strings.Builder
+	if err := comparePaired(base, cur, "Warm", 0.25, 0.25, &out); err != nil {
+		t.Fatalf("paired compare failed: %v", err)
+	}
+	got := out.String()
+	if n := strings.Count(got, "benchjson: BenchmarkWarmNew: not in the base tree, not compared\n"); n != 1 {
+		t.Errorf("current-only benchmark reported %d times, want once:\n%s", n, got)
+	}
+	if strings.Contains(got, "ColdNew") {
+		t.Errorf("a benchmark outside the filter was reported:\n%s", got)
+	}
+	if !strings.Contains(got, "1 benchmark(s) within") {
+		t.Errorf("the current-only benchmark counted toward the gate:\n%s", got)
+	}
+	if err := comparePaired(base, cur, "WarmNew", 0.25, 0.25, &strings.Builder{}); err == nil {
+		t.Fatal("a filter matching only a current-only benchmark passed with nothing compared")
+	}
+}
+
+// TestRecordRoundTrip checks that convert stamps its record with the
+// host and that the paired loader reads the round files the gate
+// writes — interleaved rounds of `go test` output with the package
+// headers — with every name's rounds in order, as well as a bare
+// result array.
+func TestRecordRoundTrip(t *testing.T) {
+	const rounds = `goos: linux
+goarch: amd64
+pkg: example.com/a
+cpu: Example CPU @ 2.00GHz
+BenchmarkWarmA-2   	     100	      1000 ns/op	     512 B/op	       4 allocs/op
+BenchmarkWarmB/sub-2	      50	      2000 ns/op
+PASS
+pkg: example.com/a
+cpu: Other CPU
+BenchmarkWarmA-2   	     100	      1100 ns/op	     512 B/op	       4 allocs/op
+BenchmarkWarmB/sub-2	      50	      2100 ns/op
+`
+	var buf bytes.Buffer
+	if err := convert(strings.NewReader(rounds), &buf); err != nil {
+		t.Fatal(err)
+	}
+	var rec record
+	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if h := rec.Host; h.CPU != "Example CPU @ 2.00GHz" || h.NProc < 1 || h.GOMAXPROCS < 1 || h.GoVersion == "" || h.GOOS == "" || h.GOARCH == "" {
+		t.Fatalf("host stamp %+v", h)
+	}
+	dir := t.TempDir()
+	for _, path := range []string{
+		writeJSON(t, dir, "record.json", buf.String()),
+		writeJSON(t, dir, "array.json", `[
+			{"name": "BenchmarkWarmA-2", "iterations": 100, "ns_per_op": 1000},
+			{"name": "BenchmarkWarmB/sub-2", "iterations": 50, "ns_per_op": 2000},
+			{"name": "BenchmarkWarmA-2", "iterations": 100, "ns_per_op": 1100},
+			{"name": "BenchmarkWarmB/sub-2", "iterations": 50, "ns_per_op": 2100}
+		]`),
+	} {
+		byName, order, err := loadRounds(path)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if fmt.Sprint(order) != "[BenchmarkWarmA BenchmarkWarmB/sub]" {
+			t.Fatalf("%s: names %v", path, order)
+		}
+		var ns []float64
+		for _, name := range order {
+			for _, r := range byName[name] {
+				ns = append(ns, r.NsPerOp)
+			}
+		}
+		if fmt.Sprint(ns) != "[1000 1100 2000 2100]" {
+			t.Fatalf("%s: per-name rounds %v", path, ns)
+		}
+	}
+	rec1 := filepath.Join(dir, "record.json")
+	if err := comparePaired(rec1, rec1, "Warm", 0.25, 0.25, &strings.Builder{}); err != nil {
+		t.Fatalf("a record against itself failed the gate: %v", err)
 	}
 }

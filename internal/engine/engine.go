@@ -1284,20 +1284,12 @@ func (e *Engine) estimateSim(ctx context.Context, spec *modeSpec, req EstimateRe
 		return EstimateResult{}, err
 	}
 	defer ent.mu.RUnlock()
-	p := ent.pool.(simPool)
-	spread, err := p.EstimateSpread(req.Boost)
+	// One pass yields both values. Δ̂ is differenced on the pool's
+	// integer activation sums, so it agrees bit-for-bit with the Δ̂ a
+	// boost query reports for the same set, and is 0 for an empty one.
+	spread, boost, err := ent.pool.(simPool).Estimate(req.Boost)
 	if err != nil {
 		return EstimateResult{}, err
 	}
-	out := EstimateResult{Spread: spread, CacheHit: a.hit}
-	if len(req.Boost) > 0 {
-		// Differenced on the pool's integer activation sums, so it agrees
-		// bit-for-bit with the Δ̂ a boost query reports for the same set.
-		boost, err := p.EstimateBoost(req.Boost)
-		if err != nil {
-			return EstimateResult{}, err
-		}
-		out.Boost = boost
-	}
-	return out, nil
+	return EstimateResult{Spread: spread, Boost: boost, CacheHit: a.hit}, nil
 }

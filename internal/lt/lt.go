@@ -22,6 +22,7 @@ package lt
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -45,16 +46,34 @@ type Model struct {
 func New(g *graph.Graph) *Model {
 	m := &Model{g: g, norm: make([]float64, g.N())}
 	for v := int32(0); int(v) < g.N(); v++ {
-		var sum float64
-		for _, pb := range g.InPBoost(v) {
-			sum += pb
-		}
-		if sum < 1 {
-			sum = 1
-		}
-		m.norm[v] = sum
+		m.norm[v] = normOf(g, v)
 	}
 	return m
+}
+
+// patched derives the model of g2, a graph whose in-edge lists differ
+// from m's graph's only at the nodes marked in dirtyIn (see
+// graph.DeltaEffect): it copies m's normalizers and re-sums only the
+// dirty nodes'. An in-list that is not dirty has the same members,
+// order and probabilities, so the result is bit-identical to New(g2)
+// at O(n + dirty in-degree) instead of O(n + m).
+func (m *Model) patched(g2 *graph.Graph, dirtyIn []bool) *Model {
+	m2 := &Model{g: g2, norm: slices.Clone(m.norm)}
+	for v, dirty := range dirtyIn {
+		if dirty {
+			m2.norm[v] = normOf(g2, int32(v))
+		}
+	}
+	return m2
+}
+
+// normOf returns v's in-weight normalizer max(1, Σ_in p').
+func normOf(g *graph.Graph, v int32) float64 {
+	var sum float64
+	for _, pb := range g.InPBoost(v) {
+		sum += pb
+	}
+	return max(sum, 1)
 }
 
 // Norms returns the per-node in-weight normalizers max(1, Σ_in p').

@@ -116,17 +116,22 @@ func (p *Pool) ExtendContext(ctx context.Context, target int) error {
 	return p.kernel.ExtendContext(ctx, target)
 }
 
-// EstimateSpread returns the pooled estimate of the boosted-LT spread
-// σ̂(B), evaluated incrementally from the cached base fixed points. It
-// is deterministic for a fixed pool generation, bit-exact across worker
+// Estimate returns the pooled estimates of the boosted-LT spread σ̂(B)
+// and of the LT boost Δ̂_S(B) = σ̂(B) − σ̂(∅), both from one incremental
+// evaluation of boost from the cached base fixed points. It is
+// deterministic for a fixed pool generation, bit-exact across worker
 // counts, and shares its possible worlds with every other estimate from
-// the same pool (common random numbers).
+// the same pool (common random numbers), so Δ̂ is coupled, exactly zero
+// for an empty or ineffective boost set, and bit-identical to the
+// estimate GreedyBoost reports for the same boost set.
+func (p *Pool) Estimate(boost []int32) (spread, delta float64, err error) {
+	return p.kernel.Estimate(boost)
+}
+
+// EstimateSpread returns Estimate's σ̂(B).
 func (p *Pool) EstimateSpread(boost []int32) (float64, error) { return p.kernel.EstimateSpread(boost) }
 
-// EstimateBoost returns the pooled estimate of the LT boost
-// Δ̂_S(B) = σ̂(B) − σ̂(∅) over the same threshold profiles: coupled,
-// exactly zero for an empty or ineffective boost set, and bit-identical
-// to the estimate GreedyBoost reports for the same boost set.
+// EstimateBoost returns Estimate's Δ̂_S(B).
 func (p *Pool) EstimateBoost(boost []int32) (float64, error) { return p.kernel.EstimateBoost(boost) }
 
 // GreedyBoost greedily selects up to k boost nodes maximizing the

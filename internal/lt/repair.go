@@ -84,8 +84,10 @@ func (p *Pool) Repair(g2 *graph.Graph, dirtyOut, dirtyIn []bool, maxFrac float64
 		return sum.hits, false, nil
 	}
 	// The patched graph's normalizers change the dynamics; thresholds
-	// and profile seeds do not.
-	p.kernel.Resample(g2, newCascade(g2)(p.kernel.Seeds()), hit)
+	// and profile seeds do not. Only the dirty in-lists' normalizers
+	// can differ from the current ones.
+	c := p.dynamics()
+	p.kernel.Resample(g2, &cascade{m: c.m.patched(g2, dirtyIn), seeds: c.seeds}, hit)
 	return sum.hits, true, nil
 }
 

@@ -2,6 +2,7 @@ package lt
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/kboost/kboost/internal/graph"
@@ -160,6 +161,44 @@ func TestLTRepairMatchesColdRebuild(t *testing.T) {
 					sameLTPoolBits(t, label+" post-grow", pool, cold, k)
 				}
 			}
+		}
+	}
+}
+
+// TestLTRepairNormsMatchNew pins Repair's incremental normalizers: after
+// every staged random delta the repaired pool's Norms must equal a
+// fresh New(g2).Norms() bit for bit, and the normalizers the pool
+// handed out before the repair must be left as they were.
+func TestLTRepairNormsMatchNew(t *testing.T) {
+	for trial := 0; trial < 20; trial++ {
+		tr := rng.New(uint64(trial)*389 + 5)
+		g := testutil.RandomGraph(tr, 15+tr.Intn(30), 60+tr.Intn(240), 0.5)
+		pool, err := NewPool(g, testutil.RandomSeedSet(tr, g.N(), 1+tr.Intn(2)), uint64(trial), 1+trial%3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool.Extend(50)
+		for b := 0; b < 4; b++ {
+			d := randomLTDelta(t, tr, g, tr.Intn(6), tr.Intn(6), tr.Intn(6))
+			g2, eff, err := g.ApplyDelta(d)
+			if err != nil {
+				t.Fatalf("ApplyDelta: %v", err)
+			}
+			before := pool.Norms()
+			if _, ok, err := pool.Repair(g2, eff.DirtyOut, eff.DirtyIn, 1.0); err != nil || !ok {
+				t.Fatalf("Repair: ok=%v err=%v", ok, err)
+			}
+			sameBits := func(what string, got, want []float64) {
+				t.Helper()
+				for v := range want {
+					if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+						t.Fatalf("trial %d batch %d: %s norm[%d] = %v, want %v", trial, b, what, v, got[v], want[v])
+					}
+				}
+			}
+			sameBits("pre-repair", before, New(g).Norms())
+			sameBits("repaired", pool.Norms(), New(g2).Norms())
+			g = g2
 		}
 	}
 }

@@ -2,10 +2,11 @@
 // engine's pool serving path is written against. A Model is a factory
 // for pre-sampled possible-world pools over a fixed (graph, seed set):
 // sample worlds (NewPool + Pool.ExtendContext), evaluate a boost set
-// against the cached worlds (EstimateSpread / EstimateBoost), select a
-// boost set greedily (GreedyBoostContext), and report resident bytes
-// (MemoryEstimate) so the engine's byte-based LRU can treat every model
-// family fairly.
+// against the cached worlds (Estimate: one pass over the affected
+// profiles yields both σ̂ and the coupled Δ̂; EstimateSpread and
+// EstimateBoost return one each), select a boost set greedily
+// (GreedyBoostContext), and report resident bytes (MemoryEstimate) so
+// the engine's byte-based LRU can treat every model family fairly.
 //
 // The engine's snapshot/LRU/result-cache/repair/tier plumbing is
 // written once against these interfaces, and the pools themselves are
@@ -64,10 +65,13 @@ type Pool interface {
 	// slice aliases pool state and must not be modified.
 	// kboost:aliased-view
 	Norms() []float64
-	// EstimateSpread returns the pooled estimate of the boosted spread
-	// σ̂(B); EstimateBoost the coupled Δ̂_S(B) = σ̂(B) − σ̂(∅) over the
-	// same worlds, differenced as integers so it is exactly zero for an
-	// ineffective boost set.
+	// Estimate returns the pooled estimate of the boosted spread σ̂(B)
+	// and the coupled Δ̂_S(B) = σ̂(B) − σ̂(∅) over the same worlds, both
+	// from one evaluation pass over the affected profiles. Δ̂ is
+	// differenced as integers, so it is exactly zero for an ineffective
+	// boost set. EstimateSpread and EstimateBoost return one value
+	// each from the same pass.
+	Estimate(boost []int32) (spread, delta float64, err error)
 	EstimateSpread(boost []int32) (float64, error)
 	EstimateBoost(boost []int32) (float64, error)
 	// ExtendContext grows the pool to at least target profiles;

@@ -7,32 +7,37 @@ import "fmt"
 // force the parallel path on small pools.
 var EstimateParallelMin = 256
 
-// EstimateSpread returns the pooled estimate of the boosted spread
-// σ̂(B) by incrementally evaluating boost from every affected profile's
-// cached base world. It is deterministic for a fixed pool generation,
-// bit-exact across worker counts, and shares its possible worlds with
-// every other estimate from the same pool (common random numbers).
-func (p *Pool[W, S]) EstimateSpread(boost []int32) (float64, error) {
+// Estimate returns the pooled estimates of the boosted spread σ̂(B) and
+// of the boost Δ̂_S(B) = σ̂(B) − σ̂(∅), both read off one incremental
+// evaluation of boost from every affected profile's cached base world.
+// It is deterministic for a fixed pool generation, bit-exact across
+// worker counts, and shares its possible worlds with every other
+// estimate from the same pool (common random numbers). Both legs of Δ̂
+// are evaluated on the same profiles, so the difference is coupled (far
+// lower variance than differencing two independent Monte-Carlo runs),
+// exactly zero for an empty or ineffective boost set, and — because the
+// activation sums are differenced as integers before dividing —
+// bit-identical to the estimate the greedy selections report for the
+// same boost set.
+func (p *Pool[W, S]) Estimate(boost []int32) (spread, delta float64, err error) {
 	total, err := p.estimateCount(boost)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	return float64(total) / float64(len(p.profileSeed)), nil
+	r := float64(len(p.profileSeed))
+	return float64(total) / r, float64(total-p.BaseSum()) / r, nil
 }
 
-// EstimateBoost returns the pooled estimate of the boost
-// Δ̂_S(B) = σ̂(B) − σ̂(∅). Both terms are evaluated on the same
-// profiles, so the difference is coupled (far lower variance than
-// differencing two independent Monte-Carlo runs), exactly zero for an
-// empty or ineffective boost set, and — because the activation sums are
-// differenced as integers before dividing — bit-identical to the
-// estimate the greedy selections report for the same boost set.
+// EstimateSpread returns Estimate's σ̂(B).
+func (p *Pool[W, S]) EstimateSpread(boost []int32) (float64, error) {
+	spread, _, err := p.Estimate(boost)
+	return spread, err
+}
+
+// EstimateBoost returns Estimate's Δ̂_S(B).
 func (p *Pool[W, S]) EstimateBoost(boost []int32) (float64, error) {
-	total, err := p.estimateCount(boost)
-	if err != nil {
-		return 0, err
-	}
-	return float64(total-p.BaseSum()) / float64(len(p.profileSeed)), nil
+	_, delta, err := p.Estimate(boost)
+	return delta, err
 }
 
 // estimateCount returns Σ_i |active_i(B)|, the integer numerator of the

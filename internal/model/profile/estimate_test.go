@@ -1,0 +1,173 @@
+package profile
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"sync/atomic"
+	"testing"
+
+	"github.com/kboost/kboost/internal/graph"
+	"github.com/kboost/kboost/internal/rng"
+	"github.com/kboost/kboost/internal/testutil"
+)
+
+// hop is a one-hop toy cascade for kernel tests: a profile's base world
+// is the seed set, and its frontier is every non-seed out-neighbor of a
+// seed that the profile seed admits. Boosting a frontier node activates
+// it and nothing else.
+type hop struct {
+	g    *graph.Graph
+	seed []bool
+}
+
+// admits is a fixed per-(profile, node) coin.
+func (h *hop) admits(ps uint64, v int32) bool { return ps>>(uint(v)%61)&1 == 1 }
+
+// NewScratch returns a node mark used to deduplicate the frontier.
+func (h *hop) NewScratch() []bool { return make([]bool, h.g.N()) }
+
+func (h *hop) Base(ps uint64, st *Store[struct{}], mark []bool) {
+	var active, front []int32
+	for u := int32(0); int(u) < h.g.N(); u++ {
+		if !h.seed[u] {
+			continue
+		}
+		active = append(active, u)
+		for _, v := range h.g.OutTo(u) {
+			if !h.seed[v] && !mark[v] && h.admits(ps, v) {
+				mark[v] = true
+				front = append(front, v)
+			}
+		}
+	}
+	for _, v := range front {
+		mark[v] = false
+	}
+	st.Add(active, front, nil)
+}
+
+func (h *hop) Delta(pr Profile[struct{}], _ []int32, mask []bool, _ *Gains, _ []bool) int {
+	n := 0
+	for _, v := range pr.Front {
+		if mask[v] {
+			n++
+		}
+	}
+	return n
+}
+
+func (h *hop) Simulate(ps uint64, mask []bool, mark []bool) int {
+	st := newStore[struct{}]()
+	h.Base(ps, &st, mark)
+	n := len(st.activeItems)
+	for _, v := range st.frontItems {
+		if mask != nil && mask[v] {
+			n++
+		}
+	}
+	return n
+}
+
+// countingCascade counts the Delta calls made on the cascade it wraps.
+type countingCascade[W, S any] struct {
+	Cascade[W, S]
+	deltas atomic.Int64
+}
+
+func (c *countingCascade[W, S]) Delta(pr Profile[W], bset []int32, mask []bool, gc *Gains, s S) int {
+	c.deltas.Add(1)
+	return c.Cascade.Delta(pr, bset, mask, gc, s)
+}
+
+// TestEstimateOnePass checks that Estimate evaluates each affected
+// profile once — one Delta call per profile on the union of the boost
+// nodes' frontier posting lists, none on an error — and that both of
+// its values come from that one pass: σ̂ and Δ̂ equal full
+// re-simulation, and EstimateSpread and EstimateBoost return them bit
+// for bit. It runs on both the serial and the sharded evaluation path.
+func TestEstimateOnePass(t *testing.T) {
+	defer func(m int) { EstimateParallelMin = m }(EstimateParallelMin)
+	r := rng.New(41)
+	for trial := 0; trial < 8; trial++ {
+		g := testutil.RandomGraph(r, 20+r.Intn(30), 60+r.Intn(200), 0.5)
+		n := g.N()
+		seeds := testutil.RandomSeedSet(r, n, 1+r.Intn(4))
+		workers := 1 + trial%3
+		EstimateParallelMin = []int{256, 1}[trial%2]
+		var cc *countingCascade[struct{}, []bool]
+		p, err := New("hop", g, seeds, uint64(trial)+3, workers, func(s []int32) Cascade[struct{}, []bool] {
+			h := &hop{g: g, seed: make([]bool, n)}
+			for _, v := range s {
+				h.seed[v] = true
+			}
+			cc = &countingCascade[struct{}, []bool]{Cascade: h}
+			return cc
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.ExtendContext(context.Background(), 300); err != nil {
+			t.Fatal(err)
+		}
+		R := float64(p.NumProfiles())
+		resim := func(mask []bool) int64 {
+			var sum int64
+			s := p.Scratch()
+			defer p.PutScratch(s)
+			for pi := 0; pi < p.NumProfiles(); pi++ {
+				sum += int64(cc.Simulate(p.Profile(pi).Seed, mask, s))
+			}
+			return sum
+		}
+		base := resim(nil)
+
+		boosts := [][]int32{nil, {}, {seeds[0]}}
+		for len(boosts) < 12 {
+			b := make([]int32, 1+r.Intn(6))
+			for i := range b {
+				b[i] = int32(r.Intn(n))
+			}
+			boosts = append(boosts, append(b, b[0]))
+		}
+		for _, boost := range boosts {
+			label := fmt.Sprintf("trial %d workers %d boost %v", trial, workers, boost)
+			mask := make([]bool, n)
+			hit := map[int32]bool{}
+			for _, v := range boost {
+				mask[v] = true
+				for _, pi := range p.FrontierProfiles(v) {
+					hit[pi] = true
+				}
+			}
+			cc.deltas.Store(0)
+			spread, delta, err := p.Estimate(boost)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if got := cc.deltas.Load(); got != int64(len(hit)) {
+				t.Fatalf("%s: %d Delta calls, want one per affected profile (%d)", label, got, len(hit))
+			}
+			sum := resim(mask)
+			if spread != float64(sum)/R || delta != float64(sum-base)/R {
+				t.Fatalf("%s: Estimate = (%v, %v), re-simulation gives (%v, %v)", label, spread, delta, float64(sum)/R, float64(sum-base)/R)
+			}
+			s, errS := p.EstimateSpread(boost)
+			d, errB := p.EstimateBoost(boost)
+			if errS != nil || errB != nil || math.Float64bits(s) != math.Float64bits(spread) || math.Float64bits(d) != math.Float64bits(delta) {
+				t.Fatalf("%s: EstimateSpread/EstimateBoost = (%v, %v; %v, %v), Estimate = (%v, %v)", label, s, d, errS, errB, spread, delta)
+			}
+		}
+
+		for _, bad := range []int32{-1, int32(n)} {
+			cc.deltas.Store(0)
+			spread, delta, err := p.Estimate([]int32{0, bad})
+			if err == nil || spread != 0 || delta != 0 {
+				t.Fatalf("trial %d: Estimate with node %d = (%v, %v, %v), want an error", trial, bad, spread, delta, err)
+			}
+			if got := cc.deltas.Load(); got != 0 {
+				t.Fatalf("trial %d: failed Estimate made %d Delta calls", trial, got)
+			}
+		}
+	}
+}

@@ -12,7 +12,7 @@ import (
 )
 
 // NaiveSpread re-simulates every profile of p from scratch under the
-// boost set — the reference for Pool.EstimateSpread.
+// boost set — the reference for Pool.Estimate's σ̂.
 func NaiveSpread[W, S any](p *profile.Pool[W, S], boost []int32) float64 {
 	mask := make([]bool, p.Graph().N())
 	for _, v := range boost {

@@ -53,7 +53,7 @@ func TestLTPoolMethodSet(t *testing.T) {
 	for i := 0; i < typ.NumMethod(); i++ {
 		got = append(got, typ.Method(i).Name)
 	}
-	want := "[BaseSpread EstimateBoost EstimateSpread Extend ExtendContext Generation Graph GreedyBoost " +
+	want := "[BaseSpread Estimate EstimateBoost EstimateSpread Extend ExtendContext Generation Graph GreedyBoost " +
 		"GreedyBoostAmong GreedyBoostAmongContext GreedyBoostContext MemoryEstimate Norms NumProfiles Repair Seeds]"
 	if fmt.Sprint(got) != want {
 		t.Fatalf("LTPool methods %v, want %s", got, want)

@@ -42,7 +42,7 @@ func LTGreedyBoost(g *Graph, seeds []int32, k, candCap int, opt LTOptions) ([]in
 //	pool, _ := kboost.NewLTPool(g, seeds, 1, 0)
 //	pool.Extend(10000)                       // sample 10k profiles once
 //	set, boost, _ := pool.GreedyBoost(20, 0) // lazy greedy, warm
-//	spread, _ := pool.EstimateSpread(set)    // same profiles, coupled
+//	spread, delta, _ := pool.Estimate(set)   // same profiles, one pass
 //
 // All pool estimates share possible worlds (common random numbers) and
 // are bit-identical regardless of the worker count. The Engine serves
