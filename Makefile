@@ -73,7 +73,8 @@ fuzz-short:
 # sweeps, warm Engine queries, graph-patch repair vs cold rebuild — for
 # both the PRR and boosted-LT pool families — plus the tiered estimate
 # serves: closed-form tier 0, small-sample tier 1, and the warm tier-2
-# baseline they undercut) with -benchmem, and emits
+# baseline they undercut; and every other gated benchmark: the greedy
+# candidate pool, ApplyDelta and PairOnce) with -benchmem, and emits
 # machine-readable BENCH_select.json (ns/op, bytes_per_op,
 # allocs_per_op, stamped with the host's OS, architecture, CPU model,
 # nproc, GOMAXPROCS and Go version) alongside the usual text output: a
@@ -85,7 +86,10 @@ bench:
 	  $(GO) test -run '^$$' -bench 'BenchmarkSIRSelectWarm|BenchmarkSIREstimateWarm' -benchmem -count=3 ./internal/model/sir && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkKThreshSelectWarm|BenchmarkKThreshEstimateWarm' -benchmem -count=3 ./internal/model/kthresh && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkEstimateTier' -benchmem -count=3 ./internal/engine && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkEngineWarmBoost|BenchmarkLTWarmBoost|BenchmarkLTPoolExtend|BenchmarkGraphPatch' -benchmem -count=3 . ; } | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_select.json
+	  $(GO) test -run '^$$' -bench 'BenchmarkEngineWarmBoost|BenchmarkLTWarmBoost|BenchmarkLTPoolExtend|BenchmarkGraphPatch' -benchmem -count=3 . && \
+	  $(GO) test -run '^$$' -bench 'BenchmarkCandidates' -benchmem -count=3 ./internal/model/profile && \
+	  $(GO) test -run '^$$' -bench 'BenchmarkApplyDelta' -benchmem -count=3 ./internal/graph && \
+	  $(GO) test -run '^$$' -bench 'BenchmarkPairOnce' -benchmem -count=3 ./internal/diffusion ; } | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_select.json
 	@echo "wrote BENCH_select.json"
 
 # bench-short is the CI smoke variant: tiny graphs, one iteration each,

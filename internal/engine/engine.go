@@ -77,7 +77,7 @@ type Options struct {
 	// MaxPoolBytes bounds the cache by resident pool bytes, the
 	// engine's main memory knob now that pool sizes vary by orders of
 	// magnitude across graphs. Pool storage is arena-backed, so
-	// MemoryEstimate is exact (backing-array lengths × element sizes:
+	// MemoryEstimate is exact (backing-array capacities × element sizes:
 	// graph arena + coverage index + selection index for PRR pools, flat
 	// profile state + frontier index for LT pools) and pool_bytes /
 	// retired_pool_bytes report real memory, not a per-edge guess.

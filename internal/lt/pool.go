@@ -24,8 +24,12 @@ package lt
 // pushes to every out-neighbor inactive at the time, zero-weight edges
 // included, so each inactive node with an active in-neighbor is in the
 // frontier; and θ > 0, so a boosted node outside a profile's frontier
-// cannot activate there. Estimates therefore walk only the profiles on
-// the boosted nodes' frontier posting lists.
+// cannot activate there. Estimates therefore walk only the boosted
+// nodes' frontier postings, and of those keep only the profiles where
+// some boosted node may reach its threshold: a boost scales a frontier
+// node's in-weight by at most its largest in-edge p′/p (Gate), so a
+// cached weight × that ratio below θ proves the node stays quiet
+// (Quiet), and a profile whose boosted nodes are all quiet adds 0.
 //
 // Selection is the kernel's lazy greedy (profile.Pool.GreedyBoostContext).
 // LT's part is the gains half of Delta: from the boosted fixed point,
@@ -98,7 +102,8 @@ func (p *Pool) BaseSpread() float64 { return p.kernel.BaseSpread() }
 
 // MemoryEstimate returns the pool's resident bytes: the flat profile
 // state (active and frontier CSRs, frontier weights), the inverted
-// index and the profile seeds — exact array lengths × element sizes.
+// index with its offsets, the profile seeds and the estimates' idle
+// scratch, counted by capacity (see profile.Pool.MemoryEstimate).
 func (p *Pool) MemoryEstimate() int64 { return p.kernel.MemoryEstimate() }
 
 // Extend grows the pool to at least target profiles (see
@@ -382,6 +387,40 @@ func (c *cascade) boostedInWeight(v int32, s *evalScratch) float64 {
 		}
 	}
 	return w / c.m.norm[v]
+}
+
+// minGateP is the smallest base probability Gate divides by: a smaller
+// one could push p′/p past the range its rounding margin covers.
+const minGateP = 0x1p-500
+
+// Gate bounds v's boosted in-weight by a multiple of its cached base
+// in-weight: Delta recomputes v's weight over the base-active
+// in-neighbors that built the cached one, edge for edge with p′ in
+// place of p, so the ratio is at most v's largest in-edge p′/p. The
+// relative margin covers the rounding of both sums and of Quiet's
+// product. An edge with p′ > 0 but p = 0 (or p below minGateP) makes
+// the gate +Inf: boosting can then lift a zero in-weight, and Quiet's
+// 0 × +Inf is NaN, which never reads as quiet.
+func (c *cascade) Gate(v int32) float64 {
+	p, pb := c.m.g.InP(v), c.m.g.InPBoost(v)
+	var r float64
+	for j, q := range p {
+		switch {
+		case pb[j] == q:
+			r = max(r, 1)
+		case q < minGateP:
+			return math.Inf(1)
+		default:
+			r = max(r, pb[j]/q)
+		}
+	}
+	return r * (1 + float64(len(p)+8)*0x1p-50)
+}
+
+// Quiet reports that v's boosted in-weight, at most pay × gate, stays
+// below its threshold, so Delta's phase 1 cannot activate v.
+func (c *cascade) Quiet(ps uint64, v int32, pay, gate float64) bool {
+	return pay*gate < theta(ps, v)
 }
 
 // Delta computes the marginal activations of boosting bset on one

@@ -292,6 +292,16 @@ func (c *cascade) Delta(pr profile.Profile[exposure], bset []int32, mask []bool,
 	return delta
 }
 
+// Gate is unused: Quiet's test needs only the payload.
+func (c *cascade) Gate(int32) float64 { return 0 }
+
+// Quiet reports that frontier node v's exposures, all usable once it is
+// boosted, stay below the threshold, so Delta's phase 1 cannot activate
+// it. The test is exact.
+func (c *cascade) Quiet(_ uint64, _ int32, e exposure, _ float64) bool {
+	return e.live+e.boost < c.thresh
+}
+
 // activate activates inactive node v, queueing it for the cascade, if
 // its count plus boost more exposures reaches the threshold.
 func (c *cascade) activate(v, boost int32, s *evalScratch) bool {

@@ -56,7 +56,7 @@ type Pool interface {
 	// ExtendContext call that added profiles, so callers may cache
 	// results keyed by (generation, query) and invalidate on change.
 	Generation() uint64
-	// MemoryEstimate is the pool's resident bytes — exact array lengths
+	// MemoryEstimate is the pool's resident bytes — array capacities
 	// times element sizes, the contract the engine's byte eviction
 	// relies on.
 	MemoryEstimate() int64

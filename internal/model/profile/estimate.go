@@ -1,6 +1,9 @@
 package profile
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // EstimateParallelMin is the minimum number of affected profiles before
 // an estimate fans out to the pool's workers; a variable so tests can
@@ -43,42 +46,87 @@ func (p *Pool[W, S]) EstimateBoost(boost []int32) (float64, error) {
 // estimateCount returns Σ_i |active_i(B)|, the integer numerator of the
 // pooled spread estimate: the cached base sum plus the incremental
 // deltas of the profiles whose frontier intersects the boost set (no
-// other profile can change — see idxStart).
+// other profile can change — see idxStart), less those the cascade's
+// Quieter proves unchanged. It costs O(|boost| log |boost| + postings
+// + m log m) for m kept profiles besides their Delta calls: the boost
+// mask and profile marks come from the pool's free list and only the
+// entries set are cleared.
 func (p *Pool[W, S]) estimateCount(boost []int32) (int64, error) {
 	if len(p.profileSeed) == 0 {
 		return 0, fmt.Errorf("%s: estimate on an empty pool (call Extend first)", p.name)
 	}
 	n := p.g.N()
-	mask := make([]bool, n)
 	for _, v := range boost {
 		if v < 0 || int(v) >= n {
 			return 0, fmt.Errorf("%s: boost node %d out of range [0,%d)", p.name, v, n)
 		}
-		mask[v] = true
 	}
+	// A panic out of Delta drops es instead of returning it half set.
+	es := p.estFree.Get()
+	mask, hit := es.size(n, len(p.profileSeed))
 	// Dense boost list (deduplicated, sorted) for the per-profile pass.
-	var bset []int32
-	for v := int32(0); int(v) < n; v++ {
-		if mask[v] {
+	bset := es.bset[:0]
+	for _, v := range boost {
+		if !mask[v] {
+			mask[v] = true
 			bset = append(bset, v)
 		}
 	}
-	// The affected profiles, ascending: the union of bset's frontier
-	// posting lists, marked in a bitmap.
-	hit, total := make([]bool, len(p.profileSeed)), 0
+	slices.Sort(bset)
+	// The affected profiles: the union of bset's frontier postings,
+	// less the postings whose payload is quiet, sorted.
+	profs := es.profs[:0]
 	for _, v := range bset {
-		total += len(p.FrontierProfiles(v))
-		for _, pi := range p.FrontierProfiles(v) {
+		lo, hi := p.idxStart[v], p.idxStart[v+1]
+		var gate float64
+		if p.quiet != nil {
+			gate = p.quiet.Gate(v)
+		}
+		for k := lo; k < hi; k++ {
+			pi := p.idxItems[k]
+			if hit[pi] || p.quiet != nil && p.quiet.Quiet(p.profileSeed[pi], v, p.st.pay[p.idxOff[k]], gate) {
+				continue
+			}
 			hit[pi] = true
+			profs = append(profs, pi)
 		}
 	}
-	profs := make([]int32, 0, min(total, len(hit)))
-	for pi, h := range hit {
-		if h {
-			profs = append(profs, int32(pi))
-		}
+	slices.Sort(profs)
+	total := p.BaseSum() + p.sumDeltas(profs, bset, mask)
+	for _, pi := range profs {
+		hit[pi] = false
 	}
-	return p.BaseSum() + p.sumDeltas(profs, bset, mask), nil
+	for _, v := range bset {
+		mask[v] = false
+	}
+	es.bset, es.profs = bset, profs
+	p.estFree.Put(es)
+	return total, nil
+}
+
+// estScratch is estimateCount's working storage, recycled through the
+// pool's free list. Between estimates mask (one entry per node) and hit
+// (one per profile) are all false.
+type estScratch struct {
+	mask, hit   []bool
+	bset, profs []int32
+}
+
+// size returns the mask for n nodes and the marks for r profiles,
+// growing them when the pool has outgrown the scratch.
+func (es *estScratch) size(n, r int) (mask, hit []bool) {
+	if len(es.mask) < n {
+		es.mask = make([]bool, n)
+	}
+	if len(es.hit) < r {
+		es.hit = make([]bool, r)
+	}
+	return es.mask[:n], es.hit[:r]
+}
+
+// bytes returns the scratch's resident bytes, counted by capacity.
+func (es *estScratch) bytes() int64 {
+	return int64(cap(es.mask)+cap(es.hit)) + int64(cap(es.bset)+cap(es.profs))*4
 }
 
 // sumDeltas evaluates bset incrementally on each listed profile and
@@ -86,23 +134,27 @@ func (p *Pool[W, S]) estimateCount(boost []int32) (int64, error) {
 // workers for large batches. Deltas are integers summed in any
 // order, so the result does not depend on the sharding.
 func (p *Pool[W, S]) sumDeltas(profs []int32, bset []int32, mask []bool) int64 {
-	workers := p.workers
-	if len(profs) < EstimateParallelMin {
-		workers = 1
+	if len(profs) < EstimateParallelMin || p.workers == 1 {
+		return p.deltaRange(profs, bset, mask)
 	}
-	sums := make([]int64, workers)
-	ForChunks(len(profs), workers, func(w, lo, hi int) {
-		s := p.Scratch()
-		defer p.PutScratch(s)
-		var sum int64
-		for _, pi := range profs[lo:hi] {
-			sum += int64(p.c.Delta(p.Profile(int(pi)), bset, mask, nil, s))
-		}
-		sums[w] = sum
+	sums := make([]int64, p.workers)
+	ForChunks(len(profs), p.workers, func(w, lo, hi int) {
+		sums[w] = p.deltaRange(profs[lo:hi], bset, mask)
 	})
 	var total int64
 	for _, v := range sums {
 		total += v
 	}
 	return total
+}
+
+// deltaRange sums Delta over the listed profiles on one scratch.
+func (p *Pool[W, S]) deltaRange(profs []int32, bset []int32, mask []bool) int64 {
+	s := p.Scratch()
+	defer p.PutScratch(s)
+	var sum int64
+	for _, pi := range profs {
+		sum += int64(p.c.Delta(p.Profile(int(pi)), bset, mask, nil, s))
+	}
+	return sum
 }

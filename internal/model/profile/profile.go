@@ -32,6 +32,7 @@ import (
 	"unsafe"
 
 	"github.com/kboost/kboost/internal/faults"
+	"github.com/kboost/kboost/internal/freelist"
 	"github.com/kboost/kboost/internal/graph"
 	"github.com/kboost/kboost/internal/panicsafe"
 	"github.com/kboost/kboost/internal/rng"
@@ -63,6 +64,23 @@ type Cascade[W, S any] interface {
 	// Simulate runs the profile seeded by ps from scratch under the
 	// boost mask (nil for none) and returns its active count.
 	Simulate(ps uint64, mask []bool, s S) int
+}
+
+// Quieter is an optional Cascade extension that lets an estimate skip
+// profiles a boost set cannot change. Delta decides whether each boost
+// node activates from the base world alone, before any cascade runs, so
+// a profile where every boost node in its frontier fails that test
+// contributes exactly 0. Quiet may answer false when unsure, never true
+// when the node could activate.
+type Quieter[W any] interface {
+	// Gate returns node v's constant for Quiet, derived from the graph;
+	// an estimate computes it once per boost node.
+	Gate(v int32) float64
+	// Quiet reports that boosting v cannot activate v in the base
+	// world of the profile seeded by ps, where v is a frontier node
+	// with payload w, whatever else is boosted with it; gate is
+	// Gate(v).
+	Quiet(ps uint64, v int32, w W, gate float64) bool
 }
 
 // Profile is one profile's cached base world: views into the pool's
@@ -132,6 +150,39 @@ func (st *Store[W]) appendRange(src *Store[W], lo, hi int) {
 	st.frontStart = appendShifted(st.frontStart, src.frontStart[lo+1:hi+1], df)
 }
 
+// merge appends every profile of shards, in shard order, growing each
+// array once to its exact final size: capacities, which MemoryEstimate
+// counts, then do not depend on the worker count. Trailing workers get
+// no profiles when there are fewer profiles than chunks; their shards
+// stay zero-valued and are skipped.
+func (st *Store[W]) merge(shards []Store[W]) {
+	var profs, active, front int
+	for w := range shards {
+		if sh := &shards[w]; sh.activeStart != nil {
+			profs += sh.profiles()
+			active += len(sh.activeItems)
+			front += len(sh.frontItems)
+		}
+	}
+	st.activeStart = growExact(st.activeStart, profs)
+	st.frontStart = growExact(st.frontStart, profs)
+	st.activeItems = growExact(st.activeItems, active)
+	st.frontItems = growExact(st.frontItems, front)
+	st.pay = growExact(st.pay, front)
+	for w := range shards {
+		if sh := &shards[w]; sh.activeStart != nil {
+			st.appendRange(sh, 0, sh.profiles())
+		}
+	}
+}
+
+// growExact returns s with capacity for exactly add more elements.
+func growExact[T any](s []T, add int) []T {
+	t := make([]T, len(s), len(s)+add)
+	copy(t, s)
+	return t
+}
+
 // appendShifted appends ends to dst, each shifted by delta.
 func appendShifted(dst, ends []int32, delta int32) []int32 {
 	n := len(dst)
@@ -157,6 +208,7 @@ const cancelStride = 64
 type Pool[W, S any] struct {
 	name     string // the model's mode name, prefixing error messages
 	c        Cascade[W, S]
+	quiet    Quieter[W] // c's payload test, or nil when it has none
 	g        *graph.Graph
 	seeds    []int32 // sorted, deduplicated
 	seedMask []bool
@@ -171,9 +223,14 @@ type Pool[W, S any] struct {
 	// idxStart/idxItems: node -> ascending profiles whose base frontier
 	// contains it. A boost set can only change the profiles where one
 	// of its nodes sits in the base frontier, so estimates and greedy
-	// rounds walk these posting lists instead of all R profiles.
+	// rounds walk these posting lists instead of all R profiles. With a
+	// Quieter, idxOff[k] is posting k's offset into frontItems and pay,
+	// and an estimate keeps only the profiles where some boost node's
+	// payload fails the Quiet test; without one idxOff is nil and
+	// estimates walk every posting.
 	idxStart []int32
 	idxItems []int32
+	idxOff   []int32
 
 	// generation counts the ExtendContext calls that added profiles and
 	// the Resample calls; estimates and selections are pure functions
@@ -184,6 +241,7 @@ type Pool[W, S any] struct {
 	scratch  sync.Pool // of S
 	gains    sync.Pool // of *Gains, for the greedy's workers
 	greedies sync.Pool // of *greedy[W, S], the selection state
+	estFree  *freelist.List[estScratch]
 }
 
 // New creates an empty pool for (g, seeds) named after its model. seed
@@ -206,13 +264,20 @@ func New[W, S any](name string, g *graph.Graph, seeds []int32, seed uint64, work
 		root:     rng.New(seed),
 		st:       newStore[W](),
 		idxStart: make([]int32, g.N()+1),
+		estFree:  freelist.New((*estScratch).bytes),
 	}
 	p.seeds, p.seedMask = dedupSeeds(g.N(), seeds)
-	p.c = mk(p.seeds)
+	p.setCascade(mk(p.seeds))
 	p.scratch.New = func() any { return p.c.NewScratch() }
 	p.gains.New = func() any { return &Gains{stamp: make([]int32, g.N())} }
 	p.greedies.New = func() any { return new(greedy[W, S]) }
 	return p, nil
+}
+
+// setCascade installs the pool's dynamics and their payload test.
+func (p *Pool[W, S]) setCascade(c Cascade[W, S]) {
+	p.c = c
+	p.quiet, _ = c.(Quieter[W])
 }
 
 // dedupSeeds returns the in-range seeds sorted and deduplicated, with
@@ -288,19 +353,21 @@ func (p *Pool[W, S]) BaseSpread() float64 {
 }
 
 // MemoryEstimate returns the pool's resident bytes: the flat profile
-// CSRs with their payload, the inverted index and the profile seeds —
-// exact array lengths × element sizes, matching the arena accounting
-// prr.Pool reports, so the engine's byte-based eviction compares every
-// pool family fairly. The greedy's recycled state (gains, greedies) is
-// not counted: lt's golden digests pin this value.
+// CSRs with their payload, the inverted index with its offsets, the
+// profile seeds, the seed set and the estimates' idle scratch, each
+// counted by capacity like prr.Pool's, so the engine's byte-based
+// eviction compares every pool family fairly. The greedy's recycled
+// state (scratch, gains, greedies) sits in sync.Pools, which cannot
+// say what they hold, and is not counted.
 func (p *Pool[W, S]) MemoryEstimate() int64 {
 	var zero W
 	st := &p.st
-	bytes := int64(len(st.activeItems)+len(st.frontItems)+len(p.idxItems)) * 4
-	bytes += int64(len(st.pay)) * int64(unsafe.Sizeof(zero))
-	bytes += int64(len(p.profileSeed)) * 8
-	bytes += int64(len(st.activeStart)+len(st.frontStart)+len(p.idxStart)) * 4
-	return bytes
+	bytes := int64(cap(st.activeItems)+cap(st.frontItems)+cap(p.idxItems)+cap(p.idxOff)) * 4
+	bytes += int64(cap(st.pay)) * int64(unsafe.Sizeof(zero))
+	bytes += int64(cap(p.profileSeed)) * 8
+	bytes += int64(cap(st.activeStart)+cap(st.frontStart)+cap(p.idxStart)+cap(p.seeds)) * 4
+	bytes += int64(cap(p.seedMask))
+	return bytes + p.estFree.Bytes()
 }
 
 // Scratch takes a scratch from the pool's free list; return it with
@@ -331,7 +398,8 @@ func (p *Pool[W, S]) ExtendContext(ctx context.Context, target int) error {
 	if need <= 0 {
 		return nil
 	}
-	savedRoot := *p.root // for rollback: Uint64 draws below advance it
+	savedRoot, savedSeeds := *p.root, p.profileSeed // for rollback: the draws below advance root
+	p.profileSeed = growExact(p.profileSeed, need)
 	for i := 0; i < need; i++ {
 		p.profileSeed = append(p.profileSeed, p.root.Uint64())
 	}
@@ -370,17 +438,11 @@ func (p *Pool[W, S]) ExtendContext(ctx context.Context, target int) error {
 		}
 	}
 	if abort != nil {
-		p.profileSeed = p.profileSeed[:from]
+		p.profileSeed = savedSeeds
 		*p.root = savedRoot
 		return abort
 	}
-	// Trailing workers get no profiles when need is smaller than their
-	// chunk offset; their shards stay zero-valued and are skipped.
-	for w := range shards {
-		if sh := &shards[w]; sh.activeStart != nil {
-			p.st.appendRange(sh, 0, sh.profiles())
-		}
-	}
+	p.st.merge(shards)
 	p.index(from)
 	p.generation++
 	return nil
@@ -390,6 +452,9 @@ func (p *Pool[W, S]) ExtendContext(ctx context.Context, target int) error {
 // inverted index, keeping the postings of profiles below from (none
 // when from is 0: a full rebuild): count the new contribution per node,
 // then interleave old and new posting lists in one O(old+new) pass.
+// With a Quieter each posting's frontier offset moves along with it;
+// offsets below frontStart[from] do not change when profiles are
+// appended.
 func (p *Pool[W, S]) index(from int) {
 	n := p.g.N()
 	counts := make([]int32, n)
@@ -404,20 +469,34 @@ func (p *Pool[W, S]) index(from int) {
 		}
 	}
 	newItems := make([]int32, newStart[n])
+	var newOff []int32
+	if p.quiet != nil {
+		newOff = make([]int32, newStart[n])
+	}
 	next := counts // reuse as per-node write cursors
 	for v := 0; v < n; v++ {
 		next[v] = newStart[v]
 		if from > 0 {
-			next[v] += int32(copy(newItems[newStart[v]:], p.idxItems[p.idxStart[v]:p.idxStart[v+1]]))
+			lo, hi := p.idxStart[v], p.idxStart[v+1]
+			copy(newItems[newStart[v]:], p.idxItems[lo:hi])
+			if newOff != nil {
+				copy(newOff[newStart[v]:], p.idxOff[lo:hi])
+			}
+			next[v] += hi - lo
 		}
 	}
+	fs := p.st.frontStart
 	for pi := from; pi < len(p.profileSeed); pi++ {
-		for _, v := range p.st.frontItems[p.st.frontStart[pi]:p.st.frontStart[pi+1]] {
+		for j := fs[pi]; j < fs[pi+1]; j++ {
+			v := p.st.frontItems[j]
 			newItems[next[v]] = int32(pi)
+			if newOff != nil {
+				newOff[next[v]] = j
+			}
 			next[v]++
 		}
 	}
-	p.idxStart, p.idxItems = newStart, newItems
+	p.idxStart, p.idxItems, p.idxOff = newStart, newItems, newOff
 }
 
 // Resample is the layout half of an in-place repair: it moves the pool
@@ -427,7 +506,8 @@ func (p *Pool[W, S]) index(from int) {
 // so a repair that marks every profile whose base world could have
 // changed leaves the pool bit-identical to a cold build on g.
 func (p *Pool[W, S]) Resample(g *graph.Graph, c Cascade[W, S], touched []bool) {
-	p.g, p.c = g, c
+	p.g = g
+	p.setCascade(c)
 	R := len(p.profileSeed)
 
 	// Workers re-simulate only their touched profiles into per-worker
