@@ -151,10 +151,10 @@ func (st *Store[W]) appendRange(src *Store[W], lo, hi int) {
 }
 
 // merge appends every profile of shards, in shard order, growing each
-// array once to its exact final size: capacities, which MemoryEstimate
-// counts, then do not depend on the worker count. Trailing workers get
-// no profiles when there are fewer profiles than chunks; their shards
-// stay zero-valued and are skipped.
+// array at most once, by grow: capacities, which MemoryEstimate counts,
+// then depend on the merged totals alone, not on the worker count.
+// Trailing workers get no profiles when there are fewer profiles than
+// chunks; their shards stay zero-valued and are skipped.
 func (st *Store[W]) merge(shards []Store[W]) {
 	var profs, active, front int
 	for w := range shards {
@@ -164,11 +164,11 @@ func (st *Store[W]) merge(shards []Store[W]) {
 			front += len(sh.frontItems)
 		}
 	}
-	st.activeStart = growExact(st.activeStart, profs)
-	st.frontStart = growExact(st.frontStart, profs)
-	st.activeItems = growExact(st.activeItems, active)
-	st.frontItems = growExact(st.frontItems, front)
-	st.pay = growExact(st.pay, front)
+	st.activeStart = grow(st.activeStart, profs)
+	st.frontStart = grow(st.frontStart, profs)
+	st.activeItems = grow(st.activeItems, active)
+	st.frontItems = grow(st.frontItems, front)
+	st.pay = grow(st.pay, front)
 	for w := range shards {
 		if sh := &shards[w]; sh.activeStart != nil {
 			st.appendRange(sh, 0, sh.profiles())
@@ -176,9 +176,16 @@ func (st *Store[W]) merge(shards []Store[W]) {
 	}
 }
 
-// growExact returns s with capacity for exactly add more elements.
-func growExact[T any](s []T, add int) []T {
-	t := make([]T, len(s), len(s)+add)
+// grow returns s with room for add more elements: s itself when it has
+// the room, else a copy with capacity max(len+add, 2·cap), so staged
+// growth copies each element O(1) times amortized while the capacity
+// stays a function of the lengths and capacities alone (append's also
+// depends on the allocator's size classes).
+func grow[T any](s []T, add int) []T {
+	if cap(s)-len(s) >= add {
+		return s
+	}
+	t := make([]T, len(s), max(len(s)+add, 2*cap(s)))
 	copy(t, s)
 	return t
 }
@@ -399,7 +406,7 @@ func (p *Pool[W, S]) ExtendContext(ctx context.Context, target int) error {
 		return nil
 	}
 	savedRoot, savedSeeds := *p.root, p.profileSeed // for rollback: the draws below advance root
-	p.profileSeed = growExact(p.profileSeed, need)
+	p.profileSeed = grow(p.profileSeed, need)
 	for i := 0; i < need; i++ {
 		p.profileSeed = append(p.profileSeed, p.root.Uint64())
 	}
