@@ -84,7 +84,7 @@ func (p *Pool[W, S]) estimateCount(boost []int32) (int64, error) {
 		}
 		for k := lo; k < hi; k++ {
 			pi := p.idxItems[k]
-			if hit[pi] || p.quiet != nil && p.quiet.Quiet(p.profileSeed[pi], v, p.st.pay[p.idxOff[k]], gate) {
+			if hit[pi] || p.quiet != nil && p.quiet.Quiet(p.profileSeed[pi], v, p.st.pay[p.st.frontStart[pi]+p.idxOff[k]], gate) {
 				continue
 			}
 			hit[pi] = true

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -168,6 +169,58 @@ func TestEstimateOnePass(t *testing.T) {
 			if got := cc.deltas.Load(); got != 0 {
 				t.Fatalf("trial %d: failed Estimate made %d Delta calls", trial, got)
 			}
+		}
+	}
+}
+
+// quietHop is hop with a payload test that proves nothing, so its pools
+// keep posting offsets.
+type quietHop struct{ *hop }
+
+func (quietHop) Gate(int32) float64                          { return 0 }
+func (quietHop) Quiet(uint64, int32, struct{}, float64) bool { return false }
+
+// TestReindexMatchesFullRebuild checks that the index Resample merges
+// from the old one — starts, postings and offsets — equals a full
+// rebuild, with and without offsets, for touched shares from none to
+// all.
+func TestReindexMatchesFullRebuild(t *testing.T) {
+	r := rng.New(43)
+	for trial := 0; trial < 24; trial++ {
+		n := 20 + r.Intn(30)
+		g := testutil.RandomGraph(r, n, 60+r.Intn(200), 0.5)
+		g2 := testutil.RandomGraph(r, n, 60+r.Intn(200), 0.5)
+		seeds := testutil.RandomSeedSet(r, n, 1+r.Intn(4))
+		withOff := trial%2 == 1
+		mk := func(g *graph.Graph) func([]int32) Cascade[struct{}, []bool] {
+			return func(s []int32) Cascade[struct{}, []bool] {
+				h := &hop{g: g, seed: make([]bool, n)}
+				for _, v := range s {
+					h.seed[v] = true
+				}
+				if withOff {
+					return quietHop{h}
+				}
+				return h
+			}
+		}
+		p, err := New("hop", g, seeds, uint64(trial)+5, 1+trial%3, mk(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.ExtendContext(context.Background(), 150+r.Intn(150)); err != nil {
+			t.Fatal(err)
+		}
+		share := []float64{0, 0.05, 0.5, 1}[trial%4]
+		touched := make([]bool, p.NumProfiles())
+		for pi := range touched {
+			touched[pi] = r.Float64() < share
+		}
+		p.Resample(g2, mk(g2)(p.seeds), touched)
+		start, items, off := p.idxStart, p.idxItems, p.idxOff
+		p.index(0)
+		if !slices.Equal(start, p.idxStart) || !slices.Equal(items, p.idxItems) || !slices.Equal(off, p.idxOff) || (off == nil) == withOff {
+			t.Fatalf("trial %d (offsets %v, touched share %v): merged index differs from a full rebuild", trial, withOff, share)
 		}
 	}
 }

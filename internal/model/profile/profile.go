@@ -25,6 +25,7 @@ package profile
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -231,10 +232,10 @@ type Pool[W, S any] struct {
 	// contains it. A boost set can only change the profiles where one
 	// of its nodes sits in the base frontier, so estimates and greedy
 	// rounds walk these posting lists instead of all R profiles. With a
-	// Quieter, idxOff[k] is posting k's offset into frontItems and pay,
-	// and an estimate keeps only the profiles where some boost node's
-	// payload fails the Quiet test; without one idxOff is nil and
-	// estimates walk every posting.
+	// Quieter, idxOff[k] is posting k's offset into its profile's
+	// frontier and payload, and an estimate keeps only the profiles
+	// where some boost node's payload fails the Quiet test; without one
+	// idxOff is nil and estimates walk every posting.
 	idxStart []int32
 	idxItems []int32
 	idxOff   []int32
@@ -459,9 +460,7 @@ func (p *Pool[W, S]) ExtendContext(ctx context.Context, target int) error {
 // inverted index, keeping the postings of profiles below from (none
 // when from is 0: a full rebuild): count the new contribution per node,
 // then interleave old and new posting lists in one O(old+new) pass.
-// With a Quieter each posting's frontier offset moves along with it;
-// offsets below frontStart[from] do not change when profiles are
-// appended.
+// With a Quieter each posting's frontier offset moves along with it.
 func (p *Pool[W, S]) index(from int) {
 	n := p.g.N()
 	counts := make([]int32, n)
@@ -492,15 +491,16 @@ func (p *Pool[W, S]) index(from int) {
 			next[v] += hi - lo
 		}
 	}
-	fs := p.st.frontStart
+	fs, front := p.st.frontStart, p.st.frontItems
 	for pi := from; pi < len(p.profileSeed); pi++ {
-		for j := fs[pi]; j < fs[pi+1]; j++ {
-			v := p.st.frontItems[j]
-			newItems[next[v]] = int32(pi)
+		lo := fs[pi]
+		for j, v := range front[lo:fs[pi+1]] {
+			k := next[v]
+			next[v] = k + 1
+			newItems[k] = int32(pi)
 			if newOff != nil {
-				newOff[next[v]] = j
+				newOff[k] = int32(j)
 			}
-			next[v]++
 		}
 	}
 	p.idxStart, p.idxItems, p.idxOff = newStart, newItems, newOff
@@ -535,7 +535,8 @@ func (p *Pool[W, S]) Resample(g *graph.Graph, c Cascade[W, S], touched []bool) {
 
 	// Exact-size the new arrays: untouched segments keep their old
 	// lengths, touched ones take their re-simulated shard lengths.
-	old := &p.st
+	prev := p.st
+	old := &prev
 	active, front := len(old.activeItems), len(old.frontItems)
 	for pi, hit := range touched {
 		if hit {
@@ -578,8 +579,94 @@ func (p *Pool[W, S]) Resample(g *graph.Graph, c Cascade[W, S], touched []bool) {
 		pi++
 	}
 	p.st = st
-	p.index(0)
+	p.reindex(old, touched)
 	p.generation++
+}
+
+// reindex rebuilds the frontier index after Resample replaced the store
+// old, re-running the profiles marked in touched. Postings of untouched
+// profiles keep their order in every node's list and their offsets,
+// which count from the profile's own frontier start, so a list no
+// touched profile enters or leaves is copied whole. Only the touched
+// profiles' frontiers are scattered, into per-node lists merged with
+// the old ones by profile. index(0) would scatter every posting.
+func (p *Pool[W, S]) reindex(old *Store[W], touched []bool) {
+	n, st := p.g.N(), &p.st
+	drop := make([]int32, n) // postings of v in touched profiles' old frontiers
+	tStart := make([]int32, n+1)
+	for pi, hit := range touched {
+		if !hit {
+			continue
+		}
+		for _, v := range old.frontItems[old.frontStart[pi]:old.frontStart[pi+1]] {
+			drop[v]++
+		}
+		for _, v := range st.frontItems[st.frontStart[pi]:st.frontStart[pi+1]] {
+			tStart[v+1]++
+		}
+	}
+	newStart := make([]int32, n+1)
+	for v := 0; v < n; v++ {
+		tStart[v+1] += tStart[v]
+		newStart[v+1] = newStart[v] + p.idxStart[v+1] - p.idxStart[v] - drop[v] + tStart[v+1] - tStart[v]
+	}
+	// The touched profiles' postings, by node in profile order.
+	tItems := make([]int32, tStart[n])
+	var tOff, newOff []int32
+	if p.quiet != nil {
+		tOff = make([]int32, tStart[n])
+		newOff = make([]int32, newStart[n])
+	}
+	next := make([]int32, n)
+	copy(next, tStart[:n])
+	for pi, hit := range touched {
+		if !hit {
+			continue
+		}
+		for j, v := range st.frontItems[st.frontStart[pi]:st.frontStart[pi+1]] {
+			k := next[v]
+			next[v] = k + 1
+			tItems[k] = int32(pi)
+			if tOff != nil {
+				tOff[k] = int32(j)
+			}
+		}
+	}
+	newItems := make([]int32, newStart[n])
+	for v := 0; v < n; v++ {
+		k := newStart[v]
+		a, aEnd := p.idxStart[v], p.idxStart[v+1]
+		b, bEnd := tStart[v], tStart[v+1]
+		if drop[v] == 0 && b == bEnd {
+			copy(newItems[k:], p.idxItems[a:aEnd])
+			if newOff != nil {
+				copy(newOff[k:], p.idxOff[a:aEnd])
+			}
+			continue
+		}
+		// keep copies the old postings of untouched profiles below end.
+		keep := func(end int32) {
+			for ; a < aEnd && p.idxItems[a] < end; a++ {
+				if pi := p.idxItems[a]; !touched[pi] {
+					newItems[k] = pi
+					if newOff != nil {
+						newOff[k] = p.idxOff[a]
+					}
+					k++
+				}
+			}
+		}
+		for ; b < bEnd; b++ {
+			keep(tItems[b])
+			newItems[k] = tItems[b]
+			if newOff != nil {
+				newOff[k] = tOff[b]
+			}
+			k++
+		}
+		keep(math.MaxInt32)
+	}
+	p.idxStart, p.idxItems, p.idxOff = newStart, newItems, newOff
 }
 
 // ForChunks splits [0, n) into at most workers contiguous chunks of
