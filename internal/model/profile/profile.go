@@ -633,17 +633,25 @@ func (p *Pool[W, S]) reindex(old *Store[W], touched []bool) {
 		}
 	}
 	newItems := make([]int32, newStart[n])
+	// copyRun copies the unchanged lists of nodes [lo, hi) in one move:
+	// they are contiguous in both indexes.
+	copyRun := func(lo, hi int) {
+		a, aEnd := p.idxStart[lo], p.idxStart[hi]
+		copy(newItems[newStart[lo]:], p.idxItems[a:aEnd])
+		if newOff != nil {
+			copy(newOff[newStart[lo]:], p.idxOff[a:aEnd])
+		}
+	}
+	run := 0 // first node of the current run of unchanged lists
 	for v := 0; v < n; v++ {
 		k := newStart[v]
 		a, aEnd := p.idxStart[v], p.idxStart[v+1]
 		b, bEnd := tStart[v], tStart[v+1]
 		if drop[v] == 0 && b == bEnd {
-			copy(newItems[k:], p.idxItems[a:aEnd])
-			if newOff != nil {
-				copy(newOff[k:], p.idxOff[a:aEnd])
-			}
 			continue
 		}
+		copyRun(run, v)
+		run = v + 1
 		// keep copies the old postings of untouched profiles below end.
 		keep := func(end int32) {
 			for ; a < aEnd && p.idxItems[a] < end; a++ {
@@ -666,6 +674,7 @@ func (p *Pool[W, S]) reindex(old *Store[W], touched []bool) {
 		}
 		keep(math.MaxInt32)
 	}
+	copyRun(run, n)
 	p.idxStart, p.idxItems, p.idxOff = newStart, newItems, newOff
 }
 
