@@ -66,11 +66,21 @@ type deltaOp struct {
 // the canonical Builder layout — every adjacency run sorted by neighbor
 // id — and is bit-identical to rebuilding from the post-delta edge
 // list, which is what lets pool repair compare against cold rebuilds.
-// g is not modified. Only the runs of the nodes an op names are merged
-// edge by edge; the untouched runs between two such nodes are copied
-// with one append per array, and their starts shifted by the edge-count
-// change so far. For d ops the cost is O(d log d) to sort them plus
-// O(n + m) of block copies, with no per-node appends.
+// g is not modified.
+//
+// A delta that only reweights shares g's topology arrays: snapshots are
+// immutable, so both graphs may read them. Only the four probability
+// arrays are cloned, and each reweight is written at its edge's slot,
+// found by binary search, in both directions. For d ops that costs
+// O(d log d) to sort them, O(d log deg) to find the slots and one O(m)
+// copy of each probability array.
+//
+// A delta that adds or removes edges builds new arrays. Only the runs
+// of the nodes an op names are merged edge by edge; the untouched runs
+// between two such nodes are copied with one append per array, and
+// their starts shifted by the edge-count change so far. For d ops the
+// cost is O(d log d) to sort them plus O(n + m) of block copies, with
+// no per-node appends.
 func (g *Graph) ApplyDelta(d *EdgeDelta) (*Graph, *DeltaEffect, error) {
 	n := g.n
 	ops := make([]deltaOp, 0, d.Ops())
@@ -128,6 +138,14 @@ func (g *Graph) ApplyDelta(d *EdgeDelta) (*Graph, *DeltaEffect, error) {
 			eff.DirtyIn[op.to] = true
 			eff.DirtyInCount++
 		}
+	}
+
+	if eff.Added == 0 && eff.Removed == 0 {
+		ng, err := g.reweighted(ops)
+		if err != nil {
+			return nil, nil, err
+		}
+		return ng, eff, nil
 	}
 
 	m2 := g.M() + eff.Added - eff.Removed
@@ -234,6 +252,43 @@ func (g *Graph) ApplyDelta(d *EdgeDelta) (*Graph, *DeltaEffect, error) {
 			len(ng.outTo), len(ng.inFrom), m2)
 	}
 	return ng, eff, nil
+}
+
+// reweighted returns g with the reweights ops applied; ops are sorted
+// out-major, so the first missing edge reported is the one the merge
+// path would report. The new graph shares g's topology arrays.
+func (g *Graph) reweighted(ops []deltaOp) (*Graph, error) {
+	ng := &Graph{
+		n:        g.n,
+		outStart: g.outStart,
+		outTo:    g.outTo,
+		outP:     slices.Clone(g.outP),
+		outPB:    slices.Clone(g.outPB),
+		inStart:  g.inStart,
+		inFrom:   g.inFrom,
+		inP:      slices.Clone(g.inP),
+		inPB:     slices.Clone(g.inPB),
+	}
+	for _, op := range ops {
+		i, ok := edgeSlot(g.outStart, g.outTo, op.from, op.to)
+		if !ok {
+			return nil, fmt.Errorf("graph: delta %s of missing edge (%d,%d)",
+				opKindName(op.kind), op.from, op.to)
+		}
+		ng.outP[i], ng.outPB[i] = op.p, op.pb
+		// The in-run mirrors the out-run, so the edge is there too.
+		j, _ := edgeSlot(g.inStart, g.inFrom, op.to, op.from)
+		ng.inP[j], ng.inPB[j] = op.p, op.pb
+	}
+	return ng, nil
+}
+
+// edgeSlot returns the index of neighbor v in u's sorted run of one CSR
+// direction, and whether it is there.
+func edgeSlot(start, ids []int32, u, v int32) (int, bool) {
+	lo, hi := int(start[u]), int(start[u+1])
+	i, ok := slices.BinarySearch(ids[lo:hi], v)
+	return lo + i, ok
 }
 
 func checkDeltaEdge(n int, u, v int32) error {

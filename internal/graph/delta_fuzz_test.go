@@ -75,9 +75,11 @@ func FuzzApplyDelta(f *testing.F) {
 		{},
 		{Add: []Edge{{From: 4, To: 1, P: 0.25, PBoost: 0.5}}, Remove: []EdgeKey{{From: 0, To: 3}}},
 		{Reweight: []Edge{{From: 5, To: 2, P: 0.125, PBoost: 0.625}}, Add: []Edge{{From: 7, To: 6, P: 0, PBoost: 1}}},
-		{Remove: []EdgeKey{{From: 5, To: 1}}},                                  // missing edge
-		{Add: []Edge{{From: 2, To: 0, P: 0.5, PBoost: 0.5}}},                   // existing edge
-		{Add: []Edge{{From: 1, To: 4, P: 0.5, PBoost: 0.5}, {From: 1, To: 4}}}, // duplicate op
+		{Remove: []EdgeKey{{From: 5, To: 1}}},                                                             // missing edge
+		{Add: []Edge{{From: 2, To: 0, P: 0.5, PBoost: 0.5}}},                                              // existing edge
+		{Add: []Edge{{From: 1, To: 4, P: 0.5, PBoost: 0.5}, {From: 1, To: 4}}},                            // duplicate op
+		{Reweight: []Edge{{From: 5, To: 1, P: 0.5, PBoost: 0.5}}},                                         // reweight-only, missing edge
+		{Reweight: []Edge{{From: 2, To: 0, P: 0.25, PBoost: 0.5}, {From: 6, To: 3, P: 0.5, PBoost: 0.5}}}, // reweight-only, a missing edge after an existing one
 	} {
 		var buf bytes.Buffer
 		if err := d.WriteEdgeDelta(&buf); err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -281,6 +282,33 @@ func TestApplyDeltaErrors(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestApplyDeltaReweightErrorsMatchMerge pins the reweight-only path's
+// missing-edge error to the merge path's: a reweight-only delta that
+// names missing edges must fail with the text the same delta reports
+// when an add of a new edge sends it down the merge path.
+func TestApplyDeltaReweightErrorsMatchMerge(t *testing.T) {
+	r := rng.New(23)
+	for trial := 0; trial < 50; trial++ {
+		g := randomTestGraph(t, r, 8+r.Intn(8), 10+r.Intn(30))
+		d := randomDelta(t, r, g, 1+r.Intn(3), 0, r.Intn(6))
+		if len(d.Add) == 0 {
+			continue
+		}
+		// The first adds become reweights of missing edges; the last
+		// one stays an add for the merge path.
+		reweightOnly := &EdgeDelta{Reweight: append(slices.Clone(d.Reweight), d.Add[:len(d.Add)-1]...)}
+		r.Shuffle(len(reweightOnly.Reweight), func(i, j int) {
+			reweightOnly.Reweight[i], reweightOnly.Reweight[j] = reweightOnly.Reweight[j], reweightOnly.Reweight[i]
+		})
+		merged := &EdgeDelta{Reweight: reweightOnly.Reweight, Add: d.Add[len(d.Add)-1:]}
+		_, _, errFast := g.ApplyDelta(reweightOnly)
+		_, _, errMerge := g.ApplyDelta(merged)
+		if fmt.Sprint(errFast) != fmt.Sprint(errMerge) {
+			t.Fatalf("trial %d: reweight-only error %v, merge-path error %v", trial, errFast, errMerge)
+		}
 	}
 }
 

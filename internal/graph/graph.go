@@ -10,7 +10,9 @@
 // The representation is a compressed sparse row (CSR) layout for both the
 // out-adjacency and the in-adjacency, so forward diffusion simulation and
 // reverse sketch generation are both cache-friendly and allocation-free.
-// Graphs are immutable once built; use Builder to construct them.
+// Graphs are immutable once built; use Builder to construct them. A
+// graph derived from another (a reweight-only ApplyDelta, or
+// WithBoostFactor) shares the arrays it does not change.
 package graph
 
 import (
@@ -116,21 +118,23 @@ func (g *Graph) FindEdge(u, v int32) (p, pBoost float64, ok bool) {
 // WithBoostFactor returns a new Graph with identical topology and base
 // probabilities, but with every boosted probability set to
 // 1-(1-p)^beta. This is the boosting-parameter convention of the paper's
-// experiment section (Section VII). beta must be >= 1.
+// experiment section (Section VII). beta must be >= 1. The new graph
+// shares g's topology and base-probability arrays: graphs are
+// immutable, so both may read them.
 func (g *Graph) WithBoostFactor(beta float64) (*Graph, error) {
 	if beta < 1 {
 		return nil, fmt.Errorf("graph: boost factor beta=%v must be >= 1", beta)
 	}
-	ng := g.cloneTopology()
+	ng := *g
+	ng.outPB = make([]float64, len(g.outP))
 	for i, p := range g.outP {
-		ng.outP[i] = p
 		ng.outPB[i] = boostProb(p, beta)
 	}
+	ng.inPB = make([]float64, len(g.inP))
 	for i, p := range g.inP {
-		ng.inP[i] = p
 		ng.inPB[i] = boostProb(p, beta)
 	}
-	return ng, nil
+	return &ng, nil
 }
 
 // boostProb returns 1-(1-p)^beta clamped to [p, 1].
@@ -143,33 +147,6 @@ func boostProb(p, beta float64) float64 {
 		pb = 1
 	}
 	return pb
-}
-
-// cloneTopology allocates a graph with the same structure arrays (copied)
-// and zeroed probability arrays ready to be filled.
-func (g *Graph) cloneTopology() *Graph {
-	ng := &Graph{
-		n:        g.n,
-		outStart: append([]int32(nil), g.outStart...),
-		outTo:    append([]int32(nil), g.outTo...),
-		outP:     make([]float64, len(g.outP)),
-		outPB:    make([]float64, len(g.outPB)),
-		inStart:  append([]int32(nil), g.inStart...),
-		inFrom:   append([]int32(nil), g.inFrom...),
-		inP:      make([]float64, len(g.inP)),
-		inPB:     make([]float64, len(g.inPB)),
-	}
-	return ng
-}
-
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	ng := g.cloneTopology()
-	copy(ng.outP, g.outP)
-	copy(ng.outPB, g.outPB)
-	copy(ng.inP, g.inP)
-	copy(ng.inPB, g.inPB)
-	return ng
 }
 
 // Validate checks the structural invariants of the graph: probability

@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"github.com/kboost/kboost/internal/rng"
 )
 
 func mustTriangle(t *testing.T) *Graph {
@@ -337,17 +340,61 @@ func TestIsBidirectedTree(t *testing.T) {
 	}
 }
 
-func TestCloneIndependent(t *testing.T) {
-	g := mustTriangle(t)
-	c := g.Clone()
-	if c.N() != g.N() || c.M() != g.M() {
-		t.Fatal("clone size differs")
+// TestDerivedGraphsShareOnlyTopology pins what sharing arrays between
+// snapshots relies on: deriving a graph never writes to its parent's
+// arrays, and a child shares its parent's topology arrays exactly when
+// it keeps the parent's edge set — a reweight-only delta or
+// WithBoostFactor — and never shares an array it changed.
+func TestDerivedGraphsShareOnlyTopology(t *testing.T) {
+	g := randomTestGraph(t, rng.New(17), 12, 40)
+	want, err := FromEdges(g.N(), g.Edges())
+	if err != nil {
+		t.Fatal(err)
 	}
-	c.outP[0] = 0.99
-	if g.outP[0] == 0.99 {
-		t.Fatal("clone shares probability storage with original")
+	e := g.Edges()[7]
+	reweight := &EdgeDelta{Reweight: []Edge{{From: e.From, To: e.To, P: 0.01, PBoost: 0.02}}}
+	structural := &EdgeDelta{Remove: []EdgeKey{{From: e.From, To: e.To}}}
+	rw, _, err := g.ApplyDelta(reweight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _, err := g.ApplyDelta(structural)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boosted, err := g.WithBoostFactor(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphsIdentical(t, g, want)
+
+	// shared lists, per array, whether the child's array is the parent's.
+	shared := func(c *Graph) [8]bool {
+		return [8]bool{
+			sameArray(c.outStart, g.outStart), sameArray(c.outTo, g.outTo),
+			sameArray(c.inStart, g.inStart), sameArray(c.inFrom, g.inFrom),
+			sameArray(c.outP, g.outP), sameArray(c.inP, g.inP),
+			sameArray(c.outPB, g.outPB), sameArray(c.inPB, g.inPB),
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		child *Graph
+		want  [8]bool
+	}{
+		{"reweight", rw, [8]bool{true, true, true, true, false, false, false, false}},
+		{"remove", st, [8]bool{}},
+		{"boost factor", boosted, [8]bool{true, true, true, true, true, true, false, false}},
+	} {
+		if got := shared(tc.child); got != tc.want {
+			t.Errorf("%s: shares (outStart outTo inStart inFrom outP inP outPB inPB) %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
+
+// sameArray reports whether a and b start at the same backing array
+// element.
+func sameArray[T any](a, b []T) bool { return unsafe.SliceData(a) == unsafe.SliceData(b) }
 
 // Property: for random edge lists, building and re-reading via text IO
 // preserves every edge.

@@ -21,6 +21,7 @@ package lt
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -53,16 +54,28 @@ func New(g *graph.Graph) *Model {
 
 // patched derives the model of g2, a graph whose in-edge lists differ
 // from m's graph's only at the nodes marked in dirtyIn (see
-// graph.DeltaEffect): it copies m's normalizers and re-sums only the
-// dirty nodes'. An in-list that is not dirty has the same members,
-// order and probabilities, so the result is bit-identical to New(g2)
-// at O(n + dirty in-degree) instead of O(n + m).
+// graph.DeltaEffect): it re-sums only the dirty nodes' normalizers. An
+// in-list that is not dirty has the same members, order and
+// probabilities, so the result is bit-identical to New(g2) at
+// O(n + dirty in-degree) instead of O(n + m). The normalizers are
+// immutable once built, so m2 shares m's slice unless some dirty
+// node's normalizer moved: on a sparse graph most reweights leave
+// every max(1, Σp′) at 1.
 func (m *Model) patched(g2 *graph.Graph, dirtyIn []bool) *Model {
-	m2 := &Model{g: g2, norm: slices.Clone(m.norm)}
+	m2 := &Model{g: g2, norm: m.norm}
+	cloned := false
 	for v, dirty := range dirtyIn {
-		if dirty {
-			m2.norm[v] = normOf(g2, int32(v))
+		if !dirty {
+			continue
 		}
+		x := normOf(g2, int32(v))
+		if math.Float64bits(x) == math.Float64bits(m2.norm[v]) {
+			continue
+		}
+		if !cloned {
+			m2.norm, cloned = slices.Clone(m.norm), true
+		}
+		m2.norm[v] = x
 	}
 	return m2
 }

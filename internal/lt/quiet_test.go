@@ -115,7 +115,8 @@ func TestEstimateSerialAllocs(t *testing.T) {
 
 // TestMemoryEstimateCountsCapacity checks MemoryEstimate against the
 // capacities of everything the kernel retains (testutil.RetainedBytes)
-// through growth, queries and a repair.
+// through growth, queries and two repairs, the second of which reuses
+// the index scratch the first one kept.
 func TestMemoryEstimateCountsCapacity(t *testing.T) {
 	r := rng.New(9)
 	g := testutil.RandomGraph(r, 120, 600, 0.4)
@@ -141,6 +142,8 @@ func TestMemoryEstimateCountsCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("queried")
-	repairOnce(t, r, pool)
-	check("repaired")
+	for i := 1; i <= 2; i++ {
+		repairOnce(t, r, pool)
+		check(fmt.Sprintf("repair %d", i))
+	}
 }

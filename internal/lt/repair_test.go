@@ -3,7 +3,9 @@ package lt
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"github.com/kboost/kboost/internal/graph"
 	"github.com/kboost/kboost/internal/rng"
@@ -198,10 +200,49 @@ func TestLTRepairNormsMatchNew(t *testing.T) {
 			}
 			sameBits("pre-repair", before, New(g).Norms())
 			sameBits("repaired", pool.Norms(), New(g2).Norms())
+			if moved := !slices.Equal(before, pool.Norms()); sameArray(before, pool.Norms()) == moved {
+				t.Fatalf("trial %d batch %d: normalizers moved %v, but the repaired slice is shared %v", trial, b, moved, !moved)
+			}
 			g = g2
 		}
 	}
+
+	// Two edges into node 0 with Σp′ = 0.5: reweighting one of them to
+	// p′ = 0.65 leaves max(1, Σp′) at 1 and the slice shared; then
+	// p′ = 0.95 lifts it to 1.2, which must go to a new slice.
+	b := graph.NewBuilder(3)
+	b.MustAddEdge(1, 0, 0.1, 0.25)
+	b.MustAddEdge(2, 0, 0.1, 0.25)
+	g := b.MustBuild()
+	pool, err := NewPool(g, []int32{1}, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Extend(20)
+	for _, tc := range []struct {
+		pb     float64
+		shared bool
+	}{{0.65, true}, {0.95, false}} {
+		g2, eff, err := pool.Graph().ApplyDelta(&graph.EdgeDelta{Reweight: []graph.Edge{{From: 2, To: 0, P: 0.1, PBoost: tc.pb}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := pool.Norms()
+		if _, ok, err := pool.Repair(g2, eff.DirtyOut, eff.DirtyIn, 1.0); err != nil || !ok {
+			t.Fatalf("Repair: ok=%v err=%v", ok, err)
+		}
+		if got := sameArray(before, pool.Norms()); got != tc.shared || before[0] != 1 {
+			t.Fatalf("reweight to %v: normalizers shared %v, want %v (old norm[0] = %v)", tc.pb, got, tc.shared, before[0])
+		}
+		if !slices.Equal(pool.Norms(), New(g2).Norms()) {
+			t.Fatalf("reweight to %v: norms %v, want %v", tc.pb, pool.Norms(), New(g2).Norms())
+		}
+	}
 }
+
+// sameArray reports whether a and b start at the same backing array
+// element.
+func sameArray(a, b []float64) bool { return unsafe.SliceData(a) == unsafe.SliceData(b) }
 
 // TestLTRepairFallback: when the touched fraction exceeds maxFrac,
 // Repair must decline without mutating anything.

@@ -182,14 +182,20 @@ func (quietHop) Quiet(uint64, int32, struct{}, float64) bool { return false }
 
 // TestReindexMatchesFullRebuild checks that the index Resample merges
 // from the old one — starts, postings and offsets — equals a full
-// rebuild, with and without offsets, for touched shares from none to
-// all.
+// rebuild, with and without offsets, over chains of five Resamples on
+// one pool that switch between three graphs, so nodes enter and leave
+// frontiers, with touched shares of none, a single profile, some and
+// all. Each merge reuses the scratch of the last, which must come back
+// all zero.
 func TestReindexMatchesFullRebuild(t *testing.T) {
 	r := rng.New(43)
+	var entered, left int // nodes whose list went from empty to not, and back
 	for trial := 0; trial < 24; trial++ {
 		n := 20 + r.Intn(30)
-		g := testutil.RandomGraph(r, n, 60+r.Intn(200), 0.5)
-		g2 := testutil.RandomGraph(r, n, 60+r.Intn(200), 0.5)
+		var graphs [3]*graph.Graph
+		for i := range graphs {
+			graphs[i] = testutil.RandomGraph(r, n, 60+r.Intn(200), 0.5)
+		}
 		seeds := testutil.RandomSeedSet(r, n, 1+r.Intn(4))
 		withOff := trial%2 == 1
 		mk := func(g *graph.Graph) func([]int32) Cascade[struct{}, []bool] {
@@ -204,23 +210,46 @@ func TestReindexMatchesFullRebuild(t *testing.T) {
 				return h
 			}
 		}
-		p, err := New("hop", g, seeds, uint64(trial)+5, 1+trial%3, mk(g))
+		p, err := New("hop", graphs[0], seeds, uint64(trial)+5, 1+trial%3, mk(graphs[0]))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := p.ExtendContext(context.Background(), 150+r.Intn(150)); err != nil {
 			t.Fatal(err)
 		}
-		share := []float64{0, 0.05, 0.5, 1}[trial%4]
-		touched := make([]bool, p.NumProfiles())
-		for pi := range touched {
-			touched[pi] = r.Float64() < share
+		for step := 0; step < 5; step++ {
+			g2 := graphs[(step+1)%len(graphs)]
+			share := []float64{0, -1, 0.05, 0.5, 1}[(trial+step)%5] // -1: a single profile
+			touched := make([]bool, p.NumProfiles())
+			for pi := range touched {
+				touched[pi] = r.Float64() < share
+			}
+			if share < 0 {
+				touched[r.Intn(len(touched))] = true
+			}
+			prev := p.idxStart
+			p.Resample(g2, mk(g2)(p.seeds), touched)
+			start, items, off := p.idxStart, p.idxItems, p.idxOff
+			p.index(0)
+			if !slices.Equal(start, p.idxStart) || !slices.Equal(items, p.idxItems) || !slices.Equal(off, p.idxOff) || (off == nil) == withOff {
+				t.Fatalf("trial %d step %d (offsets %v, touched share %v): merged index differs from a full rebuild", trial, step, withOff, share)
+			}
+			if i := slices.IndexFunc(p.rx.mark, func(c int32) bool { return c != 0 }); i >= 0 {
+				t.Fatalf("trial %d step %d: reindex left mark[%d] = %d", trial, step, i, p.rx.mark[i])
+			}
+			p.idxStart, p.idxItems, p.idxOff = start, items, off
+			for v := 0; v < n; v++ {
+				was, is := prev[v+1] > prev[v], start[v+1] > start[v]
+				if !was && is {
+					entered++
+				}
+				if was && !is {
+					left++
+				}
+			}
 		}
-		p.Resample(g2, mk(g2)(p.seeds), touched)
-		start, items, off := p.idxStart, p.idxItems, p.idxOff
-		p.index(0)
-		if !slices.Equal(start, p.idxStart) || !slices.Equal(items, p.idxItems) || !slices.Equal(off, p.idxOff) || (off == nil) == withOff {
-			t.Fatalf("trial %d (offsets %v, touched share %v): merged index differs from a full rebuild", trial, withOff, share)
-		}
+	}
+	if entered == 0 || left == 0 {
+		t.Fatalf("no node entered (%d) or left (%d) every frontier", entered, left)
 	}
 }

@@ -246,10 +246,27 @@ type Pool[W, S any] struct {
 	// (generation, query).
 	generation uint64
 
+	// rx is reindex's working memory, kept between repairs.
+	rx reindexScratch
+
 	scratch  sync.Pool // of S
 	gains    sync.Pool // of *Gains, for the greedy's workers
 	greedies sync.Pool // of *greedy[W, S], the selection state
 	estFree  *freelist.List[estScratch]
+}
+
+// reindexScratch is reindex's node-sized working memory: mark has one
+// entry per node and is all zero between calls, and changed lists the
+// nodes whose posting lists the last repair changed. The touched
+// profiles' postings are not kept: their size follows the delta, and a
+// large repair would otherwise pin its peak until the pool is dropped.
+type reindexScratch struct {
+	mark, changed []int32
+}
+
+// bytes returns the scratch's resident bytes, counted by capacity.
+func (rx *reindexScratch) bytes() int64 {
+	return int64(cap(rx.mark)+cap(rx.changed)) * 4
 }
 
 // New creates an empty pool for (g, seeds) named after its model. seed
@@ -362,9 +379,9 @@ func (p *Pool[W, S]) BaseSpread() float64 {
 
 // MemoryEstimate returns the pool's resident bytes: the flat profile
 // CSRs with their payload, the inverted index with its offsets, the
-// profile seeds, the seed set and the estimates' idle scratch, each
-// counted by capacity like prr.Pool's, so the engine's byte-based
-// eviction compares every pool family fairly. The greedy's recycled
+// profile seeds, the seed set, the repairs' index scratch and the
+// estimates' idle scratch, each counted by capacity like prr.Pool's, so
+// the engine's byte-based eviction compares every pool family fairly. The greedy's recycled
 // state (scratch, gains, greedies) sits in sync.Pools, which cannot
 // say what they hold, and is not counted.
 func (p *Pool[W, S]) MemoryEstimate() int64 {
@@ -375,7 +392,7 @@ func (p *Pool[W, S]) MemoryEstimate() int64 {
 	bytes += int64(cap(p.profileSeed)) * 8
 	bytes += int64(cap(st.activeStart)+cap(st.frontStart)+cap(p.idxStart)+cap(p.seeds)) * 4
 	bytes += int64(cap(p.seedMask))
-	return bytes + p.estFree.Bytes()
+	return bytes + p.rx.bytes() + p.estFree.Bytes()
 }
 
 // Scratch takes a scratch from the pool's free list; return it with
@@ -587,94 +604,129 @@ func (p *Pool[W, S]) Resample(g *graph.Graph, c Cascade[W, S], touched []bool) {
 // old, re-running the profiles marked in touched. Postings of untouched
 // profiles keep their order in every node's list and their offsets,
 // which count from the profile's own frontier start, so a list no
-// touched profile enters or leaves is copied whole. Only the touched
-// profiles' frontiers are scattered, into per-node lists merged with
-// the old ones by profile. index(0) would scatter every posting.
+// touched profile enters or leaves is unchanged. Besides one shifted
+// copy of idxStart and block copies of the unchanged lists, the cost
+// follows the delta: the changed nodes are collected in first-seen
+// order and only that list is sorted, the touched profiles' new
+// postings are counting-scattered into the changed nodes' order, each
+// run of unchanged lists between two changed nodes moves in one copy,
+// and only the changed lists are merged by profile. index(0) would
+// scatter every posting.
 func (p *Pool[W, S]) reindex(old *Store[W], touched []bool) {
-	n, st := p.g.N(), &p.st
-	drop := make([]int32, n) // postings of v in touched profiles' old frontiers
-	tStart := make([]int32, n+1)
+	n, st, rx := p.g.N(), &p.st, &p.rx
+	mark := zeroed(&rx.mark, n)
+	changed := rx.changed[:0]
+	var dropped int32 // old postings of the touched profiles
+	see := func(v int32) {
+		if mark[v] == 0 {
+			mark[v] = 1
+			changed = append(changed, v)
+		}
+	}
 	for pi, hit := range touched {
 		if !hit {
 			continue
 		}
-		for _, v := range old.frontItems[old.frontStart[pi]:old.frontStart[pi+1]] {
-			drop[v]++
+		f0, f1 := old.frontStart[pi], old.frontStart[pi+1]
+		dropped += f1 - f0
+		for _, v := range old.frontItems[f0:f1] {
+			see(v)
 		}
 		for _, v := range st.frontItems[st.frontStart[pi]:st.frontStart[pi+1]] {
-			tStart[v+1]++
+			see(v)
+			mark[v]++
 		}
 	}
-	newStart := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		tStart[v+1] += tStart[v]
-		newStart[v+1] = newStart[v] + p.idxStart[v+1] - p.idxStart[v] - drop[v] + tStart[v+1] - tStart[v]
+	slices.Sort(changed)
+
+	// The touched profiles' new postings, by changed node in profile
+	// order: mark[v]-1 counts v's, and then becomes the cursor of v's
+	// run, which ends where the next changed node's begins.
+	var added int32
+	for _, v := range changed {
+		c := mark[v] - 1
+		mark[v] = added
+		added += c
 	}
-	// The touched profiles' postings, by node in profile order.
-	tItems := make([]int32, tStart[n])
-	var tOff, newOff []int32
-	if p.quiet != nil {
-		tOff = make([]int32, tStart[n])
-		newOff = make([]int32, newStart[n])
+	withOff := p.quiet != nil
+	items := make([]int32, added)
+	var off []int32
+	if withOff {
+		off = make([]int32, added)
 	}
-	next := make([]int32, n)
-	copy(next, tStart[:n])
 	for pi, hit := range touched {
 		if !hit {
 			continue
 		}
-		for j, v := range st.frontItems[st.frontStart[pi]:st.frontStart[pi+1]] {
-			k := next[v]
-			next[v] = k + 1
-			tItems[k] = int32(pi)
-			if tOff != nil {
-				tOff[k] = int32(j)
+		lo := st.frontStart[pi]
+		for j, v := range st.frontItems[lo:st.frontStart[pi+1]] {
+			k := mark[v]
+			mark[v] = k + 1
+			items[k] = int32(pi)
+			if withOff {
+				off[k] = int32(j)
 			}
 		}
 	}
-	newItems := make([]int32, newStart[n])
-	// copyRun copies the unchanged lists of nodes [lo, hi) in one move:
-	// they are contiguous in both indexes.
-	copyRun := func(lo, hi int) {
-		a, aEnd := p.idxStart[lo], p.idxStart[hi]
-		copy(newItems[newStart[lo]:], p.idxItems[a:aEnd])
-		if newOff != nil {
-			copy(newOff[newStart[lo]:], p.idxOff[a:aEnd])
-		}
+
+	size := int32(len(p.idxItems)) - dropped + added
+	oldStart, oldItems, oldOff := p.idxStart, p.idxItems, p.idxOff
+	newStart := make([]int32, 1, n+1)
+	newItems := make([]int32, size)
+	var newOff []int32
+	if withOff {
+		newOff = make([]int32, size)
 	}
-	run := 0 // first node of the current run of unchanged lists
-	for v := 0; v < n; v++ {
-		k := newStart[v]
-		a, aEnd := p.idxStart[v], p.idxStart[v+1]
-		b, bEnd := tStart[v], tStart[v+1]
-		if drop[v] == 0 && b == bEnd {
-			continue
+	var k, b int32 // write cursor; next touched posting
+	next := 0      // first node not yet written
+	for ci := 0; ; ci++ {
+		v := n
+		if ci < len(changed) {
+			v = int(changed[ci])
 		}
-		copyRun(run, v)
-		run = v + 1
-		// keep copies the old postings of untouched profiles below end.
-		keep := func(end int32) {
-			for ; a < aEnd && p.idxItems[a] < end; a++ {
-				if pi := p.idxItems[a]; !touched[pi] {
+		// The unchanged lists of nodes [next, v) move in one block: they
+		// are contiguous in both indexes.
+		a, aEnd := oldStart[next], oldStart[v]
+		newStart = appendShifted(newStart, oldStart[next+1:v+1], k-a)
+		copy(newItems[k:], oldItems[a:aEnd])
+		if withOff {
+			copy(newOff[k:], oldOff[a:aEnd])
+		}
+		k += aEnd - a
+		if v == n {
+			break
+		}
+		// Merge v's old postings of untouched profiles with its touched
+		// run, by profile.
+		a, aEnd = oldStart[v], oldStart[v+1]
+		for bEnd := mark[v]; ; b++ {
+			end := int32(math.MaxInt32)
+			if b < bEnd {
+				end = items[b]
+			}
+			for ; a < aEnd && oldItems[a] < end; a++ {
+				if pi := oldItems[a]; !touched[pi] {
 					newItems[k] = pi
-					if newOff != nil {
-						newOff[k] = p.idxOff[a]
+					if withOff {
+						newOff[k] = oldOff[a]
 					}
 					k++
 				}
 			}
-		}
-		for ; b < bEnd; b++ {
-			keep(tItems[b])
-			newItems[k] = tItems[b]
-			if newOff != nil {
-				newOff[k] = tOff[b]
+			if b == bEnd {
+				break
+			}
+			newItems[k] = end
+			if withOff {
+				newOff[k] = off[b]
 			}
 			k++
 		}
-		keep(math.MaxInt32)
+		newStart = append(newStart, k)
+		mark[v] = 0
+		next = v + 1
 	}
-	copyRun(run, n)
+	rx.changed = changed
 	p.idxStart, p.idxItems, p.idxOff = newStart, newItems, newOff
 }
 
