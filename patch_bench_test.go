@@ -15,11 +15,14 @@ package kboost
 // benchmarks use: a sketch is touched only when its own expansion
 // crossed a dirty in-list, so even there a small delta touches a
 // bounded slice of the pool while the cold rebuild costs seconds. LT's
-// predicate is cascade-global — on flixster's supercritical cascades
-// (avg out-degree × avg p > 1) every delta touches every profile and
-// the engine correctly falls back to a rebuild — so LT runs on the
-// sparse flickr stand-in (avg p 0.013), where influence is localized
-// and incremental repair is the designed win.
+// predicate is per profile too — a profile is touched when one of its
+// active nodes' out-lists or one of its pushed nodes' normalizers
+// changed — but on flixster's supercritical cascades (avg out-degree ×
+// avg p > 1) every profile activates most of the graph, so every delta
+// touches every profile and the engine correctly falls back to a
+// rebuild. LT therefore runs on the sparse flickr stand-in (avg p
+// 0.013), where influence is localized and incremental repair is the
+// designed win.
 
 import (
 	"testing"
@@ -28,43 +31,67 @@ import (
 )
 
 // patchDeltas builds a forward/backward pair of reweight-only deltas
-// touching ~frac of g's edges, spread evenly across the edge list.
-// Reweights keep the topology fixed, so a benchmark can alternate
-// fwd/back forever and every iteration patches the same steady-state
-// graph. Edges incident to a seed or to a seed's out-neighbor are
-// skipped: those nodes sit in nearly every LT profile's frontier, so a
-// delta touching them repairs ~100% of profiles and the benchmark would
-// measure the fallback cliff instead of the repair.
-func patchDeltas(b *testing.B, g *graph.Graph, seeds []int32, frac float64) (fwd, back *graph.EdgeDelta) {
+// touching ~frac of g's edges, spread evenly across the edges keep
+// admits. Reweights keep the topology fixed, so a benchmark can
+// alternate fwd/back forever and every iteration patches the same
+// steady-state graph.
+func patchDeltas(b *testing.B, g *graph.Graph, frac float64, keep func(graph.Edge) bool) (fwd, back *graph.EdgeDelta) {
 	b.Helper()
-	hot := make([]bool, g.N())
-	for _, s := range seeds {
-		hot[s] = true
-		for _, v := range g.OutTo(s) {
-			hot[v] = true
-		}
-	}
-	var cold []graph.Edge
+	var pick []graph.Edge
 	for _, e := range g.Edges() {
-		if !hot[e.From] && !hot[e.To] {
-			cold = append(cold, e)
+		if keep(e) {
+			pick = append(pick, e)
 		}
 	}
 	want := int(frac*float64(g.M()) + 0.5)
 	if want < 1 {
 		want = 1
 	}
-	if want > len(cold) {
-		b.Fatalf("delta wants %d edges, only %d avoid the seed neighborhood", want, len(cold))
+	if want > len(pick) {
+		b.Fatalf("delta wants %d edges, only %d qualify", want, len(pick))
 	}
 	fwd, back = &graph.EdgeDelta{}, &graph.EdgeDelta{}
 	for i := 0; i < want; i++ {
-		e := cold[i*len(cold)/want]
+		e := pick[i*len(pick)/want]
 		fwd.Reweight = append(fwd.Reweight,
 			graph.Edge{From: e.From, To: e.To, P: e.P * 0.5, PBoost: e.PBoost * 0.5})
 		back.Reweight = append(back.Reweight, e)
 	}
 	return fwd, back
+}
+
+// seedHood marks the seeds and, separately, the seeds' out-neighbors
+// that are not seeds themselves.
+func seedHood(g *graph.Graph, seeds []int32) (seed, nbr []bool) {
+	seed, nbr = make([]bool, g.N()), make([]bool, g.N())
+	for _, s := range seeds {
+		seed[s] = true
+	}
+	for _, s := range seeds {
+		for _, v := range g.OutTo(s) {
+			nbr[v] = !seed[v]
+		}
+	}
+	return seed, nbr
+}
+
+// awayFromSeeds admits the edges incident to neither a seed nor a
+// seed's out-neighbor: the repair benchmarks' default delta.
+func awayFromSeeds(g *graph.Graph, seeds []int32) func(graph.Edge) bool {
+	seed, nbr := seedHood(g, seeds)
+	hot := func(v int32) bool { return seed[v] || nbr[v] }
+	return func(e graph.Edge) bool { return !hot(e.From) && !hot(e.To) }
+}
+
+// intoFrontier admits the edges that end at a seed's out-neighbor and
+// do not start at a seed. Those targets sit in nearly every LT
+// profile's active set or frontier, so a predicate that flags every
+// dirty in-list they hold re-simulates nearly the whole pool, although
+// a reweight of such an edge changes a profile only when its source is
+// active there or the target's normalizer moves.
+func intoFrontier(g *graph.Graph, seeds []int32) func(graph.Edge) bool {
+	seed, nbr := seedHood(g, seeds)
+	return func(e graph.Edge) bool { return !seed[e.From] && nbr[e.To] }
 }
 
 // patchBenchGraph returns the graph a pool family's patch benchmarks
@@ -112,7 +139,7 @@ func patchBoostReq(mode string) EngineBoostRequest {
 // anyway. resampled/op records how many sketches/profiles each patch
 // actually regenerated.
 func BenchmarkGraphPatchRepair(b *testing.B) {
-	run := func(b *testing.B, mode string, frac float64) {
+	run := func(b *testing.B, mode string, frac float64, keep func(*graph.Graph, []int32) func(graph.Edge) bool) {
 		g := patchBenchGraph(b, mode)
 		seeds := InfluentialSeeds(g, 20)
 		eng := NewEngine(EngineOptions{RepairFallbackFraction: 1})
@@ -124,7 +151,7 @@ func BenchmarkGraphPatchRepair(b *testing.B) {
 		if _, err := eng.Boost(req); err != nil {
 			b.Fatal(err)
 		}
-		fwd, back := patchDeltas(b, g, seeds, frac)
+		fwd, back := patchDeltas(b, g, frac, keep(g, seeds))
 		resampled := 0
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -152,9 +179,12 @@ func BenchmarkGraphPatchRepair(b *testing.B) {
 		{"2pct", 0.02},
 		{"5pct", 0.05},
 	} {
-		b.Run("prr/"+tc.name, func(b *testing.B) { run(b, "prr", tc.frac) })
-		b.Run("lt/"+tc.name, func(b *testing.B) { run(b, "lt", tc.frac) })
+		b.Run("prr/"+tc.name, func(b *testing.B) { run(b, "prr", tc.frac, awayFromSeeds) })
+		b.Run("lt/"+tc.name, func(b *testing.B) { run(b, "lt", tc.frac, awayFromSeeds) })
 	}
+	// A 0.5% reweight into the seeds' out-neighbors: their in-lists are
+	// dirty in nearly every profile's active set or frontier.
+	b.Run("lt/frontier", func(b *testing.B) { run(b, "lt", 0.005, intoFrontier) })
 }
 
 // BenchmarkGraphPatchRebuild is the cold reference for the repair
@@ -167,7 +197,7 @@ func BenchmarkGraphPatchRebuild(b *testing.B) {
 	run := func(b *testing.B, mode string) {
 		g := patchBenchGraph(b, mode)
 		seeds := InfluentialSeeds(g, 20)
-		fwd, back := patchDeltas(b, g, seeds, 0.05)
+		fwd, back := patchDeltas(b, g, 0.05, awayFromSeeds(g, seeds))
 		req := patchBoostReq(mode)
 		req.Seeds = seeds
 		cur := g
