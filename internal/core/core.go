@@ -177,6 +177,11 @@ func BuildPoolContext(ctx context.Context, g *graph.Graph, seeds []int32, opt Op
 // opt.K must not exceed the pool's generation budget pool.K(). An
 // aborted grow leaves the pool exactly as it was (completed IMM rounds
 // are kept; a partial Extend never merges).
+//
+// A pool already holding opt.MaxSamples (> 0) samples returns at once,
+// after the same validation, with (0, ctx.Err()): every Extend of the
+// IMM run is capped at MaxSamples, so it could not add a sample, and
+// its coverage rounds only read the pool.
 func GrowPoolContext(ctx context.Context, pool *prr.Pool, opt Options) (added int, err error) {
 	opt = opt.WithDefaults()
 	if err := validate(pool.Graph(), pool.Seeds(), opt); err != nil {
@@ -185,7 +190,6 @@ func GrowPoolContext(ctx context.Context, pool *prr.Pool, opt Options) (added in
 	if opt.K > pool.K() {
 		return 0, fmt.Errorf("core: pool was generated for k<=%d, cannot serve k=%d", pool.K(), opt.K)
 	}
-	before := pool.Size()
 	params := imm.Params{
 		N:          pool.Graph().N(),
 		K:          opt.K,
@@ -193,6 +197,13 @@ func GrowPoolContext(ctx context.Context, pool *prr.Pool, opt Options) (added in
 		Ell:        imm.EllForSandwich(opt.Ell, pool.Graph().N()),
 		MaxSamples: opt.MaxSamples,
 	}
+	if opt.MaxSamples > 0 && pool.Size() >= opt.MaxSamples {
+		if err := params.Validate(); err != nil {
+			return 0, err
+		}
+		return 0, ctx.Err()
+	}
+	before := pool.Size()
 	if _, err := imm.RunContext(ctx, pool, params); err != nil {
 		return 0, err
 	}

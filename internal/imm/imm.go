@@ -52,6 +52,10 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
+// Validate returns the error RunContext would return for p before it
+// samples anything.
+func (p Params) Validate() error { return p.withDefaults().validate() }
+
 func (p Params) validate() error {
 	if p.N < 2 {
 		return fmt.Errorf("imm: need N >= 2, got %d", p.N)

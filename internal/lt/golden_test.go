@@ -21,10 +21,12 @@ import (
 // MemoryEstimate: the digests were re-pinned twice, when the pool began
 // counting its bytes by capacity and when it began keeping (and
 // counting) the index scratch of a repair, each time after checking
-// that no line but the mem lines changed.
+// that no line but the mem lines changed. A third re-pin came with
+// Repair's exact crossing test, after checking that only the "repair
+// touched" line changed (seed 5: 85 → 79, seed 6: 81 → 79).
 var goldenLT = map[uint64]string{
-	5: "ed90aa7d8538ffca31a36c8196e6d1f4385405dc835330de7dd32d9e51c49eb1",
-	6: "2a75768f5a32a701c46228a334140d7e1ed537186a37673156fe9a270cddb230",
+	5: "7a3dbb91f3f8208e856d97c42f41b9e3ea09df0c22e8cb00db4f68df8a84d0b2",
+	6: "aef94c4546ca4897fd66ec0561244b10031c20d8f16b357c31695c47beed61f0",
 }
 
 // dumpPool renders the pool contents in a layout-independent text

@@ -54,14 +54,15 @@ func New(g *graph.Graph) *Model {
 
 // patched derives the model of g2, a graph whose in-edge lists differ
 // from m's graph's only at the nodes marked in dirtyIn (see
-// graph.DeltaEffect): it re-sums only the dirty nodes' normalizers. An
-// in-list that is not dirty has the same members, order and
-// probabilities, so the result is bit-identical to New(g2) at
-// O(n + dirty in-degree) instead of O(n + m). The normalizers are
-// immutable once built, so m2 shares m's slice unless some dirty
-// node's normalizer moved: on a sparse graph most reweights leave
-// every max(1, Σp′) at 1.
-func (m *Model) patched(g2 *graph.Graph, dirtyIn []bool) *Model {
+// graph.DeltaEffect): it re-sums only the dirty nodes' normalizers and
+// marks in moved (n entries, all false on entry) each node whose
+// normalizer changed. An in-list that is not dirty has the same
+// members, order and probabilities, so the result is bit-identical to
+// New(g2) at O(n + dirty in-degree) instead of O(n + m). The
+// normalizers are immutable once built, so m2 shares m's slice unless
+// some normalizer moved: on a sparse graph most reweights leave every
+// max(1, Σp′) at 1.
+func (m *Model) patched(g2 *graph.Graph, dirtyIn, moved []bool) *Model {
 	m2 := &Model{g: g2, norm: m.norm}
 	cloned := false
 	for v, dirty := range dirtyIn {
@@ -76,6 +77,7 @@ func (m *Model) patched(g2 *graph.Graph, dirtyIn []bool) *Model {
 			m2.norm, cloned = slices.Clone(m.norm), true
 		}
 		m2.norm[v] = x
+		moved[v] = true
 	}
 	return m2
 }

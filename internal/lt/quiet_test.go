@@ -116,7 +116,8 @@ func TestEstimateSerialAllocs(t *testing.T) {
 // TestMemoryEstimateCountsCapacity checks MemoryEstimate against the
 // capacities of everything the kernel retains (testutil.RetainedBytes)
 // through growth, queries and two repairs, the second of which reuses
-// the index scratch the first one kept.
+// the index scratch the first one kept, and then a repair that touches
+// no profile.
 func TestMemoryEstimateCountsCapacity(t *testing.T) {
 	r := rng.New(9)
 	g := testutil.RandomGraph(r, 120, 600, 0.4)
@@ -145,5 +146,25 @@ func TestMemoryEstimateCountsCapacity(t *testing.T) {
 	for i := 1; i <= 2; i++ {
 		repairOnce(t, r, pool)
 		check(fmt.Sprintf("repair %d", i))
+	}
+
+	// A delta on a seed's in-edges changes no profile: the repair keeps
+	// every array, so the estimate must not move.
+	before := pool.MemoryEstimate()
+	g = pool.Graph()
+	d := &graph.EdgeDelta{}
+	for j, u := range g.InFrom(0) {
+		d.Reweight = append(d.Reweight, graph.Edge{From: u, To: 0, P: g.InP(0)[j] / 2, PBoost: g.InPBoost(0)[j]})
+	}
+	g2, eff, err := g.ApplyDelta(d)
+	if err != nil || len(d.Reweight) == 0 {
+		t.Fatalf("no delta on the seed's in-edges: %d reweights, err %v", len(d.Reweight), err)
+	}
+	if touched, ok, err := pool.Repair(g2, eff.DirtyOut, eff.DirtyIn, 1); err != nil || !ok || touched != 0 {
+		t.Fatalf("no-touch repair: touched %d ok=%v err=%v", touched, ok, err)
+	}
+	check("no-touch repair")
+	if got := pool.MemoryEstimate(); got != before {
+		t.Fatalf("no-touch repair moved MemoryEstimate %d -> %d", before, got)
 	}
 }

@@ -167,6 +167,226 @@ func TestLTRepairMatchesColdRebuild(t *testing.T) {
 	}
 }
 
+// crossingGraph returns a random graph on n nodes plus extra nodes that
+// have out-edges but no in-edges, so no profile activates them unless
+// they are seeds (they never are here).
+func crossingGraph(t *testing.T, r *rng.Source, n, m, extra int) *graph.Graph {
+	t.Helper()
+	edges := testutil.RandomGraph(r, n, m, 0.3).Edges()
+	for u := n; u < n+extra; u++ {
+		for _, v := range r.Perm(n)[:3] {
+			p := r.Float64() * 0.5
+			edges = append(edges, graph.Edge{From: int32(u), To: int32(v), P: p, PBoost: 1 - (1-p)*(1-p)})
+		}
+	}
+	g, err := graph.FromEdges(n+extra, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// crossingDelta is one delta family of TestLTRepairExactCrossing.
+type crossingDelta struct {
+	name string
+	// build returns a delta against g, p's graph, and the exact number
+	// of p's profiles it must re-simulate.
+	build func(g *graph.Graph, r *rng.Source, p *Pool) (d *graph.EdgeDelta, want int)
+}
+
+// inSumP returns Σ p′ over v's in-edges.
+func inSumP(g *graph.Graph, v int32) float64 {
+	var s float64
+	for _, pb := range g.InPBoost(v) {
+		s += pb
+	}
+	return s
+}
+
+var crossingDeltas = []crossingDelta{
+	{"in-edges of seeds", func(g *graph.Graph, r *rng.Source, p *Pool) (*graph.EdgeDelta, int) {
+		d := &graph.EdgeDelta{}
+		seed := p.kernel.SeedMask()
+		for _, s := range p.Seeds() {
+			from := g.InFrom(s)
+			for j, u := range from {
+				switch j % 3 {
+				case 0:
+					d.Remove = append(d.Remove, graph.EdgeKey{From: u, To: s})
+				case 1:
+					d.Reweight = append(d.Reweight, graph.Edge{From: u, To: s, P: 0.9, PBoost: 1})
+				}
+			}
+			// New in-edges from nodes active in most profiles.
+			for u := int32(0); int(u) < g.N(); u++ {
+				if _, _, ok := g.FindEdge(u, s); !ok && u != s && !seed[u] {
+					d.Add = append(d.Add, graph.Edge{From: u, To: s, P: 0.7, PBoost: 0.8})
+				}
+			}
+		}
+		return d, 0
+	}},
+	{"seed to seed edges", func(g *graph.Graph, r *rng.Source, p *Pool) (*graph.EdgeDelta, int) {
+		d := &graph.EdgeDelta{}
+		for _, s := range p.Seeds() {
+			for _, s2 := range p.Seeds() {
+				_, _, ok := g.FindEdge(s, s2)
+				switch {
+				case s == s2:
+				case !ok:
+					d.Add = append(d.Add, graph.Edge{From: s, To: s2, P: 0.6, PBoost: 0.9})
+				case r.Intn(2) == 0:
+					d.Remove = append(d.Remove, graph.EdgeKey{From: s, To: s2})
+				default:
+					d.Reweight = append(d.Reweight, graph.Edge{From: s, To: s2, P: 1, PBoost: 1})
+				}
+			}
+		}
+		return d, 0
+	}},
+	{"edges out of never-active nodes", func(g *graph.Graph, r *rng.Source, p *Pool) (*graph.EdgeDelta, int) {
+		act, _ := reached(p)
+		sum := make([]float64, g.N()) // Σp′ into each node, as the delta goes
+		for v := range sum {
+			sum[v] = inSumP(g, int32(v))
+		}
+		d := &graph.EdgeDelta{}
+		for u := int32(0); int(u) < g.N(); u++ {
+			if act[u] {
+				continue
+			}
+			// Base probabilities and members change; no normalizer moves.
+			for j, v := range g.OutTo(u) {
+				switch {
+				case j%2 == 0 && sum[v] <= 1:
+					d.Remove = append(d.Remove, graph.EdgeKey{From: u, To: v})
+					sum[v] -= g.OutPBoost(u)[j]
+				default:
+					d.Reweight = append(d.Reweight, graph.Edge{From: u, To: v, P: g.OutP(u)[j] / 2, PBoost: g.OutPBoost(u)[j]})
+				}
+			}
+			for v := int32(0); int(v) < g.N(); v++ {
+				if _, _, ok := g.FindEdge(u, v); !ok && u != v && sum[v] <= 0.8 {
+					d.Add = append(d.Add, graph.Edge{From: u, To: v, P: 0.1, PBoost: 0.2})
+					sum[v] += 0.2
+					break
+				}
+			}
+		}
+		return d, 0
+	}},
+	{"boosted probabilities only", func(g *graph.Graph, r *rng.Source, p *Pool) (*graph.EdgeDelta, int) {
+		d := &graph.EdgeDelta{}
+		for _, e := range g.Edges() {
+			// Lowering p′ keeps max(1, Σp′) at 1 where it is 1.
+			if e.PBoost > e.P && inSumP(g, e.To) <= 1 {
+				d.Reweight = append(d.Reweight, graph.Edge{From: e.From, To: e.To, P: e.P, PBoost: (e.P + e.PBoost) / 2})
+			}
+		}
+		return d, 0
+	}},
+	{"one frontier node's normalizer", func(g *graph.Graph, r *rng.Source, p *Pool) (*graph.EdgeDelta, int) {
+		// An edge with p = 0 and p′ = 1 from a node no profile activates
+		// into a frontier node moves only that node's normalizer: exactly
+		// the profiles holding it in their active set or frontier change.
+		act, front := reached(p)
+		for v := int32(0); int(v) < g.N(); v++ {
+			if !front[v] || inSumP(g, v) == 0 {
+				continue
+			}
+			for u := int32(0); int(u) < g.N(); u++ {
+				if _, _, ok := g.FindEdge(u, v); act[u] || ok || u == v {
+					continue
+				}
+				want := 0
+				for pi := 0; pi < p.NumProfiles(); pi++ {
+					pr := p.kernel.Profile(pi)
+					if slices.Contains(pr.Active, v) || slices.Contains(pr.Front, v) {
+						want++
+					}
+				}
+				return &graph.EdgeDelta{Add: []graph.Edge{{From: u, To: v, P: 0, PBoost: 1}}}, want
+			}
+		}
+		return nil, 0
+	}},
+}
+
+// reached marks the nodes some profile of p activates (act) and those
+// some profile holds in its frontier (front).
+func reached(p *Pool) (act, front []bool) {
+	n := p.Graph().N()
+	act, front = make([]bool, n), make([]bool, n)
+	for pi := 0; pi < p.NumProfiles(); pi++ {
+		pr := p.kernel.Profile(pi)
+		for _, v := range pr.Active {
+			act[v] = true
+		}
+		for _, v := range pr.Front {
+			front[v] = true
+		}
+	}
+	return act, front
+}
+
+// TestLTRepairExactCrossing pins Repair's crossing test to the
+// cascade's exact dependence on the graph: deltas on edges into seeds,
+// between seeds, out of nodes no profile activates, or on boosted
+// probabilities alone change no profile, so they must re-simulate
+// nothing; a delta that moves one frontier node's normalizer must
+// re-simulate exactly the profiles holding that node. Either way the
+// repaired pool must equal a cold build bit for bit.
+func TestLTRepairExactCrossing(t *testing.T) {
+	for trial := 0; trial < 3; trial++ {
+		for _, workers := range []int{1, 2, 7} {
+			for _, tc := range crossingDeltas {
+				tr := rng.New(uint64(trial)*131 + uint64(workers)*17 + 11)
+				g := crossingGraph(t, tr, 25+tr.Intn(15), 70+tr.Intn(50), 4)
+				seeds := testutil.RandomSeedSet(tr, g.N()-4, 2+tr.Intn(2))
+				seed := uint64(trial)*97 + 3
+				pool, err := NewPool(g, seeds, seed, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pool.Extend(400)
+				label := fmt.Sprintf("trial %d workers %d %s", trial, workers, tc.name)
+				d, want := tc.build(g, tr, pool)
+				if d == nil || d.Ops() == 0 {
+					t.Fatalf("%s: no delta to apply", label)
+				}
+				g2, eff, err := g.ApplyDelta(d)
+				if err != nil {
+					t.Fatalf("%s: ApplyDelta: %v", label, err)
+				}
+				// Not vacuous: the delta dirties a list that some profile's
+				// cascade reads.
+				read := false
+				for pi := 0; pi < pool.NumProfiles() && !read; pi++ {
+					pr := pool.kernel.Profile(pi)
+					read = slices.ContainsFunc(pr.Active, func(v int32) bool { return eff.DirtyOut[v] || eff.DirtyIn[v] }) ||
+						slices.ContainsFunc(pr.Front, func(v int32) bool { return eff.DirtyIn[v] })
+				}
+				if !read {
+					t.Fatalf("%s: the delta dirties no list a profile reads", label)
+				}
+				touched, ok, err := pool.Repair(g2, eff.DirtyOut, eff.DirtyIn, 1.0)
+				if err != nil || !ok {
+					t.Fatalf("%s: Repair: ok=%v err=%v", label, ok, err)
+				}
+				if touched != want {
+					t.Fatalf("%s: re-simulated %d profiles, want %d", label, touched, want)
+				}
+				cold, err := NewPool(g2, seeds, seed, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cold.Extend(400)
+				sameLTPoolBits(t, label, pool, cold, 3)
+			}
+		}
+	}
+}
+
 // TestLTRepairNormsMatchNew pins Repair's incremental normalizers: after
 // every staged random delta the repaired pool's Norms must equal a
 // fresh New(g2).Norms() bit for bit, and the normalizers the pool
@@ -245,7 +465,9 @@ func TestLTRepairNormsMatchNew(t *testing.T) {
 func sameArray(a, b []float64) bool { return unsafe.SliceData(a) == unsafe.SliceData(b) }
 
 // TestLTRepairFallback: when the touched fraction exceeds maxFrac,
-// Repair must decline without mutating anything.
+// Repair must decline without mutating anything. Reweighting every
+// out-edge of a seed changes every profile: the seed is active in all
+// of them.
 func TestLTRepairFallback(t *testing.T) {
 	tr := rng.New(7)
 	g := testutil.RandomGraph(tr, 20, 100, 0.5)
@@ -258,28 +480,32 @@ func TestLTRepairFallback(t *testing.T) {
 	gen := pool.Generation()
 	base := pool.BaseSpread()
 
-	dirty := make([]bool, g.N())
-	for i := range dirty {
-		dirty[i] = true
+	d := &graph.EdgeDelta{}
+	s := seeds[0]
+	for j, v := range g.OutTo(s) {
+		d.Reweight = append(d.Reweight, graph.Edge{From: s, To: v, P: g.OutP(s)[j] / 2, PBoost: g.OutPBoost(s)[j]})
 	}
-	g2, _, err := g.ApplyDelta(&graph.EdgeDelta{})
+	if len(d.Reweight) == 0 {
+		t.Fatalf("seed %d has no out-edge", s)
+	}
+	g2, eff, err := g.ApplyDelta(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	touched, ok, err := pool.Repair(g2, dirty, dirty, 0.01)
+	touched, ok, err := pool.Repair(g2, eff.DirtyOut, eff.DirtyIn, 0.01)
 	if err != nil {
 		t.Fatalf("Repair: %v", err)
 	}
 	if ok {
 		t.Fatalf("Repair accepted %d touched profiles above 1%% threshold", touched)
 	}
-	if touched == 0 {
-		t.Fatal("all-dirty repair touched no profiles")
+	if touched != pool.NumProfiles() {
+		t.Fatalf("reweighting a seed's out-edges touched %d of %d profiles", touched, pool.NumProfiles())
 	}
 	if pool.Generation() != gen || pool.Graph() != g || pool.BaseSpread() != base {
 		t.Fatal("declined repair mutated the pool")
 	}
-	if _, ok, err := pool.Repair(g2, dirty, dirty, 1.0); err != nil || !ok {
+	if _, ok, err := pool.Repair(g2, eff.DirtyOut, eff.DirtyIn, 1.0); err != nil || !ok {
 		t.Fatalf("unrestricted repair failed: ok=%v err=%v", ok, err)
 	}
 }

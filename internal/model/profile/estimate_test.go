@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"github.com/kboost/kboost/internal/graph"
 	"github.com/kboost/kboost/internal/rng"
@@ -186,10 +187,13 @@ func (quietHop) Quiet(uint64, int32, struct{}, float64) bool { return false }
 // one pool that switch between three graphs, so nodes enter and leave
 // frontiers, with touched shares of none, a single profile, some and
 // all. Each merge reuses the scratch of the last, which must come back
-// all zero.
+// all zero. A Resample that touches no profile must keep the store and
+// the index as they were, backing arrays and MemoryEstimate included,
+// and still take the new graph and cascade and bump the generation.
 func TestReindexMatchesFullRebuild(t *testing.T) {
 	r := rng.New(43)
 	var entered, left int // nodes whose list went from empty to not, and back
+	zeroTouch := 0        // Resamples that touched no profile
 	for trial := 0; trial < 24; trial++ {
 		n := 20 + r.Intn(30)
 		var graphs [3]*graph.Graph
@@ -227,8 +231,26 @@ func TestReindexMatchesFullRebuild(t *testing.T) {
 			if share < 0 {
 				touched[r.Intn(len(touched))] = true
 			}
-			prev := p.idxStart
-			p.Resample(g2, mk(g2)(p.seeds), touched)
+			prev, prevSt, mem, gen := p.idxStart, p.st, p.MemoryEstimate(), p.Generation()
+			c := mk(g2)(p.seeds)
+			p.Resample(g2, c, touched)
+			if p.Generation() != gen+1 || p.Graph() != g2 || p.Cascade() != c {
+				t.Fatalf("trial %d step %d: Resample left generation %d (was %d), or not the new graph and cascade", trial, step, p.Generation(), gen)
+			}
+			if !slices.Contains(touched, true) {
+				// No touched profile: nothing is copied, the store and the
+				// index keep their backing arrays.
+				same := func(a, b []int32) bool { return unsafe.SliceData(a) == unsafe.SliceData(b) && len(a) == len(b) }
+				if !same(p.st.activeStart, prevSt.activeStart) || !same(p.st.activeItems, prevSt.activeItems) ||
+					!same(p.st.frontStart, prevSt.frontStart) || !same(p.st.frontItems, prevSt.frontItems) ||
+					unsafe.SliceData(p.st.pay) != unsafe.SliceData(prevSt.pay) || !same(p.idxStart, prev) {
+					t.Fatalf("trial %d step %d: a no-touch Resample replaced the store or the index", trial, step)
+				}
+				if got := p.MemoryEstimate(); got != mem {
+					t.Fatalf("trial %d step %d: a no-touch Resample moved MemoryEstimate %d -> %d", trial, step, mem, got)
+				}
+				zeroTouch++
+			}
 			start, items, off := p.idxStart, p.idxItems, p.idxOff
 			p.index(0)
 			if !slices.Equal(start, p.idxStart) || !slices.Equal(items, p.idxItems) || !slices.Equal(off, p.idxOff) || (off == nil) == withOff {
@@ -249,7 +271,7 @@ func TestReindexMatchesFullRebuild(t *testing.T) {
 			}
 		}
 	}
-	if entered == 0 || left == 0 {
-		t.Fatalf("no node entered (%d) or left (%d) every frontier", entered, left)
+	if entered == 0 || left == 0 || zeroTouch == 0 {
+		t.Fatalf("no node entered (%d) or left (%d) every frontier, or no Resample touched nothing (%d)", entered, left, zeroTouch)
 	}
 }

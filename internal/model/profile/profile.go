@@ -528,10 +528,16 @@ func (p *Pool[W, S]) index(from int) {
 // world of exactly the profiles marked in touched, copying every other
 // profile's cached state. Profile seeds and the root RNG are untouched,
 // so a repair that marks every profile whose base world could have
-// changed leaves the pool bit-identical to a cold build on g.
+// changed leaves the pool bit-identical to a cold build on g. With no
+// profile touched, the store and the index stay as they are: nothing is
+// copied or allocated.
 func (p *Pool[W, S]) Resample(g *graph.Graph, c Cascade[W, S], touched []bool) {
 	p.g = g
 	p.setCascade(c)
+	p.generation++
+	if !slices.Contains(touched, true) {
+		return
+	}
 	R := len(p.profileSeed)
 
 	// Workers re-simulate only their touched profiles into per-worker
@@ -597,7 +603,6 @@ func (p *Pool[W, S]) Resample(g *graph.Graph, c Cascade[W, S], touched []bool) {
 	}
 	p.st = st
 	p.reindex(old, touched)
-	p.generation++
 }
 
 // reindex rebuilds the frontier index after Resample replaced the store
