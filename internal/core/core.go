@@ -190,6 +190,7 @@ func GrowPoolContext(ctx context.Context, pool *prr.Pool, opt Options) (added in
 	if opt.K > pool.K() {
 		return 0, fmt.Errorf("core: pool was generated for k<=%d, cannot serve k=%d", pool.K(), opt.K)
 	}
+	before := pool.Size()
 	params := imm.Params{
 		N:          pool.Graph().N(),
 		K:          opt.K,
@@ -197,13 +198,12 @@ func GrowPoolContext(ctx context.Context, pool *prr.Pool, opt Options) (added in
 		Ell:        imm.EllForSandwich(opt.Ell, pool.Graph().N()),
 		MaxSamples: opt.MaxSamples,
 	}
-	if opt.MaxSamples > 0 && pool.Size() >= opt.MaxSamples {
+	if opt.MaxSamples > 0 && before >= opt.MaxSamples {
 		if err := params.Validate(); err != nil {
 			return 0, err
 		}
 		return 0, ctx.Err()
 	}
-	before := pool.Size()
 	if _, err := imm.RunContext(ctx, pool, params); err != nil {
 		return 0, err
 	}
