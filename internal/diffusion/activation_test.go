@@ -4,7 +4,7 @@ import (
 	"sync"
 
 	"github.com/kboost/kboost/internal/graph"
-	"github.com/kboost/kboost/internal/rng"
+	"github.com/kboost/kboost/internal/shard"
 )
 
 // EstimateActivation estimates the per-node activation probability under
@@ -18,42 +18,30 @@ func EstimateActivation(g *graph.Graph, seeds, boost []int32, opt Options) ([]fl
 	if err := validateNodes(g, boost, "boost"); err != nil {
 		return nil, err
 	}
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	mask := MaskFromSet(g.N(), boost)
 
 	counts := make([]int64, g.N())
 	var mu sync.Mutex
-	var wg sync.WaitGroup
-	root := rng.New(opt.Seed)
-	per := simSplit(opt.Sims, opt.Workers)
-	for w := 0; w < opt.Workers; w++ {
-		r := root.Split()
-		nSims := per[w]
-		if nSims == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sim := NewSimulator(g)
-			local := make([]int64, g.N())
-			for i := 0; i < nSims; i++ {
-				sim.SpreadOnce(seeds, mask, r)
-				// Nodes activated in this run carry the current epoch.
-				for v := range local {
-					if sim.mark[v] == sim.epoch {
-						local[v]++
-					}
+	streams := Streams(opt)
+	shard.Each(opt.Sims, opt.Workers, func(w, lo, hi int) {
+		sim := NewSimulator(g)
+		local := make([]int64, g.N())
+		for i := lo; i < hi; i++ {
+			sim.SpreadOnce(seeds, mask, streams[w])
+			// Nodes activated in this run carry the current epoch.
+			for v := range local {
+				if sim.mark[v] == sim.epoch {
+					local[v]++
 				}
 			}
-			mu.Lock()
-			for v := range counts {
-				counts[v] += local[v]
-			}
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
+		}
+		mu.Lock()
+		for v := range counts {
+			counts[v] += local[v]
+		}
+		mu.Unlock()
+	})
 	probs := make([]float64, g.N())
 	for v := range probs {
 		probs[v] = float64(counts[v]) / float64(opt.Sims)

@@ -13,10 +13,10 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"github.com/kboost/kboost/internal/graph"
 	"github.com/kboost/kboost/internal/rng"
+	"github.com/kboost/kboost/internal/shard"
 )
 
 // Simulator runs boosted-IC diffusions on one graph. It owns scratch
@@ -249,14 +249,16 @@ func (s *Simulator) PairOnce(seeds []int32, boost []bool, r *rng.Source) (base, 
 	return tail, boosted
 }
 
-// Options configures a Monte-Carlo estimation.
+// Options configures a Monte-Carlo estimation, under IC here and under
+// boosted LT in package lt.
 type Options struct {
 	Sims    int    // number of simulations (default 10000)
 	Seed    uint64 // RNG seed (default 1)
-	Workers int    // parallel workers (default GOMAXPROCS)
+	Workers int    // parallel workers (default GOMAXPROCS, at most Sims)
 }
 
-func (o Options) withDefaults() Options {
+// WithDefaults returns o with every unset field at its default.
+func (o Options) WithDefaults() Options {
 	if o.Sims <= 0 {
 		o.Sims = 10000
 	}
@@ -291,7 +293,7 @@ func EstimateSpread(g *graph.Graph, seeds, boost []int32, opt Options) (float64,
 	if err := validateNodes(g, boost, "boost"); err != nil {
 		return 0, err
 	}
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	mask := MaskFromSet(g.N(), boost)
 	total := parallelSum(g, opt, func(sim *Simulator, r *rng.Source) float64 {
 		return float64(sim.SpreadOnce(seeds, mask, r))
@@ -309,7 +311,7 @@ func EstimateBoost(g *graph.Graph, seeds, boost []int32, opt Options) (float64, 
 	if err := validateNodes(g, boost, "boost"); err != nil {
 		return 0, err
 	}
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	mask := MaskFromSet(g.N(), boost)
 	total := parallelSum(g, opt, func(sim *Simulator, r *rng.Source) float64 {
 		base, boosted := sim.PairOnce(seeds, mask, r)
@@ -318,48 +320,35 @@ func EstimateBoost(g *graph.Graph, seeds, boost []int32, opt Options) (float64, 
 	return total / float64(opt.Sims), nil
 }
 
-// parallelSum runs opt.Sims replicates of one across opt.Workers
-// goroutines with independent RNG streams and returns the sum.
+// parallelSum runs opt.Sims replicates of one on the chunks of
+// shard.Each, chunk w drawing from the w-th split of the root stream,
+// and returns the sum. opt must have its defaults.
 func parallelSum(g *graph.Graph, opt Options, one func(*Simulator, *rng.Source) float64) float64 {
-	root := rng.New(opt.Seed)
-	per := simSplit(opt.Sims, opt.Workers)
-	results := make([]float64, opt.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < opt.Workers; w++ {
-		r := root.Split()
-		nSims := per[w]
-		if nSims == 0 {
-			continue
+	streams := Streams(opt)
+	sums := make([]float64, len(streams))
+	shard.Each(opt.Sims, opt.Workers, func(w, lo, hi int) {
+		sim := NewSimulator(g)
+		var sum float64
+		for i := lo; i < hi; i++ {
+			sum += one(sim, streams[w])
 		}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sim := NewSimulator(g)
-			var sum float64
-			for i := 0; i < nSims; i++ {
-				sum += one(sim, r)
-			}
-			results[w] = sum
-		}(w)
-	}
-	wg.Wait()
+		sums[w] = sum
+	})
 	var total float64
-	for _, v := range results {
+	for _, v := range sums {
 		total += v
 	}
 	return total
 }
 
-// simSplit divides sims as evenly as possible across workers.
-func simSplit(sims, workers int) []int {
-	per := make([]int, workers)
-	base := sims / workers
-	rem := sims % workers
-	for i := range per {
-		per[i] = base
-		if i < rem {
-			per[i]++
-		}
+// Streams returns the RNG stream of each of shard.Each's chunks of
+// opt.Sims on opt.Workers, opt having its defaults: chunk w draws from
+// the w-th split of rng.New(opt.Seed).
+func Streams(opt Options) []*rng.Source {
+	root := rng.New(opt.Seed)
+	streams := make([]*rng.Source, opt.Workers)
+	for w := range streams {
+		streams[w] = root.Split()
 	}
-	return per
+	return streams
 }

@@ -1,10 +1,9 @@
 package diffusion
 
 import (
-	"sync"
-
 	"github.com/kboost/kboost/internal/graph"
 	"github.com/kboost/kboost/internal/rng"
+	"github.com/kboost/kboost/internal/shard"
 )
 
 // EstimateSamples runs opt.Sims coupled boosted-IC replicates and
@@ -24,37 +23,25 @@ func EstimateSamples(g *graph.Graph, seeds, boost []int32, opt Options) (spread,
 	if err := validateNodes(g, boost, "boost"); err != nil {
 		return nil, nil, err
 	}
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	mask := MaskFromSet(g.N(), boost)
 	spread = make([]float64, opt.Sims)
 	delta = make([]float64, opt.Sims)
 	pair := len(boost) > 0
 
-	var wg sync.WaitGroup
-	counts := simSplit(opt.Sims, opt.Workers)
-	lo := 0
-	for _, count := range counts {
-		if count == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			sim := NewSimulator(g)
-			var r rng.Source
-			for i := lo; i < hi; i++ {
-				r.ReseedStream(opt.Seed, uint64(i))
-				if pair {
-					base, boosted := sim.PairOnce(seeds, mask, &r)
-					spread[i] = float64(boosted)
-					delta[i] = float64(boosted - base)
-				} else {
-					spread[i] = float64(sim.SpreadOnce(seeds, mask, &r))
-				}
+	shard.Each(opt.Sims, opt.Workers, func(_, lo, hi int) {
+		sim := NewSimulator(g)
+		var r rng.Source
+		for i := lo; i < hi; i++ {
+			r.ReseedStream(opt.Seed, uint64(i))
+			if pair {
+				base, boosted := sim.PairOnce(seeds, mask, &r)
+				spread[i] = float64(boosted)
+				delta[i] = float64(boosted - base)
+			} else {
+				spread[i] = float64(sim.SpreadOnce(seeds, mask, &r))
 			}
-		}(lo, lo+count)
-		lo += count
-	}
-	wg.Wait()
+		}
+	})
 	return spread, delta, nil
 }

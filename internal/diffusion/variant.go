@@ -66,7 +66,7 @@ func EstimateSpreadTarget(g *graph.Graph, seeds, boost []int32, target BoostTarg
 	if err := validateNodes(g, boost, "boost"); err != nil {
 		return 0, err
 	}
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	mask := MaskFromSet(g.N(), boost)
 	total := parallelSum(g, opt, func(sim *Simulator, r *rng.Source) float64 {
 		return float64(sim.SpreadOnceTarget(seeds, mask, target, r))

@@ -22,14 +22,14 @@ package lt
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 
+	"github.com/kboost/kboost/internal/diffusion"
 	"github.com/kboost/kboost/internal/graph"
 	"github.com/kboost/kboost/internal/model/profile"
 	"github.com/kboost/kboost/internal/rng"
+	"github.com/kboost/kboost/internal/shard"
 )
 
 // mcSims counts Monte-Carlo simulations launched through EstimateSpread
@@ -189,28 +189,9 @@ func (s *Simulator) SpreadOnce(seeds []int32, boost []bool, r *rng.Source) int {
 	return count
 }
 
-// Options configures Monte-Carlo estimation.
-type Options struct {
-	Sims    int    // default 10000
-	Seed    uint64 // default 1
-	Workers int    // default GOMAXPROCS
-}
-
-func (o Options) withDefaults() Options {
-	if o.Sims <= 0 {
-		o.Sims = 10000
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Workers > o.Sims {
-		o.Workers = o.Sims
-	}
-	return o
-}
+// Options configures Monte-Carlo estimation, with IC's fields and
+// defaults.
+type Options = diffusion.Options
 
 // EstimateSpread estimates the expected boosted-LT spread.
 func EstimateSpread(g *graph.Graph, seeds, boost []int32, opt Options) (float64, error) {
@@ -219,38 +200,19 @@ func EstimateSpread(g *graph.Graph, seeds, boost []int32, opt Options) (float64,
 			return 0, fmt.Errorf("lt: node %d out of range [0,%d)", v, g.N())
 		}
 	}
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	m := New(g)
-	mask := make([]bool, g.N())
-	for _, v := range boost {
-		mask[v] = true
-	}
-	root := rng.New(opt.Seed)
-	sums := make([]float64, opt.Workers)
-	var wg sync.WaitGroup
-	per := opt.Sims / opt.Workers
-	rem := opt.Sims % opt.Workers
-	for w := 0; w < opt.Workers; w++ {
-		r := root.Split()
-		count := per
-		if w < rem {
-			count++
+	mask := diffusion.MaskFromSet(g.N(), boost)
+	streams := diffusion.Streams(opt)
+	sums := make([]float64, len(streams))
+	shard.Each(opt.Sims, opt.Workers, func(w, lo, hi int) {
+		sim := NewSimulator(m)
+		var sum float64
+		for i := lo; i < hi; i++ {
+			sum += float64(sim.SpreadOnce(seeds, mask, streams[w]))
 		}
-		if count == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(w, count int) {
-			defer wg.Done()
-			sim := NewSimulator(m)
-			var sum float64
-			for i := 0; i < count; i++ {
-				sum += float64(sim.SpreadOnce(seeds, mask, r))
-			}
-			sums[w] = sum
-		}(w, count)
-	}
-	wg.Wait()
+		sums[w] = sum
+	})
 	mcSims.Add(int64(opt.Sims))
 	var total float64
 	for _, s := range sums {
@@ -284,7 +246,7 @@ func GreedyBoost(g *graph.Graph, seeds []int32, k int, candCap int, opt Options)
 	if k < 1 {
 		return nil, 0, fmt.Errorf("lt: k=%d must be >= 1", k)
 	}
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	seedMask := make([]bool, g.N())
 	for _, s := range seeds {
 		seedMask[s] = true

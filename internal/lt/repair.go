@@ -33,7 +33,7 @@ import (
 	"math"
 
 	"github.com/kboost/kboost/internal/graph"
-	"github.com/kboost/kboost/internal/model/profile"
+	"github.com/kboost/kboost/internal/shard"
 )
 
 // Repair transitions the pool from its current graph to g2 — the result
@@ -99,7 +99,7 @@ func (p *Pool) Repair(g2 *graph.Graph, dirtyOut, dirtyIn []bool, maxFrac float64
 	var sum tally
 	if crossed {
 		tallies := make([]tally, p.kernel.Workers())
-		profile.ForChunks(len(hit), p.kernel.Workers(), func(w, lo, hi int) {
+		shard.Each(len(hit), p.kernel.Workers(), func(w, lo, hi int) {
 			var t tally
 			for pi := lo; pi < hi; pi++ {
 				pr := p.kernel.Profile(pi)

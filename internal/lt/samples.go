@@ -3,9 +3,10 @@ package lt
 import (
 	"fmt"
 
+	"github.com/kboost/kboost/internal/diffusion"
 	"github.com/kboost/kboost/internal/graph"
-	"github.com/kboost/kboost/internal/model/profile"
 	"github.com/kboost/kboost/internal/rng"
+	"github.com/kboost/kboost/internal/shard"
 )
 
 // EstimateSamples runs opt.Sims boosted-LT replicates and returns the
@@ -23,17 +24,14 @@ func EstimateSamples(g *graph.Graph, seeds, boost []int32, opt Options) (spread,
 			return nil, nil, fmt.Errorf("lt: node %d out of range [0,%d)", v, g.N())
 		}
 	}
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	m := New(g)
-	mask := make([]bool, g.N())
-	for _, v := range boost {
-		mask[v] = true
-	}
+	mask := diffusion.MaskFromSet(g.N(), boost)
 	spread = make([]float64, opt.Sims)
 	delta = make([]float64, opt.Sims)
 	pair := len(boost) > 0
 
-	profile.ForChunks(opt.Sims, opt.Workers, func(_, lo, hi int) {
+	shard.Each(opt.Sims, opt.Workers, func(_, lo, hi int) {
 		sim := NewSimulator(m)
 		var r rng.Source
 		for i := lo; i < hi; i++ {

@@ -3,6 +3,8 @@ package profile
 import (
 	"fmt"
 	"slices"
+
+	"github.com/kboost/kboost/internal/shard"
 )
 
 // EstimateParallelMin is the minimum number of affected profiles before
@@ -138,7 +140,7 @@ func (p *Pool[W, S]) sumDeltas(profs []int32, bset []int32, mask []bool) int64 {
 		return p.deltaRange(profs, bset, mask)
 	}
 	sums := make([]int64, p.workers)
-	ForChunks(len(profs), p.workers, func(w, lo, hi int) {
+	shard.Each(len(profs), p.workers, func(w, lo, hi int) {
 		sums[w] = p.deltaRange(profs[lo:hi], bset, mask)
 	})
 	var total int64

@@ -10,6 +10,7 @@ import (
 	"github.com/kboost/kboost/internal/graph"
 	"github.com/kboost/kboost/internal/maxcover"
 	"github.com/kboost/kboost/internal/rng"
+	"github.com/kboost/kboost/internal/shard"
 )
 
 // CandidateCap resolves a greedy candidate-pool cap: candCap < k falls
@@ -426,7 +427,7 @@ func (q *greedy[W, S]) eval() {
 		workers = 1
 	}
 	q.spans = slices.Grow(q.spans[:0], len(pis))[:len(pis)]
-	ForChunks(len(pis), workers, func(w, lo, hi int) {
+	shard.Each(len(pis), workers, func(w, lo, hi int) {
 		if q.gcs[w] == nil {
 			q.gcs[w] = p.gains.Get().(*Gains)
 		}
@@ -496,7 +497,7 @@ func EstimateSamples[W, S any](name string, g *graph.Graph, seeds, boost []int32
 	spread = make([]float64, sims)
 	delta = make([]float64, sims)
 	pair := len(boost) > 0
-	ForChunks(sims, workers, func(_, lo, hi int) {
+	shard.Each(sims, workers, func(_, lo, hi int) {
 		s := c.NewScratch()
 		for i := lo; i < hi; i++ {
 			ps := rng.StreamSeed(seed, uint64(i))

@@ -29,14 +29,12 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
-	"github.com/kboost/kboost/internal/faults"
 	"github.com/kboost/kboost/internal/freelist"
 	"github.com/kboost/kboost/internal/graph"
-	"github.com/kboost/kboost/internal/panicsafe"
 	"github.com/kboost/kboost/internal/rng"
+	"github.com/kboost/kboost/internal/shard"
 )
 
 // Cascade is one diffusion model's dynamics over a single profile: a
@@ -200,12 +198,6 @@ func appendShifted(dst, ends []int32, delta int32) []int32 {
 	}
 	return dst
 }
-
-// cancelStride is the amortized cooperative-cancellation poll interval
-// inside shard simulation loops: one ctx check per 64 profiles keeps
-// the per-profile overhead at an untaken branch while bounding
-// cancellation latency to a handful of cascade simulations.
-const cancelStride = 64
 
 // Pool is a growable collection of profiles for a fixed (graph, seed
 // set). Profiles are independent of the boost budget k, so one pool
@@ -405,8 +397,8 @@ func (p *Pool[W, S]) PutScratch(s S) { p.scratch.Put(s) }
 // ExtendContext grows the pool to at least target profiles. Growth is
 // incremental: existing profiles and their cached base worlds are
 // untouched, only the shortfall is simulated (sharded across the
-// pool's workers, merged in profile order), and the frontier index is
-// merged in one pass.
+// pool's workers by shard.Build, merged in profile order), and the
+// frontier index is merged in one pass.
 //
 // On any error — ctx canceled, an injected faults.PoolBuildShard
 // fault, or a shard-worker panic (returned as *panicsafe.Error) — no
@@ -428,44 +420,20 @@ func (p *Pool[W, S]) ExtendContext(ctx context.Context, target int) error {
 	for i := 0; i < need; i++ {
 		p.profileSeed = append(p.profileSeed, p.root.Uint64())
 	}
-	shards := make([]Store[W], p.workers)
-	errs := make([]error, p.workers)
-	var stop atomic.Bool // flipped on first failure so sibling shards bail early
-	ForChunks(need, p.workers, func(w, lo, hi int) {
-		err := panicsafe.Do(func() {
-			if e := faults.CheckContext(ctx, faults.PoolBuildShard); e != nil {
-				errs[w] = e
-				stop.Store(true)
-				return
-			}
-			s := p.Scratch()
-			defer p.PutScratch(s)
-			shards[w] = newStore[W]()
-			for i := lo; i < hi; i++ {
-				if (i-lo)%cancelStride == 0 && (stop.Load() || ctx.Err() != nil) {
-					errs[w] = ctx.Err()
-					stop.Store(true)
-					return
-				}
-				p.c.Base(p.profileSeed[from+i], &shards[w], s)
-			}
-		})
-		if err != nil {
-			errs[w] = err
-			stop.Store(true)
-		}
-	})
-	abort := ctx.Err()
-	for _, err := range errs {
-		if err != nil {
-			abort = err
-			break
-		}
+	shards := make([]Store[W], min(need, p.workers))
+	scratch := make([]S, len(shards))
+	for w := range shards {
+		shards[w], scratch[w] = newStore[W](), p.Scratch()
 	}
-	if abort != nil {
+	if err := shard.Build(ctx, need, p.workers, func(w, i int) {
+		p.c.Base(p.profileSeed[from+i], &shards[w], scratch[w])
+	}); err != nil {
 		p.profileSeed = savedSeeds
 		*p.root = savedRoot
-		return abort
+		return err
+	}
+	for _, s := range scratch {
+		p.PutScratch(s)
 	}
 	p.st.merge(shards)
 	p.index(from)
@@ -545,7 +513,7 @@ func (p *Pool[W, S]) Resample(g *graph.Graph, c Cascade[W, S], touched []bool) {
 	// below copies their cached segments straight out of the old
 	// arrays, once — the repair path is memmove-bound.
 	shards := make([]Store[W], p.workers)
-	ForChunks(R, p.workers, func(w, lo, hi int) {
+	shard.Each(R, p.workers, func(w, lo, hi int) {
 		s := p.Scratch()
 		defer p.PutScratch(s)
 		shards[w] = newStore[W]()
@@ -733,28 +701,4 @@ func (p *Pool[W, S]) reindex(old *Store[W], touched []bool) {
 	}
 	rx.changed = changed
 	p.idxStart, p.idxItems, p.idxOff = newStart, newItems, newOff
-}
-
-// ForChunks splits [0, n) into at most workers contiguous chunks of
-// ⌈n/workers⌉ items and runs fn(w, lo, hi) for each — chunk w covers
-// [lo, hi) — concurrently, returning when all are done. A single chunk
-// runs on the calling goroutine.
-func ForChunks(n, workers int, fn func(w, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	if chunk >= n {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for w, lo := 0, 0; lo < n; w, lo = w+1, lo+chunk {
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, min(lo+chunk, n))
-	}
-	wg.Wait()
 }

@@ -4,24 +4,15 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"unsafe"
 
-	"github.com/kboost/kboost/internal/faults"
 	"github.com/kboost/kboost/internal/freelist"
 	"github.com/kboost/kboost/internal/graph"
 	"github.com/kboost/kboost/internal/imm"
 	"github.com/kboost/kboost/internal/maxcover"
-	"github.com/kboost/kboost/internal/panicsafe"
 	"github.com/kboost/kboost/internal/rng"
+	"github.com/kboost/kboost/internal/shard"
 )
-
-// cancelStride is how many sketches a shard worker generates between
-// cooperative ctx polls. Amortizing the check keeps the per-sketch cost
-// at one predictable branch in 64 — invisible next to a BFS per sketch —
-// while still bounding cancellation latency to a few sketches' work.
-const cancelStride = 64
 
 // Pool is a growable collection of random PRR-graphs for a fixed
 // (graph, seed set, k). It implements imm.Sketcher over the critical
@@ -176,23 +167,6 @@ func (p *Pool) Mode() Mode { return p.mode }
 // NumBoostable returns the number of boostable PRR-graphs stored.
 func (p *Pool) NumBoostable() int { return p.numBoostable }
 
-// splitCounts divides need across workers (the leading workers take the
-// remainder), returning per-worker counts and their exclusive prefix
-// sums.
-func splitCounts(need, workers int) (counts, offs []int) {
-	counts = make([]int, workers)
-	offs = make([]int, workers+1)
-	base, rem := need/workers, need%workers
-	for w := range counts {
-		counts[w] = base
-		if w < rem {
-			counts[w]++
-		}
-		offs[w+1] = offs[w] + counts[w]
-	}
-	return counts, offs
-}
-
 // ExtendContext grows the pool to at least target total PRR-graphs.
 //
 // Sketch i — globally indexed across the pool's lifetime — is always
@@ -204,16 +178,17 @@ func splitCounts(need, workers int) (counts, offs []int) {
 // exactly the sketches a graph delta touched and prove the result equal
 // to a cold rebuild.
 //
-// Workers generate concurrently into per-shard arenas — including each
-// boostable graph's initial candidate set, computed while the graph is
-// cache-hot — and the shards are merged in deterministic worker order.
+// Workers generate concurrently through shard.Build into per-shard
+// arenas — including each boostable graph's initial candidate set,
+// computed while the graph is cache-hot — and the shards are merged in
+// deterministic worker order.
 //
-// ExtendContext cancels cooperatively and contains shard-worker panics.
-// On any error — ctx canceled, injected fault, or a worker panic
-// (returned as *panicsafe.Error) — NO shard is merged and the pool is
-// left exactly as it was, so a retried call regenerates the same
-// sketches from the same stateless per-index streams and the final pool
-// is bit-identical to one built without interruption.
+// On any error — ctx canceled, even after the last stride poll, an
+// injected fault, or a worker panic (returned as *panicsafe.Error) — NO
+// shard is merged and the pool is left exactly as it was, so a retried
+// call regenerates the same sketches from the same stateless per-index
+// streams and the final pool is bit-identical to one built without
+// interruption.
 func (p *Pool) ExtendContext(ctx context.Context, target int) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -223,64 +198,22 @@ func (p *Pool) ExtendContext(ctx context.Context, target int) error {
 		return nil
 	}
 	start := p.total
-	counts, offs := splitCounts(need, p.workers)
-	var wg sync.WaitGroup
-	var stop atomic.Bool // flipped on first failure so sibling shards bail early
-	errs := make([]error, p.workers)
-	for w := 0; w < p.workers; w++ {
-		if counts[w] == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			err := panicsafe.Do(func() {
-				if e := faults.CheckContext(ctx, faults.PoolBuildShard); e != nil {
-					errs[w] = e
-					stop.Store(true)
-					return
-				}
-				r := p.streams[w]
-				gen := p.gens[w]
-				sh := p.shards[w]
-				sh.reset()
-				for i := 0; i < counts[w]; i++ {
-					if i%cancelStride == 0 && (stop.Load() || ctx.Err() != nil) {
-						errs[w] = ctx.Err()
-						stop.Store(true)
-						return
-					}
-					r.ReseedStream(p.seed, uint64(start+offs[w]+i))
-					res := gen.GenerateInto(&sh.arena, r)
-					sh.record(res, gen.lastExpanded)
-				}
-			})
-			if err != nil {
-				errs[w] = err
-				stop.Store(true)
-			}
-		}(w)
+	shards := p.shards[:min(need, p.workers)]
+	for _, sh := range shards {
+		sh.reset()
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		// Canceled after the last stride poll: the shards are complete
-		// but unmerged; discard them rather than merge work the caller
-		// no longer wants.
+	err := shard.Build(ctx, need, p.workers, func(w, i int) {
+		r, gen, sh := p.streams[w], p.gens[w], shards[w]
+		r.ReseedStream(p.seed, uint64(start+i))
+		sh.record(gen.GenerateInto(&sh.arena, r), gen.lastExpanded)
+	})
+	if err != nil {
 		return err
 	}
 
 	// Deterministic merge in worker order (= global sketch-index order).
 	from := p.arena.numGraphs()
-	for w := 0; w < p.workers; w++ {
-		if counts[w] == 0 {
-			continue
-		}
-		sh := p.shards[w]
+	for _, sh := range shards {
 		p.total += sh.total
 		p.numActivated += sh.activated
 		p.numHopeless += sh.hopeless
@@ -347,35 +280,19 @@ func (p *Pool) EstimateDelta(b []int32) (float64, error) {
 		}
 		mask[v] = true
 	}
-	numGraphs := p.arena.numGraphs()
 	counts := make([]int, p.workers)
-	var wg sync.WaitGroup
-	chunk := (numGraphs + p.workers - 1) / p.workers
-	for w := 0; w < p.workers; w++ {
-		lo := w * chunk
-		if lo >= numGraphs {
-			break
-		}
-		hi := lo + chunk
-		if hi > numGraphs {
-			hi = numGraphs
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			s := getScratch()
-			defer putScratch(s)
-			c := 0
-			for i := lo; i < hi; i++ {
-				R := p.arena.at(i)
-				if R.Eval(mask, s) {
-					c++
-				}
+	shard.Each(p.arena.numGraphs(), p.workers, func(w, lo, hi int) {
+		s := getScratch()
+		defer putScratch(s)
+		c := 0
+		for i := lo; i < hi; i++ {
+			R := p.arena.at(i)
+			if R.Eval(mask, s) {
+				c++
 			}
-			counts[w] = c
-		}(w, lo, hi)
-	}
-	wg.Wait()
+		}
+		counts[w] = c
+	})
 	covered := 0
 	for _, c := range counts {
 		covered += c

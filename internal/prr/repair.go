@@ -26,9 +26,9 @@ package prr
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/kboost/kboost/internal/graph"
+	"github.com/kboost/kboost/internal/shard"
 )
 
 // sketchLog records, for every generated sketch in global index order,
@@ -155,39 +155,29 @@ func (p *Pool) Repair(g2 *graph.Graph, dirtyIn []bool, maxFrac float64) (touched
 	// sums give each range's first arena row (arena order == global
 	// index order among boostable sketches).
 	touchedMask := sized(&p.touched, total)
-	counts, offs := splitCounts(total, p.workers)
 	perWorker := make([]int, p.workers)
 	perWorkerExp := make([]int64, p.workers)
 	rowStart := make([]int, p.workers+1)
-	var wg sync.WaitGroup
-	for w := 0; w < p.workers; w++ {
-		if counts[w] == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c, rows := 0, 0
-			var exp int64
-			for i := offs[w]; i < offs[w+1]; i++ {
-				if p.log.kind[i] == KindBoostable {
-					rows++
-				}
-				for _, v := range p.log.exp(i) {
-					if dirtyIn[v] {
-						touchedMask[i] = true
-						c++
-						exp += int64(len(p.log.exp(i)))
-						break
-					}
+	shard.Each(total, p.workers, func(w, lo, hi int) {
+		c, rows := 0, 0
+		var exp int64
+		for i := lo; i < hi; i++ {
+			if p.log.kind[i] == KindBoostable {
+				rows++
+			}
+			for _, v := range p.log.exp(i) {
+				if dirtyIn[v] {
+					touchedMask[i] = true
+					c++
+					exp += int64(len(p.log.exp(i)))
+					break
 				}
 			}
-			perWorker[w] = c
-			perWorkerExp[w] = exp
-			rowStart[w+1] = rows
-		}(w)
-	}
-	wg.Wait()
+		}
+		perWorker[w] = c
+		perWorkerExp[w] = exp
+		rowStart[w+1] = rows
+	})
 	var touchedExp int64
 	for w := range perWorker {
 		touched += perWorker[w]
@@ -209,37 +199,29 @@ func (p *Pool) Repair(g2 *graph.Graph, dirtyIn []bool, maxFrac float64) (touched
 	// Rebuild: workers take the same contiguous index ranges as the
 	// touched scan, regenerating touched sketches from their stateless
 	// streams and copying untouched ones out of the old arena and log.
-	for w := 0; w < p.workers; w++ {
-		if counts[w] == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := p.streams[w]
-			gen := p.gens[w]
-			sh := p.shards[w]
-			sh.reset()
-			row := rowStart[w]
-			for i := offs[w]; i < offs[w+1]; i++ {
-				boostable := p.log.kind[i] == KindBoostable
-				if touchedMask[i] {
-					r.ReseedStream(p.seed, uint64(i))
-					res := gen.GenerateInto(&sh.arena, r)
-					sh.record(res, gen.lastExpanded)
-				} else {
-					sh.log.appendFrom(&p.log, i)
-					if boostable {
-						sh.arena.appendGraph(&p.arena, row)
-					}
-				}
+	shard.Each(total, p.workers, func(w, lo, hi int) {
+		r := p.streams[w]
+		gen := p.gens[w]
+		sh := p.shards[w]
+		sh.reset()
+		row := rowStart[w]
+		for i := lo; i < hi; i++ {
+			boostable := p.log.kind[i] == KindBoostable
+			if touchedMask[i] {
+				r.ReseedStream(p.seed, uint64(i))
+				res := gen.GenerateInto(&sh.arena, r)
+				sh.record(res, gen.lastExpanded)
+			} else {
+				sh.log.appendFrom(&p.log, i)
 				if boostable {
-					row++
+					sh.arena.appendGraph(&p.arena, row)
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
+			if boostable {
+				row++
+			}
+		}
+	})
 
 	// The old arena and log are no longer a copy source: merge the
 	// shards back into their storage in worker order, then recompute
@@ -248,13 +230,10 @@ func (p *Pool) Repair(g2 *graph.Graph, dirtyIn []bool, maxFrac float64) (touched
 	// no sampling happens here.
 	p.arena.reset()
 	p.log.reset()
-	for w := 0; w < p.workers; w++ {
-		if counts[w] == 0 {
-			continue
-		}
-		p.arena.appendArena(&p.shards[w].arena)
-		p.log.appendLog(&p.shards[w].log)
-		p.shards[w].reset()
+	for _, sh := range p.shards[:min(total, p.workers)] {
+		p.arena.appendArena(&sh.arena)
+		p.log.appendLog(&sh.log)
+		sh.reset()
 	}
 	p.g = g2
 

@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"github.com/kboost/kboost/internal/maxcover"
+	"github.com/kboost/kboost/internal/shard"
 )
 
 // This file is the Δ̂ selection subsystem: a persistent inverted index
@@ -394,34 +395,19 @@ func (p *Pool) selectDelta(ctx context.Context, k int, among []int32) ([]int32, 
 // affected graphs across the pool's workers. evals must have
 // len(affected) entries; covered is read-only here.
 func (p *Pool) reEvalParallel(affected []int32, mask, covered []bool, evals []reEval) {
-	var wg sync.WaitGroup
-	chunk := (len(affected) + p.workers - 1) / p.workers
-	for w := 0; w < p.workers; w++ {
-		lo := w * chunk
-		if lo >= len(affected) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(affected) {
-			hi = len(affected)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			s := getScratch()
-			defer putScratch(s)
-			for i := lo; i < hi; i++ {
-				gi := affected[i]
-				if covered[gi] {
-					continue
-				}
-				R := p.arena.at(int(gi))
-				cov, cs := R.Candidates(mask, s)
-				evals[i] = reEval{covered: cov, cands: append(evals[i].cands[:0], cs...)}
+	shard.Each(len(affected), p.workers, func(_, lo, hi int) {
+		s := getScratch()
+		defer putScratch(s)
+		for i := lo; i < hi; i++ {
+			gi := affected[i]
+			if covered[gi] {
+				continue
 			}
-		}(lo, hi)
-	}
-	wg.Wait()
+			R := p.arena.at(int(gi))
+			cov, cs := R.Candidates(mask, s)
+			evals[i] = reEval{covered: cov, cands: append(evals[i].cands[:0], cs...)}
+		}
+	})
 }
 
 // The heap invariant behind the pop loop above, spelled out: every

@@ -17,20 +17,13 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
-	"github.com/kboost/kboost/internal/faults"
 	"github.com/kboost/kboost/internal/graph"
 	"github.com/kboost/kboost/internal/imm"
 	"github.com/kboost/kboost/internal/maxcover"
-	"github.com/kboost/kboost/internal/panicsafe"
 	"github.com/kboost/kboost/internal/rng"
+	"github.com/kboost/kboost/internal/shard"
 )
-
-// cancelStride is the amortized cooperative-cancellation poll interval
-// inside the RR-set generation loop: one ctx check per 64 sets.
-const cancelStride = 64
 
 // Pool is a growable collection of RR-sets implementing imm.Sketcher.
 type Pool struct {
@@ -105,12 +98,13 @@ func (p *Pool) PreCover(nodes []int32) {
 // Size returns the number of RR-sets generated.
 func (p *Pool) Size() int { return p.cov.NumSets() }
 
-// ExtendContext grows the pool to at least target RR-sets, with
-// cooperative cancellation and shard-worker panic containment: on any
-// error no batch is merged and the error is returned. Unlike the cached pool families, an aborted rrset Extend
-// does not roll back its worker streams — rrset pools are per-request
-// and are discarded wholesale on failure, so a retry reconstructs the
-// pool from its seed and remains bit-identical.
+// ExtendContext grows the pool to at least target RR-sets through
+// shard.Build, worker w drawing from its own split stream: on any error
+// no batch is merged and the error is returned. Unlike the cached pool
+// families, an aborted rrset Extend does not roll back its worker
+// streams — rrset pools are per-request and are discarded wholesale on
+// failure, so a retry reconstructs the pool from its seed and remains
+// bit-identical.
 func (p *Pool) ExtendContext(ctx context.Context, target int) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -119,65 +113,18 @@ func (p *Pool) ExtendContext(ctx context.Context, target int) error {
 	if need <= 0 {
 		return nil
 	}
-	counts := make([]int, p.workers)
-	base, rem := need/p.workers, need%p.workers
-	for w := 0; w < p.workers; w++ {
-		counts[w] = base
-		if w < rem {
-			counts[w]++
-		}
+	for _, wk := range p.scratch {
+		wk.items, wk.ends = wk.items[:0], wk.ends[:0]
 	}
-	var wg sync.WaitGroup
-	var stop atomic.Bool // flipped on first failure so sibling workers bail early
-	errs := make([]error, p.workers)
-	for w := 0; w < p.workers; w++ {
-		if counts[w] == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			err := panicsafe.Do(func() {
-				if e := faults.CheckContext(ctx, faults.PoolBuildShard); e != nil {
-					errs[w] = e
-					stop.Store(true)
-					return
-				}
-				r := p.streams[w]
-				wk := p.scratch[w]
-				wk.items, wk.ends = wk.items[:0], wk.ends[:0]
-				for i := 0; i < counts[w]; i++ {
-					if i%cancelStride == 0 && (stop.Load() || ctx.Err() != nil) {
-						errs[w] = ctx.Err()
-						stop.Store(true)
-						return
-					}
-					root := int32(r.Intn(p.g.N()))
-					wk.items = generate(p.g, root, wk, wk.items, r)
-					wk.ends = append(wk.ends, int32(len(wk.items)))
-				}
-			})
-			if err != nil {
-				errs[w] = err
-				stop.Store(true)
-			}
-		}(w)
+	err := shard.Build(ctx, need, p.workers, func(w, _ int) {
+		r, wk := p.streams[w], p.scratch[w]
+		wk.items = generate(p.g, int32(r.Intn(p.g.N())), wk, wk.items, r)
+		wk.ends = append(wk.ends, int32(len(wk.items)))
+	})
+	if err != nil {
+		return err
 	}
-	wg.Wait()
-	abort := ctx.Err()
-	for _, err := range errs {
-		if err != nil {
-			abort = err
-			break
-		}
-	}
-	if abort != nil {
-		return abort
-	}
-	for w, wk := range p.scratch {
-		if counts[w] == 0 {
-			continue
-		}
+	for _, wk := range p.scratch {
 		start := int32(0)
 		for _, end := range wk.ends {
 			p.cov.AddSet(wk.items[start:end])
