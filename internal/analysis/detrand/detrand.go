@@ -45,6 +45,8 @@ var DefaultScope = []string{
 	"internal/maxcover",
 	"internal/diffusion",
 	"internal/rng",
+	"internal/rrset",
+	"internal/shard",
 }
 
 // InScope reports whether a module-relative package path is
