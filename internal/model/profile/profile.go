@@ -152,16 +152,13 @@ func (st *Store[W]) appendRange(src *Store[W], lo, hi int) {
 // merge appends every profile of shards, in shard order, growing each
 // array at most once, by grow: capacities, which MemoryEstimate counts,
 // then depend on the merged totals alone, not on the worker count.
-// Trailing workers get no profiles when there are fewer profiles than
-// chunks; their shards stay zero-valued and are skipped.
 func (st *Store[W]) merge(shards []Store[W]) {
 	var profs, active, front int
 	for w := range shards {
-		if sh := &shards[w]; sh.activeStart != nil {
-			profs += sh.profiles()
-			active += len(sh.activeItems)
-			front += len(sh.frontItems)
-		}
+		sh := &shards[w]
+		profs += sh.profiles()
+		active += len(sh.activeItems)
+		front += len(sh.frontItems)
 	}
 	st.activeStart = grow(st.activeStart, profs)
 	st.frontStart = grow(st.frontStart, profs)
@@ -169,9 +166,7 @@ func (st *Store[W]) merge(shards []Store[W]) {
 	st.frontItems = grow(st.frontItems, front)
 	st.pay = grow(st.pay, front)
 	for w := range shards {
-		if sh := &shards[w]; sh.activeStart != nil {
-			st.appendRange(sh, 0, sh.profiles())
-		}
+		st.appendRange(&shards[w], 0, shards[w].profiles())
 	}
 }
 
