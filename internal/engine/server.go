@@ -176,9 +176,9 @@ func NewServer(e *Engine, opt ServerOptions) *Server {
 }
 
 // ServeHTTP implements http.Handler, wrapping the mux in the panic
-// containment middleware: a panic that escapes a handler (including one
-// re-raised from a shard worker before panicsafe containment existed on
-// that path) is converted into a JSON 500 and counted, instead of
+// containment middleware: a panic that escapes a handler (including a
+// worker's panic that shard.Each re-raises on the handler's goroutine)
+// is converted into a JSON 500 and counted, instead of
 // killing the connection — and, under http.Server, being the only
 // goroutine that dies. http.ErrAbortHandler is the deliberate
 // abort-this-response sentinel and is re-raised untouched.

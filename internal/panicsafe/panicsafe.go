@@ -1,10 +1,10 @@
 // Package panicsafe converts panics into errors at goroutine
-// boundaries. Shard workers inside the pool builders run user-graph
-// driven simulation code; a panic there (a poisoned sketch, an injected
-// fault, a latent bug) must not kill the daemon or — worse — skip a
-// WaitGroup.Done and deadlock the merge that is waiting on it. Workers
-// wrap their loop body in Do and report the resulting error through the
-// normal error path instead.
+// boundaries. Shard workers run user-graph driven simulation code; a
+// panic there (a poisoned sketch, an injected fault, a latent bug) must
+// not kill the daemon or — worse — skip a WaitGroup.Done and deadlock
+// the merge that is waiting on it. Every worker of package shard's
+// fan-outs runs its chunk in Do and hands the error back to the
+// goroutine that started the fan-out.
 package panicsafe
 
 import (

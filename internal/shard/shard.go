@@ -97,24 +97,29 @@ func fork(n, workers int, fn func(w, lo, hi int)) (int, error) {
 	case 1:
 		return 0, run(n, 1, 0, fn)
 	}
+	// Every goroutine runs the one closure below and claims the next
+	// chunk, so a fork allocates the same two objects for any k.
 	var f struct {
-		wg  sync.WaitGroup
-		mu  sync.Mutex
-		w   int
-		err error
+		wg   sync.WaitGroup
+		next atomic.Int32
+		mu   sync.Mutex
+		w    int
+		err  error
 	}
 	f.wg.Add(k)
-	for w := 0; w < k; w++ {
-		go func(w int) {
-			defer f.wg.Done()
-			if err := run(n, k, w, fn); err != nil {
-				f.mu.Lock()
-				if f.err == nil || w < f.w {
-					f.w, f.err = w, err
-				}
-				f.mu.Unlock()
+	work := func() {
+		defer f.wg.Done()
+		w := int(f.next.Add(1)) - 1
+		if err := run(n, k, w, fn); err != nil {
+			f.mu.Lock()
+			if f.err == nil || w < f.w {
+				f.w, f.err = w, err
 			}
-		}(w)
+			f.mu.Unlock()
+		}
+	}
+	for range k {
+		go work()
 	}
 	f.wg.Wait()
 	return f.w, f.err
