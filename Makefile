@@ -27,10 +27,11 @@ test-386:
 # matrix alongside the original four concurrent hot paths; the pluggable
 # model pools (lt, sir, kthresh) shard their sampling across workers
 # through the shared profile-pool kernel, rrset shards ExtendContext
-# into per-worker flat buffers, and shard is the fan-out every one of
-# those loops runs on.
+# into per-worker flat buffers, shard is the fan-out every one of
+# those loops runs on, and freelist hands the cached pools' selection
+# scratch to concurrent queries.
 race:
-	$(GO) test -race ./internal/prr ./internal/diffusion ./internal/engine ./internal/lt ./internal/maxcover ./internal/graph ./internal/model/profile ./internal/model/sir ./internal/model/kthresh ./internal/rrset ./internal/shard
+	$(GO) test -race ./internal/prr ./internal/diffusion ./internal/engine ./internal/lt ./internal/maxcover ./internal/graph ./internal/model/profile ./internal/model/sir ./internal/model/kthresh ./internal/rrset ./internal/shard ./internal/freelist
 
 # lint runs the project's own invariant analyzers (cmd/kboostvet: see
 # internal/analysis) plus staticcheck and govulncheck when they are on

@@ -283,72 +283,74 @@ func validateNodes(g *graph.Graph, nodes []int32, what string) error {
 	return nil
 }
 
+// prepare range-checks seeds and boost and returns opt with its
+// defaults and boost's node mask.
+func prepare(g *graph.Graph, seeds, boost []int32, opt Options) (Options, []bool, error) {
+	if err := validateNodes(g, seeds, "seed"); err != nil {
+		return opt, nil, err
+	}
+	if err := validateNodes(g, boost, "boost"); err != nil {
+		return opt, nil, err
+	}
+	return opt.WithDefaults(), MaskFromSet(g.N(), boost), nil
+}
+
 // EstimateSpread estimates σ_S(B): the expected number of nodes
 // activated when seeding seeds and boosting the nodes in boost (which
 // may be nil for the plain IC spread).
 func EstimateSpread(g *graph.Graph, seeds, boost []int32, opt Options) (float64, error) {
-	if err := validateNodes(g, seeds, "seed"); err != nil {
+	opt, mask, err := prepare(g, seeds, boost, opt)
+	if err != nil {
 		return 0, err
 	}
-	if err := validateNodes(g, boost, "boost"); err != nil {
-		return 0, err
-	}
-	opt = opt.WithDefaults()
-	mask := MaskFromSet(g.N(), boost)
-	total := parallelSum(g, opt, func(sim *Simulator, r *rng.Source) float64 {
-		return float64(sim.SpreadOnce(seeds, mask, r))
-	})
-	return total / float64(opt.Sims), nil
+	return meanOf(g, opt, func(sim *Simulator, _ int, r *rng.Source) int {
+		return sim.SpreadOnce(seeds, mask, r)
+	}), nil
 }
 
 // EstimateBoost estimates Δ_S(B) = σ_S(B) − σ_S(∅) using coupled
 // possible worlds, which gives far lower variance than estimating the
 // two spreads independently.
 func EstimateBoost(g *graph.Graph, seeds, boost []int32, opt Options) (float64, error) {
-	if err := validateNodes(g, seeds, "seed"); err != nil {
+	opt, mask, err := prepare(g, seeds, boost, opt)
+	if err != nil {
 		return 0, err
 	}
-	if err := validateNodes(g, boost, "boost"); err != nil {
-		return 0, err
-	}
-	opt = opt.WithDefaults()
-	mask := MaskFromSet(g.N(), boost)
-	total := parallelSum(g, opt, func(sim *Simulator, r *rng.Source) float64 {
+	return meanOf(g, opt, func(sim *Simulator, _ int, r *rng.Source) int {
 		base, boosted := sim.PairOnce(seeds, mask, r)
-		return float64(boosted - base)
-	})
-	return total / float64(opt.Sims), nil
+		return boosted - base
+	}), nil
 }
 
-// parallelSum runs opt.Sims replicates of one on the chunks of
-// shard.Each, chunk w drawing from the w-th split of the root stream,
-// and returns the sum. opt must have its defaults.
-func parallelSum(g *graph.Graph, opt Options, one func(*Simulator, *rng.Source) float64) float64 {
-	streams := Streams(opt)
-	sums := make([]float64, len(streams))
+// Replicate runs opt.Sims replicates of one on the chunks of
+// shard.Each, each chunk on its own simulator from newSim, and returns
+// the sum of the counts one returns. Replicate i draws from its own
+// stream rng.StreamSeed(opt.Seed, i), so the chunks only decide which
+// worker runs it, and the total is the same for every worker count.
+// Every Monte-Carlo mean and sample vector, IC's and LT's, runs on it.
+// opt must have its defaults.
+func Replicate[S any](opt Options, newSim func() S, one func(sim S, i int, r *rng.Source) int) int64 {
+	sums := make([]int64, opt.Workers)
 	shard.Each(opt.Sims, opt.Workers, func(w, lo, hi int) {
-		sim := NewSimulator(g)
-		var sum float64
+		sim := newSim()
+		var r rng.Source
+		var sum int64
 		for i := lo; i < hi; i++ {
-			sum += one(sim, streams[w])
+			r.ReseedStream(opt.Seed, uint64(i))
+			sum += int64(one(sim, i, &r))
 		}
 		sums[w] = sum
 	})
-	var total float64
+	var total int64
 	for _, v := range sums {
 		total += v
 	}
 	return total
 }
 
-// Streams returns the RNG stream of each of shard.Each's chunks of
-// opt.Sims on opt.Workers, opt having its defaults: chunk w draws from
-// the w-th split of rng.New(opt.Seed).
-func Streams(opt Options) []*rng.Source {
-	root := rng.New(opt.Seed)
-	streams := make([]*rng.Source, opt.Workers)
-	for w := range streams {
-		streams[w] = root.Split()
-	}
-	return streams
+// meanOf is the mean count of opt.Sims IC replicates of one on g (see
+// Replicate).
+func meanOf(g *graph.Graph, opt Options, one func(sim *Simulator, i int, r *rng.Source) int) float64 {
+	total := Replicate(opt, func() *Simulator { return NewSimulator(g) }, one)
+	return float64(total) / float64(opt.Sims)
 }

@@ -238,20 +238,36 @@ func TestDeterminismFixedWorkers(t *testing.T) {
 }
 
 // Different worker counts must agree statistically.
+// Every mean estimator draws simulation i from its own stream, so its
+// answer is bit-identical at every worker count.
 func TestWorkerCountConsistency(t *testing.T) {
 	r := rng.New(32)
 	g := testutil.RandomGraph(r, 30, 60, 0.3)
 	seeds := []int32{0, 1}
-	a, err := EstimateSpread(g, seeds, nil, Options{Sims: 100000, Seed: 42, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	boost := []int32{2, 3}
+	estimators := map[string]func(Options) (float64, error){
+		"EstimateSpread": func(opt Options) (float64, error) {
+			return EstimateSpread(g, seeds, boost, opt)
+		},
+		"EstimateBoost": func(opt Options) (float64, error) {
+			return EstimateBoost(g, seeds, boost, opt)
+		},
+		"EstimateBoostTarget(BoostSenders)": func(opt Options) (float64, error) {
+			return EstimateBoostTarget(g, seeds, boost, BoostSenders, opt)
+		},
 	}
-	b, err := EstimateSpread(g, seeds, nil, Options{Sims: 100000, Seed: 42, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(a-b) > 0.1 {
-		t.Fatalf("worker counts disagree: %v vs %v", a, b)
+	for name, estimate := range estimators {
+		a, err := estimate(Options{Sims: 100000, Seed: 42, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := estimate(Options{Sims: 100000, Seed: 42, Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b {
+			t.Errorf("%s: %v at 1 worker, %v at 4", name, a, b)
+		}
 	}
 }
 

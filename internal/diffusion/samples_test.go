@@ -1,11 +1,9 @@
 package diffusion
 
 import (
-	"math"
 	"testing"
 
 	"github.com/kboost/kboost/internal/rng"
-	"github.com/kboost/kboost/internal/stats"
 	"github.com/kboost/kboost/internal/testutil"
 )
 
@@ -36,41 +34,52 @@ func TestEstimateSamplesWorkerInvariance(t *testing.T) {
 	}
 }
 
-// The sample mean must agree statistically with the mean-only
-// estimators (they share the simulator, not the streams).
+// The mean estimators run on EstimateSamples' loop, so with the same
+// options their answers are exactly the means of its sample vectors:
+// EstimateBoost of the delta vector, and the unboosted EstimateSpread
+// of the spread vector without a boost set.
 func TestEstimateSamplesMatchesEstimateSpread(t *testing.T) {
 	r := rng.New(32)
 	g := testutil.RandomGraph(r, 40, 120, 0.3)
 	seeds := []int32{1, 2}
 	boost := []int32{5, 6}
-	const sims = 20000
-	spread, delta, err := EstimateSamples(g, seeds, boost, Options{Sims: sims, Seed: 9})
+	opt := Options{Sims: 20000, Seed: 9}
+	_, delta, err := EstimateSamples(g, seeds, boost, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, ds := stats.Summarize(spread), stats.Summarize(delta)
-	wantSpread, err := EstimateSpread(g, seeds, boost, Options{Sims: sims, Seed: 10})
+	wantDelta, err := EstimateBoost(g, seeds, boost, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantDelta, err := EstimateBoost(g, seeds, boost, Options{Sims: sims, Seed: 11})
+	if got := mean(delta); got != wantDelta {
+		t.Fatalf("mean of the delta samples %v, EstimateBoost %v", got, wantDelta)
+	}
+	plain, zero, err := EstimateSamples(g, seeds, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(ss.Mean-wantSpread) > 4*ss.CI95()+0.05 {
-		t.Fatalf("sampled spread %v vs %v (CI %v)", ss.Mean, wantSpread, ss.CI95())
+	wantPlain, err := EstimateSpread(g, seeds, nil, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if math.Abs(ds.Mean-wantDelta) > 4*ds.CI95()+0.05 {
-		t.Fatalf("sampled delta %v vs %v (CI %v)", ds.Mean, wantDelta, ds.CI95())
+	if got := mean(plain); got != wantPlain {
+		t.Fatalf("mean of the unboosted spread samples %v, EstimateSpread %v", got, wantPlain)
 	}
 	// Without a boost set the delta vector is identically zero.
-	_, zero, err := EstimateSamples(g, seeds, nil, Options{Sims: 50, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i, d := range zero {
 		if d != 0 {
 			t.Fatalf("delta[%d] = %v without boost set", i, d)
 		}
 	}
+}
+
+// mean sums xs in index order and divides by its length: exact for
+// integer-valued samples whose sum stays below 2^53.
+func mean(xs []float64) float64 {
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
 }

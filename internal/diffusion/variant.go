@@ -60,22 +60,19 @@ func (s *Simulator) SpreadOnceTarget(seeds []int32, boost []bool, target BoostTa
 
 // EstimateSpreadTarget estimates σ_S(B) under the chosen boost variant.
 func EstimateSpreadTarget(g *graph.Graph, seeds, boost []int32, target BoostTarget, opt Options) (float64, error) {
-	if err := validateNodes(g, seeds, "seed"); err != nil {
+	opt, mask, err := prepare(g, seeds, boost, opt)
+	if err != nil {
 		return 0, err
 	}
-	if err := validateNodes(g, boost, "boost"); err != nil {
-		return 0, err
-	}
-	opt = opt.WithDefaults()
-	mask := MaskFromSet(g.N(), boost)
-	total := parallelSum(g, opt, func(sim *Simulator, r *rng.Source) float64 {
-		return float64(sim.SpreadOnceTarget(seeds, mask, target, r))
-	})
-	return total / float64(opt.Sims), nil
+	return meanOf(g, opt, func(sim *Simulator, _ int, r *rng.Source) int {
+		return sim.SpreadOnceTarget(seeds, mask, target, r)
+	}), nil
 }
 
-// EstimateBoostTarget estimates Δ_S(B) under the chosen boost variant
-// by differencing spread estimates that share RNG streams.
+// EstimateBoostTarget estimates Δ_S(B) under the chosen boost variant.
+// BoostReceivers is EstimateBoost; otherwise it differences two spread
+// estimates whose replicate i both draw from rng.StreamSeed(opt.Seed, i)
+// (common random numbers).
 func EstimateBoostTarget(g *graph.Graph, seeds, boost []int32, target BoostTarget, opt Options) (float64, error) {
 	if target == BoostReceivers {
 		return EstimateBoost(g, seeds, boost, opt)

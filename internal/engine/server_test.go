@@ -373,3 +373,38 @@ func TestStatsJSONKeys(t *testing.T) {
 		t.Errorf("re-encoded stats differ from the body:\n got %s\nwant %s", again.Bytes(), body)
 	}
 }
+
+// TestAnswersIndependentOfWorkers: a knobless ic estimate (tier 2) and
+// a seed selection draw replicate i from their own stream, so the
+// worker budget only spends CPU: the answers are bit-identical at 1
+// and 3 workers, and a host's core count cannot change them.
+func TestAnswersIndependentOfWorkers(t *testing.T) {
+	e := newTestEngine(t, Options{})
+	srv := httptest.NewServer(NewServer(e, ServerOptions{MaxWorkers: 4}))
+	t.Cleanup(srv.Close)
+	for _, c := range []struct{ path, body string }{
+		{"/v1/estimate", `{"graph":"g","seeds":[0,20],"boost":[7,33],"sims":2000,"seed":3,"workers":%d}`},
+		{"/v1/seeds", `{"graph":"g","k":3,"seed":5,"max_samples":2000,"workers":%d}`},
+	} {
+		var bodies [2]string
+		for i, workers := range []int{1, 3} {
+			resp, err := http.Post(srv.URL+c.path, "application/json",
+				strings.NewReader(fmt.Sprintf(c.body, workers)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s at %d workers: status %d, body %s", c.path, workers, resp.StatusCode, raw)
+			}
+			bodies[i] = string(raw)
+		}
+		if bodies[0] != bodies[1] {
+			t.Errorf("%s: %s at 1 worker, %s at 3", c.path, bodies[0], bodies[1])
+		}
+	}
+}

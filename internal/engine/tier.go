@@ -383,7 +383,12 @@ func (e *Engine) calibrate(ctx context.Context, spec *modeSpec, req EstimateRequ
 	}
 	// Tier 1's profile also folds in its own CI half-width: a pass that
 	// happened to land near the exact answer must not understate the
-	// tier's intrinsic sampling noise.
+	// tier's intrinsic sampling noise. Under ic that floor is what keeps
+	// the probe honest: every sampler draws world i from
+	// StreamSeed(req.Seed, i), so tier 1's tier1Sims worlds are the
+	// first tier1Sims worlds of the same-seed tier-2 Δ̂, and the two
+	// answers share part of their noise, so their gap alone reads
+	// optimistic.
 	err1 := relErrVs(r1, out, boosted)
 	if ciErr := r1.CI.Half / refScale(out, boosted); ciErr > err1 {
 		err1 = ciErr

@@ -29,7 +29,6 @@ import (
 	"github.com/kboost/kboost/internal/graph"
 	"github.com/kboost/kboost/internal/model/profile"
 	"github.com/kboost/kboost/internal/rng"
-	"github.com/kboost/kboost/internal/shard"
 )
 
 // mcSims counts Monte-Carlo simulations launched through EstimateSpread
@@ -193,36 +192,40 @@ func (s *Simulator) SpreadOnce(seeds []int32, boost []bool, r *rng.Source) int {
 // defaults.
 type Options = diffusion.Options
 
-// EstimateSpread estimates the expected boosted-LT spread.
-func EstimateSpread(g *graph.Graph, seeds, boost []int32, opt Options) (float64, error) {
+// prepare range-checks seeds and boost and returns opt with its
+// defaults and boost's node mask.
+func prepare(g *graph.Graph, seeds, boost []int32, opt Options) (Options, []bool, error) {
 	for _, v := range append(append([]int32(nil), seeds...), boost...) {
 		if v < 0 || int(v) >= g.N() {
-			return 0, fmt.Errorf("lt: node %d out of range [0,%d)", v, g.N())
+			return opt, nil, fmt.Errorf("lt: node %d out of range [0,%d)", v, g.N())
 		}
 	}
-	opt = opt.WithDefaults()
-	m := New(g)
-	mask := diffusion.MaskFromSet(g.N(), boost)
-	streams := diffusion.Streams(opt)
-	sums := make([]float64, len(streams))
-	shard.Each(opt.Sims, opt.Workers, func(w, lo, hi int) {
-		sim := NewSimulator(m)
-		var sum float64
-		for i := lo; i < hi; i++ {
-			sum += float64(sim.SpreadOnce(seeds, mask, streams[w]))
-		}
-		sums[w] = sum
-	})
-	mcSims.Add(int64(opt.Sims))
-	var total float64
-	for _, s := range sums {
-		total += s
-	}
-	return total / float64(opt.Sims), nil
+	return opt.WithDefaults(), diffusion.MaskFromSet(g.N(), boost), nil
 }
 
-// EstimateBoost estimates the LT boost Δ_S(B) by differencing spreads
-// estimated with common random seeds.
+// EstimateSpread estimates the expected boosted-LT spread.
+func EstimateSpread(g *graph.Graph, seeds, boost []int32, opt Options) (float64, error) {
+	opt, mask, err := prepare(g, seeds, boost, opt)
+	if err != nil {
+		return 0, err
+	}
+	total := replicate(New(g), opt, func(sim *Simulator, _ int, r *rng.Source) int {
+		return sim.SpreadOnce(seeds, mask, r)
+	})
+	return float64(total) / float64(opt.Sims), nil
+}
+
+// replicate runs opt.Sims boosted-LT replicates of one on m through
+// diffusion.Replicate (replicate i draws from rng.StreamSeed(opt.Seed,
+// i)) and returns the sum of the counts one returns.
+func replicate(m *Model, opt Options, one func(sim *Simulator, i int, r *rng.Source) int) int64 {
+	mcSims.Add(int64(opt.Sims))
+	return diffusion.Replicate(opt, func() *Simulator { return NewSimulator(m) }, one)
+}
+
+// EstimateBoost estimates the LT boost Δ_S(B) by differencing two
+// spread estimates whose replicate i both draw from
+// rng.StreamSeed(opt.Seed, i) (common random numbers).
 func EstimateBoost(g *graph.Graph, seeds, boost []int32, opt Options) (float64, error) {
 	withB, err := EstimateSpread(g, seeds, boost, opt)
 	if err != nil {

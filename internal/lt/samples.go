@@ -1,53 +1,39 @@
 package lt
 
 import (
-	"fmt"
-
-	"github.com/kboost/kboost/internal/diffusion"
 	"github.com/kboost/kboost/internal/graph"
 	"github.com/kboost/kboost/internal/rng"
-	"github.com/kboost/kboost/internal/shard"
 )
 
 // EstimateSamples runs opt.Sims boosted-LT replicates and returns the
 // per-simulation boosted spread and boost delta samples (delta is all
-// zeros when boost is empty). Each simulation draws from its own
-// stateless stream rng.StreamSeed(opt.Seed, simIndex) — reseeding the
-// stream between the boosted and base runs of one replicate, the same
-// common-random-numbers coupling EstimateBoost uses — so the returned
-// vectors are bit-identical for every worker count. This is the
+// zeros when boost is empty). It runs on EstimateSpread's loop, so
+// replicate i draws from the stream rng.StreamSeed(opt.Seed, i), and
+// with a boost set it reseeds that stream for the base run, the same
+// common-random-numbers coupling EstimateBoost uses. The returned
+// vectors are therefore bit-identical for every worker count, and
+// spread's mean is exactly EstimateSpread's answer. This is the
 // engine's tier-1 estimator for mode "lt"; the sample vectors feed
 // stats.Summarize for confidence intervals.
 func EstimateSamples(g *graph.Graph, seeds, boost []int32, opt Options) (spread, delta []float64, err error) {
-	for _, v := range append(append([]int32(nil), seeds...), boost...) {
-		if v < 0 || int(v) >= g.N() {
-			return nil, nil, fmt.Errorf("lt: node %d out of range [0,%d)", v, g.N())
-		}
+	opt, mask, err := prepare(g, seeds, boost, opt)
+	if err != nil {
+		return nil, nil, err
 	}
-	opt = opt.WithDefaults()
-	m := New(g)
-	mask := diffusion.MaskFromSet(g.N(), boost)
 	spread = make([]float64, opt.Sims)
 	delta = make([]float64, opt.Sims)
 	pair := len(boost) > 0
-
-	shard.Each(opt.Sims, opt.Workers, func(_, lo, hi int) {
-		sim := NewSimulator(m)
-		var r rng.Source
-		for i := lo; i < hi; i++ {
+	replicate(New(g), opt, func(sim *Simulator, i int, r *rng.Source) int {
+		boosted := sim.SpreadOnce(seeds, mask, r)
+		spread[i] = float64(boosted)
+		if pair {
 			r.ReseedStream(opt.Seed, uint64(i))
-			boosted := float64(sim.SpreadOnce(seeds, mask, &r))
-			spread[i] = boosted
-			if pair {
-				r.ReseedStream(opt.Seed, uint64(i))
-				delta[i] = boosted - float64(sim.SpreadOnce(seeds, nil, &r))
-			}
+			delta[i] = float64(boosted - sim.SpreadOnce(seeds, nil, r))
 		}
+		return 0
 	})
-	launched := int64(opt.Sims)
 	if pair {
-		launched *= 2
+		mcSims.Add(int64(opt.Sims))
 	}
-	mcSims.Add(launched)
 	return spread, delta, nil
 }

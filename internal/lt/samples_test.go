@@ -58,3 +58,30 @@ func TestEstimateSamplesMatchesEstimateSpread(t *testing.T) {
 		t.Fatalf("sampled delta %v vs %v (CI %v)", ds.Mean, wantDelta, ds.CI95())
 	}
 }
+
+// EstimateSpread runs on EstimateSamples' loop, so with the same options
+// it is exactly the mean of the spread samples, at any worker count.
+func TestEstimateSpreadIsSampleMean(t *testing.T) {
+	r := rng.New(43)
+	g := testutil.RandomGraph(r, 40, 120, 0.3)
+	seeds := []int32{1, 2}
+	boost := []int32{5, 6}
+	spread, _, err := EstimateSamples(g, seeds, boost, Options{Sims: 5000, Seed: 9, Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum float64
+	for _, x := range spread {
+		sum += x
+	}
+	want := sum / float64(len(spread))
+	for _, workers := range []int{1, 2, 7} {
+		got, err := EstimateSpread(g, seeds, boost, Options{Sims: 5000, Seed: 9, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("workers %d: EstimateSpread %v, mean of the spread samples %v", workers, got, want)
+		}
+	}
+}

@@ -4,14 +4,15 @@
 // The generator is xoshiro256** seeded through splitmix64. It is not
 // cryptographically secure; it is chosen for speed, quality, and — most
 // importantly — reproducibility: every algorithm in this repository takes
-// an explicit seed, and parallel workers derive independent streams with
-// Split, so a fixed (seed, workers) pair always yields identical results.
+// an explicit seed, and its i-th replicate (a simulation, an RR set, a
+// PRR sketch) draws from the stateless stream StreamSeed(seed, i), so
+// its results do not depend on the worker count.
 package rng
 
 import "math"
 
 // Source is a deterministic pseudo-random source. It is NOT safe for
-// concurrent use; derive one Source per goroutine with Split.
+// concurrent use; give each goroutine its own Source.
 type Source struct {
 	s0, s1, s2, s3 uint64
 }
@@ -90,17 +91,11 @@ func (r *Source) SetState(s0, s1, s2, s3 uint64) { r.s0, r.s1, r.s2, r.s3 = s0, 
 // Unit of one Uint64 draw.
 func Unit(x uint64) float64 { return float64(x>>11) * (1.0 / (1 << 53)) }
 
-// Split derives a new Source whose stream is statistically independent of
-// the receiver's. The receiver advances by one output.
-func (r *Source) Split() *Source {
-	return New(r.Uint64())
-}
-
 // StreamSeed derives the seed of the index-th stream of base: a
 // stateless hash of (base, index), so stream i can be (re)constructed
 // without drawing streams 0..i-1 first. Sequentially indexed streams
-// are as independent as Split streams — both reduce to seeding xoshiro
-// from splitmix64 outputs of well-separated states.
+// are independent: each seeds xoshiro from splitmix64 outputs of
+// well-separated states.
 func StreamSeed(base, index uint64) uint64 {
 	state := base
 	mixed := splitmix64(&state)

@@ -44,21 +44,6 @@ func TestReseedRestartsStream(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := New(5)
-	c1 := parent.Split()
-	c2 := parent.Split()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if c1.Uint64() == c2.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("split streams matched %d/100 outputs", same)
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	r := New(3)
 	for i := 0; i < 10000; i++ {

@@ -13,16 +13,19 @@ import (
 
 // goldenRR pins sha256 digests of an RR-set pool's coverage contents,
 // its selections, SelectSeeds and SelectMarginalSeeds, and a Generate
-// run on one stream, keyed by worker count (each worker samples from
-// its own split stream, so the pool depends on the partition). The
-// digests were recorded once and must never be edited: they anchor the
-// sampler's exact draw sequence, which a rewrite of the per-edge loop
-// must keep. The graph mixes in p = 0 and p = 1 edges, on which
-// Bernoulli draws nothing.
+// run on one stream. The pool draws set j from rng.StreamSeed(seed, j),
+// so its lines are the same at every worker count; the digests are
+// keyed by worker count only because the closing Generate run draws
+// from rng.New(workers). The digests were re-pinned once, when the pool
+// moved from per-worker split streams to one stream per set (the pool
+// lines changed, the rr lines did not), and must otherwise never be
+// edited: they anchor the sampler's exact draw sequence, which a
+// rewrite of the per-edge loop must keep. The graph mixes in p = 0 and
+// p = 1 edges, on which Bernoulli draws nothing.
 var goldenRR = map[int]string{
-	1: "d7db87ff5974be51f7ad0519b2c2db162c85575a260ea29016c4389388bc3301",
-	2: "313d16d71c5fd664be5457cecd2db28ec228b34d18564c4072fca4a1aa856cbc",
-	7: "6cebbd0396d4306213b0b18b426b5f32e963b3da3765d6f207e05191440f5e3c",
+	1: "7ca620e093f95c48845c41e1264e68fe37237193662ea5558a51d784dc210276",
+	2: "4c6d51bfa724a189ebab4b062c424a9fa93cc33b1b059f43d5e2153446e4fd37",
+	7: "f4fff234c91bfd2048fec6f36f70e05ae9187be8a5298646a05f60acdcaf7d0b",
 }
 
 // goldenRRTranscript builds and queries one pool and returns its text

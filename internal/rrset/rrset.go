@@ -32,15 +32,17 @@ type Pool struct {
 	banned  []bool  // nodes that may not be selected
 	pre     []int32 // nodes whose coverage is considered "already achieved"
 	workers int
-	streams []*rng.Source
+	seed    uint64
 	scratch []*walker
 }
 
-// walker holds per-worker BFS state and the worker's output for one
-// Extend: its RR-sets back to back in items, set i ending at ends[i].
+// walker holds per-worker BFS state, the stream the worker reseeds for
+// each set, and the worker's output for one Extend: its RR-sets back
+// to back in items, set i ending at ends[i].
 type walker struct {
 	mark  []int32
 	epoch int32 // kboost:epoch
+	r     rng.Source
 	items []int32
 	ends  []int32
 }
@@ -65,14 +67,13 @@ func NewPool(g *graph.Graph, seed uint64, workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	root := rng.New(seed)
 	p := &Pool{
 		g:       g,
 		cov:     maxcover.New(g.N()),
 		workers: workers,
+		seed:    seed,
 	}
 	for w := 0; w < workers; w++ {
-		p.streams = append(p.streams, root.Split())
 		p.scratch = append(p.scratch, newWalker(g.N()))
 	}
 	return p
@@ -98,13 +99,17 @@ func (p *Pool) PreCover(nodes []int32) {
 // Size returns the number of RR-sets generated.
 func (p *Pool) Size() int { return p.cov.NumSets() }
 
+// Set returns the deduplicated items of the RR-set with index j; the
+// result aliases the pool's storage (kboost:aliased-view).
+func (p *Pool) Set(j int) []int32 { return p.cov.Set(j) }
+
 // ExtendContext grows the pool to at least target RR-sets through
-// shard.Build, worker w drawing from its own split stream: on any error
-// no batch is merged and the error is returned. Unlike the cached pool
-// families, an aborted rrset Extend does not roll back its worker
-// streams — rrset pools are per-request and are discarded wholesale on
-// failure, so a retry reconstructs the pool from its seed and remains
-// bit-identical.
+// shard.Build. The set with global index j draws its root and its
+// edges from the stream rng.StreamSeed(seed, j), and the workers'
+// batches merge in index order, so the pool's sets do not depend on
+// the worker count or on how its growth was split across calls. On
+// any error no batch is merged and the error is returned: the pool is
+// left as it was.
 func (p *Pool) ExtendContext(ctx context.Context, target int) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -116,9 +121,11 @@ func (p *Pool) ExtendContext(ctx context.Context, target int) error {
 	for _, wk := range p.scratch {
 		wk.items, wk.ends = wk.items[:0], wk.ends[:0]
 	}
-	err := shard.Build(ctx, need, p.workers, func(w, _ int) {
-		r, wk := p.streams[w], p.scratch[w]
-		wk.items = generate(p.g, int32(r.Intn(p.g.N())), wk, wk.items, r)
+	start := p.Size()
+	err := shard.Build(ctx, need, p.workers, func(w, i int) {
+		wk := p.scratch[w]
+		wk.r.ReseedStream(p.seed, uint64(start+i))
+		wk.items = generate(p.g, int32(wk.r.Intn(p.g.N())), wk, wk.items, &wk.r)
 		wk.ends = append(wk.ends, int32(len(wk.items)))
 	})
 	if err != nil {

@@ -3,10 +3,10 @@
 // builders runs through Each or Build, so they share one split rule:
 // n items on workers workers make k = min(n, workers) contiguous,
 // ascending chunks, and chunk w holds n/k items, plus one when
-// w < n%k. The split-stream estimators (diffusion's and lt's
-// Monte-Carlo means, rrset) draw chunk w from the w-th split of one
-// root stream, so their answers depend on this rule; every other
-// caller's answer is the same for every split.
+// w < n%k. The rule only decides which worker fills which slot: every
+// sampler fixes item i's randomness by i alone (the stream
+// rng.StreamSeed(seed, i), or a profile seed drawn before the fan-out),
+// so no caller's answer depends on the worker count or on this rule.
 package shard
 
 import (

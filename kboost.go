@@ -42,7 +42,7 @@
 //	fmt.Printf("boosting %d users raises the spread by %.1f\n", 50, boost)
 //
 // All randomized components take explicit seeds and are deterministic
-// for a fixed (seed, workers) pair.
+// for a fixed seed: the worker count only budgets CPU.
 //
 // # Serving repeated queries: the Engine
 //
@@ -56,8 +56,8 @@
 // concurrent identical queries, and grows a cached pool in place when a
 // later query needs more samples. Pool growth itself is sharded: each
 // worker samples into a private arena, merged in deterministic worker
-// order, so a pool's contents are bit-identical for any fixed
-// (seed, workers) pair regardless of scheduling. Warm selection is
+// order, so a pool's contents are bit-identical for a fixed seed at any
+// worker count, regardless of scheduling. Warm selection is
 // incremental too: each pool maintains a persistent Δ̂ selection index,
 // concurrent warm queries on one pool select in parallel, and a
 // per-pool result cache keyed by (pool generation, k) lets an identical

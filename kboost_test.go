@@ -46,15 +46,19 @@ func TestPublicPipeline(t *testing.T) {
 
 // TestLTPoolMethodSet pins the exported method set of the LTPool
 // facade, so internal restructuring of the LT pool cannot silently add
-// or drop public API.
+// or drop public API. lt.Pool embeds the profile-pool kernel, as the
+// SIR and k-threshold pools do, so the set is the kernel's methods
+// plus lt's Extend, GreedyBoost, GreedyBoostAmong, Norms and Repair.
 func TestLTPoolMethodSet(t *testing.T) {
 	typ := reflect.TypeOf(&LTPool{})
 	var got []string
 	for i := 0; i < typ.NumMethod(); i++ {
 		got = append(got, typ.Method(i).Name)
 	}
-	want := "[BaseSpread Estimate EstimateBoost EstimateSpread Extend ExtendContext Generation Graph GreedyBoost " +
-		"GreedyBoostAmong GreedyBoostAmongContext GreedyBoostContext MemoryEstimate Norms NumProfiles Repair Seeds]"
+	want := "[BaseSpread BaseSum Cascade CheckSelect Eligible Estimate EstimateBoost EstimateSpread Extend " +
+		"ExtendContext FrontierProfiles Generation Graph GreedyBoost GreedyBoostAmong GreedyBoostAmongContext " +
+		"GreedyBoostContext MemoryEstimate Norms NumProfiles Profile ProfileGains PutScratch Repair Resample " +
+		"Scratch SeedMask Seeds Workers]"
 	if fmt.Sprint(got) != want {
 		t.Fatalf("LTPool methods %v, want %s", got, want)
 	}
