@@ -1,7 +1,7 @@
 // Package detrand flags sources of nondeterminism inside the
 // determinism-critical packages: every sampling component of this
-// repository promises bit-identical results for a fixed (seed, workers)
-// pair, a guarantee that a single stray global math/rand call,
+// repository promises bit-identical results for a fixed seed at any
+// worker count, a guarantee that a single stray global math/rand call,
 // wall-clock read, or map-iteration-ordered result silently destroys.
 //
 // Three bug classes are reported:
@@ -32,8 +32,8 @@ import (
 )
 
 // DefaultScope lists the module-relative packages whose code must be
-// deterministic for a fixed (seed, workers) pair. To put a new package
-// under detrand (for example a new diffusion model), add its
+// deterministic for a fixed seed at any worker count. To put a new
+// package under detrand (for example a new diffusion model), add its
 // module-relative import path here; kboostvet and the self-clean test
 // pick the change up automatically.
 var DefaultScope = []string{

@@ -13,8 +13,8 @@ func TestDetrand(t *testing.T) {
 
 func TestInScope(t *testing.T) {
 	// Every pooled model promises bit-identical results for a fixed
-	// (seed, workers), as do the kernel they share, the rrset sampler
-	// and the fan-out that splits their work.
+	// seed at any worker count, as do the kernel they share, the rrset
+	// sampler and the fan-out that splits their work.
 	for _, rel := range []string{"internal/lt", "internal/model/profile", "internal/model/sir", "internal/model/kthresh", "internal/rrset", "internal/shard"} {
 		if !detrand.InScope(rel) {
 			t.Errorf("InScope(%q) = false, want true", rel)

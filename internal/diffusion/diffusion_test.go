@@ -218,7 +218,7 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-// Results must be identical for a fixed (seed, workers) pair.
+// Results must be identical for a fixed seed and worker count.
 func TestDeterminismFixedWorkers(t *testing.T) {
 	r := rng.New(31)
 	g := testutil.RandomGraph(r, 30, 60, 0.3)
@@ -237,7 +237,6 @@ func TestDeterminismFixedWorkers(t *testing.T) {
 	}
 }
 
-// Different worker counts must agree statistically.
 // Every mean estimator draws simulation i from its own stream, so its
 // answer is bit-identical at every worker count.
 func TestWorkerCountConsistency(t *testing.T) {

@@ -7,8 +7,8 @@ import (
 
 // EstimateSamples runs opt.Sims coupled boosted-IC replicates and
 // returns the per-simulation boosted spread and boost delta samples
-// (delta is all zeros when boost is empty). It runs on the loop of the
-// mean estimators, so replicate i draws from the stream
+// (delta is all zeros when boost is empty). It runs on Replicate, the
+// loop of the mean estimators, so replicate i draws from the stream
 // rng.StreamSeed(opt.Seed, i) and the returned vectors are
 // bit-identical for every worker count; with a boost set, delta's mean
 // is exactly EstimateBoost's answer. This is the engine's tier-1
@@ -22,7 +22,7 @@ func EstimateSamples(g *graph.Graph, seeds, boost []int32, opt Options) (spread,
 	spread = make([]float64, opt.Sims)
 	delta = make([]float64, opt.Sims)
 	pair := len(boost) > 0
-	meanOf(g, opt, func(sim *Simulator, i int, r *rng.Source) int {
+	Replicate(opt, func() *Simulator { return NewSimulator(g) }, func(sim *Simulator, i int, r *rng.Source) int {
 		if pair {
 			base, boosted := sim.PairOnce(seeds, mask, r)
 			spread[i] = float64(boosted)

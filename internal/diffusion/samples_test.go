@@ -1,9 +1,11 @@
 package diffusion
 
 import (
+	"math"
 	"testing"
 
 	"github.com/kboost/kboost/internal/rng"
+	"github.com/kboost/kboost/internal/stats"
 	"github.com/kboost/kboost/internal/testutil"
 )
 
@@ -37,16 +39,26 @@ func TestEstimateSamplesWorkerInvariance(t *testing.T) {
 // The mean estimators run on EstimateSamples' loop, so with the same
 // options their answers are exactly the means of its sample vectors:
 // EstimateBoost of the delta vector, and the unboosted EstimateSpread
-// of the spread vector without a boost set.
+// of the spread vector without a boost set. With a boost set the spread
+// vector comes from PairOnce and EstimateSpread from SpreadOnce, which
+// consume their streams differently, so those two agree statistically.
 func TestEstimateSamplesMatchesEstimateSpread(t *testing.T) {
 	r := rng.New(32)
 	g := testutil.RandomGraph(r, 40, 120, 0.3)
 	seeds := []int32{1, 2}
 	boost := []int32{5, 6}
 	opt := Options{Sims: 20000, Seed: 9}
-	_, delta, err := EstimateSamples(g, seeds, boost, opt)
+	spread, delta, err := EstimateSamples(g, seeds, boost, opt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	ss := stats.Summarize(spread)
+	wantSpread, err := EstimateSpread(g, seeds, boost, Options{Sims: opt.Sims, Seed: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(ss.Mean-wantSpread) > 4*ss.CI95()+0.05 {
+		t.Fatalf("sampled spread %v vs %v (CI %v)", ss.Mean, wantSpread, ss.CI95())
 	}
 	wantDelta, err := EstimateBoost(g, seeds, boost, opt)
 	if err != nil {

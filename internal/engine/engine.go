@@ -85,10 +85,10 @@ type Options struct {
 	// even when it alone exceeds the budget.
 	MaxPoolBytes int64
 	// Workers is the worker budget used for pool construction and for
-	// requests that do not set their own (default GOMAXPROCS). A pool's
-	// worker count is fixed at construction — per-worker RNG streams
-	// make sampling deterministic for a fixed (seed, workers) pair — so
-	// this, not the per-request budget, governs cached pools.
+	// requests that do not set their own (default GOMAXPROCS). Results
+	// depend on the seed alone; the worker count only budgets CPU. A
+	// cached pool keeps the worker count it was built with, so this,
+	// not the per-request budget, governs the CPU its growth uses.
 	Workers int
 	// RepairFallbackFraction is the touched-cost threshold for graph
 	// patches (RepairGraph): a cached pool whose touched share of total

@@ -35,12 +35,12 @@ var goldenLT = map[uint64]string{
 func dumpPool(p *Pool) string {
 	var b strings.Builder
 	for pi := 0; pi < p.NumProfiles(); pi++ {
-		pr := p.Profile(pi)
+		pr := p.kernel.Profile(pi)
 		fmt.Fprintf(&b, "profile %d seed %d\n active %v\n front %v\n frontW %v\n",
 			pi, pr.Seed, pr.Active, pr.Front, pr.Pay)
 	}
 	for v := int32(0); int(v) < p.Graph().N(); v++ {
-		fmt.Fprintf(&b, "idx %d %v\n", v, p.FrontierProfiles(v))
+		fmt.Fprintf(&b, "idx %d %v\n", v, p.kernel.FrontierProfiles(v))
 	}
 	return b.String()
 }

@@ -46,25 +46,24 @@ import (
 )
 
 // Pool is a growable collection of boosted-LT threshold profiles for a
-// fixed (graph, seed set): the kernel's profile.Pool over LT dynamics.
-// Profiles are independent of the boost budget k, so one pool serves
-// every query against its seed set. Mutation (Extend, Repair) must be
-// externally serialized against everything else; estimation and
-// selection only read the pool and may run concurrently with each
-// other.
+// fixed (graph, seed set). Profiles are independent of the boost budget
+// k, so one pool serves every query against its seed set. Mutation
+// (Extend, Repair) must be externally serialized against everything
+// else; estimation and selection only read the pool and may run
+// concurrently with each other.
 type Pool struct {
-	*profile.Pool[float64, *evalScratch]
+	kernel *profile.Pool[float64, *evalScratch]
 }
 
 // NewPool creates an empty pool for (g, seeds). seed determines every
 // profile the pool will ever contain; workers <= 0 means GOMAXPROCS.
-// Unlike PRR pools, pool contents do not depend on workers.
+// Pool contents do not depend on workers.
 func NewPool(g *graph.Graph, seeds []int32, seed uint64, workers int) (*Pool, error) {
 	k, err := profile.New("lt", g, seeds, seed, workers, newCascade(g))
 	if err != nil {
 		return nil, err
 	}
-	return &Pool{k}, nil
+	return &Pool{kernel: k}, nil
 }
 
 // newCascade returns the constructor of the boosted-LT dynamics on g.
@@ -80,15 +79,65 @@ func newCascade(g *graph.Graph) func([]int32) profile.Cascade[float64, *evalScra
 func (p *Pool) Norms() []float64 { return p.dynamics().m.Norms() }
 
 // dynamics returns the boosted-LT cascade on the pool's current graph.
-func (p *Pool) dynamics() *cascade { return p.Cascade().(*cascade) }
+func (p *Pool) dynamics() *cascade { return p.kernel.Cascade().(*cascade) }
+
+// NumProfiles returns the number of sampled threshold profiles.
+func (p *Pool) NumProfiles() int { return p.kernel.NumProfiles() }
+
+// Graph returns the influence graph the pool samples from.
+func (p *Pool) Graph() *graph.Graph { return p.kernel.Graph() }
+
+// Seeds returns the pool's (sorted, deduplicated) seed set. The slice
+// is owned by the pool (kboost:aliased-view); callers must not modify
+// it.
+func (p *Pool) Seeds() []int32 { return p.kernel.Seeds() }
+
+// Generation identifies the pool's contents: it increments on every
+// Extend call that adds profiles and on every Repair.
+func (p *Pool) Generation() uint64 { return p.kernel.Generation() }
+
+// BaseSpread returns the pooled estimate of the unboosted LT spread
+// σ̂(∅), cached from the base fixed points.
+func (p *Pool) BaseSpread() float64 { return p.kernel.BaseSpread() }
+
+// MemoryEstimate returns the pool's resident bytes: the flat profile
+// state (active and frontier CSRs, frontier weights), the inverted
+// index with its offsets, the profile seeds and the estimates' idle
+// scratch, counted by capacity (see profile.Pool.MemoryEstimate).
+func (p *Pool) MemoryEstimate() int64 { return p.kernel.MemoryEstimate() }
 
 // Extend grows the pool to at least target profiles (see
-// profile.Pool.ExtendContext).
+// ExtendContext).
 func (p *Pool) Extend(target int) {
 	// Without a cancelable ctx or armed faults the context variant
 	// cannot fail.
 	_ = p.ExtendContext(context.Background(), target)
 }
+
+// ExtendContext grows the pool to at least target profiles with
+// cooperative cancellation and shard-worker panic containment; on error
+// the pool is left exactly as it was (see profile.Pool.ExtendContext).
+func (p *Pool) ExtendContext(ctx context.Context, target int) error {
+	return p.kernel.ExtendContext(ctx, target)
+}
+
+// Estimate returns the pooled estimates of the boosted-LT spread σ̂(B)
+// and of the LT boost Δ̂_S(B) = σ̂(B) − σ̂(∅), both from one incremental
+// evaluation of boost from the cached base fixed points. It is
+// deterministic for a fixed pool generation, bit-exact across worker
+// counts, and shares its possible worlds with every other estimate from
+// the same pool (common random numbers), so Δ̂ is coupled, exactly zero
+// for an empty or ineffective boost set, and bit-identical to the
+// estimate GreedyBoost reports for the same boost set.
+func (p *Pool) Estimate(boost []int32) (spread, delta float64, err error) {
+	return p.kernel.Estimate(boost)
+}
+
+// EstimateSpread returns Estimate's σ̂(B).
+func (p *Pool) EstimateSpread(boost []int32) (float64, error) { return p.kernel.EstimateSpread(boost) }
+
+// EstimateBoost returns Estimate's Δ̂_S(B).
+func (p *Pool) EstimateBoost(boost []int32) (float64, error) { return p.kernel.EstimateBoost(boost) }
 
 // GreedyBoost greedily selects up to k boost nodes maximizing the
 // pooled LT boost estimate over the candidate pool (see
@@ -105,6 +154,12 @@ func (p *Pool) GreedyBoost(k, candCap int) ([]int32, float64, error) {
 	return p.GreedyBoostContext(context.Background(), k, candCap)
 }
 
+// GreedyBoostContext is GreedyBoost with cooperative cancellation: ctx
+// is polled once per profile evaluation pass.
+func (p *Pool) GreedyBoostContext(ctx context.Context, k, candCap int) ([]int32, float64, error) {
+	return p.kernel.GreedyBoostContext(ctx, k, candCap)
+}
+
 // GreedyBoostAmong is GreedyBoost over an explicit candidate list
 // instead of the in-weight-ranked default pool: only listed non-seed
 // nodes may be picked. Callers (the engine's tier-0 pre-filter) supply
@@ -112,6 +167,12 @@ func (p *Pool) GreedyBoost(k, candCap int) ([]int32, float64, error) {
 // seeds are ignored.
 func (p *Pool) GreedyBoostAmong(k int, cands []int32) ([]int32, float64, error) {
 	return p.GreedyBoostAmongContext(context.Background(), k, cands)
+}
+
+// GreedyBoostAmongContext is GreedyBoostAmong with cooperative
+// cancellation (see GreedyBoostContext).
+func (p *Pool) GreedyBoostAmongContext(ctx context.Context, k int, cands []int32) ([]int32, float64, error) {
+	return p.kernel.GreedyBoostAmongContext(ctx, k, cands)
 }
 
 // cascade is boosted-LT diffusion on one graph and seed set.

@@ -88,7 +88,7 @@ func TestGreedyBoostAmongMatchesDefault(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cands := profile.Candidates(g, pool.SeedMask(), k, candCap)
+		cands := profile.Candidates(g, pool.kernel.SeedMask(), k, candCap)
 		// Polluted copy: seeds and junk ids must be filtered out.
 		dirty := append(append([]int32{seeds[0], -1, int32(n) + 7}, cands...), seeds[0])
 		got, gotEst, err := pool.GreedyBoostAmong(k, dirty)
@@ -99,7 +99,7 @@ func TestGreedyBoostAmongMatchesDefault(t *testing.T) {
 			t.Fatalf("trial %d: among %v/%v != default %v/%v", trial, got, gotEst, want, wantEst)
 		}
 		for _, v := range got {
-			if pool.SeedMask()[v] {
+			if pool.kernel.SeedMask()[v] {
 				t.Fatalf("trial %d: picked seed %d", trial, v)
 			}
 		}
@@ -419,7 +419,7 @@ func TestDeltaGainsContract(t *testing.T) {
 		for _, i := range r.Sample(len(nonSeeds), r.Intn(4)) {
 			bset = append(bset, nonSeeds[i])
 		}
-		if err := profiletest.CheckGains(pool.Pool, bset); err != nil {
+		if err := profiletest.CheckGains(pool.kernel, bset); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}

@@ -44,7 +44,7 @@ func TestQuietSound(t *testing.T) {
 			if when == "repaired" {
 				repairOnce(t, r, pool)
 			}
-			quiet, pairs, err := profiletest.CheckQuiet(pool.Pool)
+			quiet, pairs, err := profiletest.CheckQuiet(pool.kernel)
 			if err != nil {
 				t.Fatalf("%s %s: %v", og.Name, when, err)
 			}
@@ -83,7 +83,7 @@ func TestEstimateSkipMatchesAllPostings(t *testing.T) {
 			case "repaired":
 				repairOnce(t, r, pool)
 			}
-			if err := profiletest.CheckEstimates(r, pool.Pool, 120); err != nil {
+			if err := profiletest.CheckEstimates(r, pool.kernel, 120); err != nil {
 				t.Fatalf("%s %s: %v", og.Name, when, err)
 			}
 		}
@@ -127,7 +127,7 @@ func TestMemoryEstimateCountsCapacity(t *testing.T) {
 	}
 	check := func(when string) {
 		t.Helper()
-		if got, want := pool.MemoryEstimate(), testutil.RetainedBytes(pool.Pool, (*graph.Graph)(nil)); got != want {
+		if got, want := pool.MemoryEstimate(), testutil.RetainedBytes(pool.kernel, (*graph.Graph)(nil)); got != want {
 			t.Fatalf("%s: MemoryEstimate = %d, summed capacities = %d", when, got, want)
 		}
 	}

@@ -63,7 +63,7 @@ import (
 // The node universe is fixed: g2 must have the same node count (deltas
 // mutate edges only). Growing the universe is a re-upload.
 func (p *Pool) Repair(g2 *graph.Graph, dirtyOut, dirtyIn []bool, maxFrac float64) (touched int, ok bool, err error) {
-	g := p.Graph()
+	g := p.kernel.Graph()
 	n := g.N()
 	if g2.N() != n {
 		return 0, false, fmt.Errorf("lt: repair changes node count %d -> %d", n, g2.N())
@@ -76,7 +76,7 @@ func (p *Pool) Repair(g2 *graph.Graph, dirtyOut, dirtyIn []bool, maxFrac float64
 	// and profile seeds do not. Only the dirty in-lists' normalizers
 	// can differ from the current ones.
 	c := p.dynamics()
-	seed := p.SeedMask()
+	seed := p.kernel.SeedMask()
 	moved := make([]bool, n)
 	m2 := c.m.patched(g2, dirtyIn, moved)
 	src := make([]bool, n)
@@ -95,14 +95,14 @@ func (p *Pool) Repair(g2 *graph.Graph, dirtyOut, dirtyIn []bool, maxFrac float64
 		hits        int
 		cost, total int64
 	}
-	hit := make([]bool, p.NumProfiles())
+	hit := make([]bool, p.kernel.NumProfiles())
 	var sum tally
 	if crossed {
-		tallies := make([]tally, p.Workers())
-		shard.Each(len(hit), p.Workers(), func(w, lo, hi int) {
+		tallies := make([]tally, p.kernel.Workers())
+		shard.Each(len(hit), p.kernel.Workers(), func(w, lo, hi int) {
 			var t tally
 			for pi := lo; pi < hi; pi++ {
-				pr := p.Profile(pi)
+				pr := p.kernel.Profile(pi)
 				cost := int64(len(pr.Active) + len(pr.Front))
 				t.total += cost
 				if crosses(pr.Active, pr.Front, src, moved) {
@@ -122,7 +122,7 @@ func (p *Pool) Repair(g2 *graph.Graph, dirtyOut, dirtyIn []bool, maxFrac float64
 	if sum.total > 0 && float64(sum.cost) > maxFrac*float64(sum.total) {
 		return sum.hits, false, nil
 	}
-	p.Resample(g2, &cascade{m: m2, seeds: c.seeds}, hit)
+	p.kernel.Resample(g2, &cascade{m: m2, seeds: c.seeds}, hit)
 	return sum.hits, true, nil
 }
 

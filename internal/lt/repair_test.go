@@ -72,7 +72,7 @@ func sameLTPoolBits(t *testing.T, label string, got, want *Pool, k int) {
 		}
 	}
 	eq("profile seeds, fixed points and frontier index", dumpPool(got), dumpPool(want))
-	eq("baseSum", got.BaseSum(), want.BaseSum())
+	eq("baseSum", got.kernel.BaseSum(), want.kernel.BaseSum())
 	eq("BaseSpread", got.BaseSpread(), want.BaseSpread())
 
 	boost := []int32{int32(1 % got.Graph().N()), int32(5 % got.Graph().N())}
@@ -206,7 +206,7 @@ func inSumP(g *graph.Graph, v int32) float64 {
 var crossingDeltas = []crossingDelta{
 	{"in-edges of seeds", func(g *graph.Graph, r *rng.Source, p *Pool) (*graph.EdgeDelta, int) {
 		d := &graph.EdgeDelta{}
-		seed := p.SeedMask()
+		seed := p.kernel.SeedMask()
 		for _, s := range p.Seeds() {
 			from := g.InFrom(s)
 			for j, u := range from {
@@ -300,7 +300,7 @@ var crossingDeltas = []crossingDelta{
 				}
 				want := 0
 				for pi := 0; pi < p.NumProfiles(); pi++ {
-					pr := p.Profile(pi)
+					pr := p.kernel.Profile(pi)
 					if slices.Contains(pr.Active, v) || slices.Contains(pr.Front, v) {
 						want++
 					}
@@ -318,7 +318,7 @@ func reached(p *Pool) (act, front []bool) {
 	n := p.Graph().N()
 	act, front = make([]bool, n), make([]bool, n)
 	for pi := 0; pi < p.NumProfiles(); pi++ {
-		pr := p.Profile(pi)
+		pr := p.kernel.Profile(pi)
 		for _, v := range pr.Active {
 			act[v] = true
 		}
@@ -362,7 +362,7 @@ func TestLTRepairExactCrossing(t *testing.T) {
 				// cascade reads.
 				read := false
 				for pi := 0; pi < pool.NumProfiles() && !read; pi++ {
-					pr := pool.Profile(pi)
+					pr := pool.kernel.Profile(pi)
 					read = slices.ContainsFunc(pr.Active, func(v int32) bool { return eff.DirtyOut[v] || eff.DirtyIn[v] }) ||
 						slices.ContainsFunc(pr.Front, func(v int32) bool { return eff.DirtyIn[v] })
 				}

@@ -75,8 +75,8 @@ type Pool struct {
 // extendShard is one worker's private output for an Extend call: an
 // arena of freshly generated boostable graphs plus the batch
 // statistics. Shards are merged into the pool in worker order, so pool
-// contents are bit-identical to the serial merge for any fixed
-// (seed, workers) pair.
+// contents are bit-identical to the serial merge for a fixed seed at
+// any worker count.
 type extendShard struct {
 	arena arena
 	log   sketchLog

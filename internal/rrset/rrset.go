@@ -121,10 +121,10 @@ func (p *Pool) ExtendContext(ctx context.Context, target int) error {
 	for _, wk := range p.scratch {
 		wk.items, wk.ends = wk.items[:0], wk.ends[:0]
 	}
-	start := p.Size()
+	base := p.Size()
 	err := shard.Build(ctx, need, p.workers, func(w, i int) {
 		wk := p.scratch[w]
-		wk.r.ReseedStream(p.seed, uint64(start+i))
+		wk.r.ReseedStream(p.seed, uint64(base+i))
 		wk.items = generate(p.g, int32(wk.r.Intn(p.g.N())), wk, wk.items, &wk.r)
 		wk.ends = append(wk.ends, int32(len(wk.items)))
 	})

@@ -46,19 +46,15 @@ func TestPublicPipeline(t *testing.T) {
 
 // TestLTPoolMethodSet pins the exported method set of the LTPool
 // facade, so internal restructuring of the LT pool cannot silently add
-// or drop public API. lt.Pool embeds the profile-pool kernel, as the
-// SIR and k-threshold pools do, so the set is the kernel's methods
-// plus lt's Extend, GreedyBoost, GreedyBoostAmong, Norms and Repair.
+// or drop public API.
 func TestLTPoolMethodSet(t *testing.T) {
 	typ := reflect.TypeOf(&LTPool{})
 	var got []string
 	for i := 0; i < typ.NumMethod(); i++ {
 		got = append(got, typ.Method(i).Name)
 	}
-	want := "[BaseSpread BaseSum Cascade CheckSelect Eligible Estimate EstimateBoost EstimateSpread Extend " +
-		"ExtendContext FrontierProfiles Generation Graph GreedyBoost GreedyBoostAmong GreedyBoostAmongContext " +
-		"GreedyBoostContext MemoryEstimate Norms NumProfiles Profile ProfileGains PutScratch Repair Resample " +
-		"Scratch SeedMask Seeds Workers]"
+	want := "[BaseSpread Estimate EstimateBoost EstimateSpread Extend ExtendContext Generation Graph GreedyBoost " +
+		"GreedyBoostAmong GreedyBoostAmongContext GreedyBoostContext MemoryEstimate Norms NumProfiles Repair Seeds]"
 	if fmt.Sprint(got) != want {
 		t.Fatalf("LTPool methods %v, want %s", got, want)
 	}
